@@ -26,10 +26,8 @@ int main() {
   const ir::Program original = workloads::blur_sharpen(400000);
   const machine::MachineModel machine = bench::o2k();
 
-  core::OptimizerOptions fusion_only;
-  fusion_only.reduce_storage = false;
-  fusion_only.eliminate_stores = false;
-  const ir::Program fused = core::optimize(original, fusion_only).program;
+  const ir::Program fused =
+      core::optimize(original, "fuse(solver=best)").program;
   const ir::Program full = core::optimize(original).program;
   const ir::Program refissioned =
       transform::distribute_loops(fused).program;

@@ -21,16 +21,16 @@ int main() {
 
   struct Variant {
     const char* name;
-    bool fuse, storage, stores;
+    const char* passes;
   };
   const Variant variants[] = {
-      {"none", false, false, false},
-      {"fusion", true, false, false},
-      {"fusion + storage reduction", true, true, false},
-      {"fusion + store elimination", true, false, true},
-      {"full pipeline", true, true, true},
-      {"storage reduction only", false, true, false},
-      {"store elimination only", false, false, true},
+      {"none", ""},
+      {"fusion", "fuse(solver=best)"},
+      {"fusion + storage reduction", "fuse(solver=best),reduce-storage"},
+      {"fusion + store elimination", "fuse(solver=best),eliminate-stores"},
+      {"full pipeline", core::kDefaultPipeline},
+      {"storage reduction only", "reduce-storage"},
+      {"store elimination only", "eliminate-stores"},
   };
 
   for (auto maker : {workloads::fig7_original, workloads::fig6_original}) {
@@ -45,12 +45,7 @@ int main() {
                   "semantics"});
     double base_time = 0.0;
     for (const auto& variant : variants) {
-      core::OptimizerOptions opts;
-      opts.solver = variant.fuse ? core::FusionSolver::kBest
-                                 : core::FusionSolver::kNone;
-      opts.reduce_storage = variant.storage;
-      opts.eliminate_stores = variant.stores;
-      const auto optimized = core::optimize(original, opts);
+      const auto optimized = core::optimize(original, variant.passes);
       const auto m = model::measure(optimized.program, machine);
       if (base_time == 0.0) base_time = m.time.total_s;
       const bool same = std::abs(m.exec.checksum - base_checksum) <=

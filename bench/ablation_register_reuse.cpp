@@ -29,26 +29,19 @@ int main() {
 
   struct Variant {
     const char* name;
-    core::FusionSolver solver;
-    bool storage, scalars;
+    const char* passes;
   };
   TextTable t("Simulated Origin2000 (bytes per flop at each boundary)");
   t.set_header({"pipeline", "L1-Reg", "L2-L1", "Mem-L2", "predicted ms",
                 "binding"});
   for (const Variant& variant :
-       {Variant{"none", core::FusionSolver::kNone, false, false},
-        Variant{"scalar replacement only", core::FusionSolver::kNone, false,
-                true},
-        Variant{"fusion + contraction", core::FusionSolver::kBest, true,
-                false},
+       {Variant{"none", ""},
+        Variant{"scalar replacement only", "scalar-replace"},
+        Variant{"fusion + contraction", core::kDefaultPipeline},
         Variant{"fusion + contraction + scalar repl.",
-                core::FusionSolver::kBest, true, true}}) {
-    core::OptimizerOptions opts;
-    opts.solver = variant.solver;
-    opts.reduce_storage = variant.storage;
-    opts.eliminate_stores = variant.storage;
-    opts.scalar_replacement = variant.scalars;
-    const auto r = core::optimize(p, opts);
+                "fuse(solver=best),reduce-storage,eliminate-stores,"
+                "scalar-replace"}}) {
+    const auto r = core::optimize(p, variant.passes);
     const auto m = model::measure(r.program, machine);
     std::vector<std::string> row = {variant.name};
     for (double b : m.balance.bytes_per_flop) row.push_back(fmt_fixed(b, 2));

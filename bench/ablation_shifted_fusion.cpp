@@ -32,11 +32,8 @@ int main() {
   double base_time = 0.0;
   for (const Variant& variant :
        {Variant{"plain (paper)", false}, Variant{"with alignment", true}}) {
-    core::OptimizerOptions opts;
-    opts.allow_shifted_fusion = variant.shift;
-    opts.reduce_storage = false;
-    opts.eliminate_stores = false;
-    const auto r = core::optimize(p, opts);
+    const auto r = core::optimize(
+        p, variant.shift ? "fuse(solver=best,shift=1)" : "fuse(solver=best)");
     const auto m = model::measure(r.program, machine);
     if (base_time == 0.0) base_time = m.time.total_s;
     t.add_row({variant.name, std::to_string(r.plan.num_partitions),

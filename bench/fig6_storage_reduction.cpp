@@ -25,10 +25,8 @@ int main() {
   const machine::MachineModel machine = bench::o2k();
   const ir::Program original = workloads::fig6_original(n);
 
-  core::OptimizerOptions fusion_only;
-  fusion_only.reduce_storage = false;
-  fusion_only.eliminate_stores = false;
-  const ir::Program fused = core::optimize(original, fusion_only).program;
+  const ir::Program fused =
+      core::optimize(original, "fuse(solver=best)").program;
   const core::OptimizeResult full = core::optimize(original);
 
   TextTable t("Simulated Origin2000 (caches/16)");
@@ -51,7 +49,7 @@ int main() {
   }
   std::cout << t.render();
 
-  std::cout << "\npass log:\n" << core::render_log(full);
+  std::cout << "\npass log:\n" << full.pipeline.to_text();
   std::cout << "\npaper: two N^2 arrays -> two N arrays + two scalars.\n"
             << "here:  two N^2 arrays -> three N buffers + one scalar\n"
             << "       (cur/prev column pair instead of scalar+column;\n"

@@ -21,10 +21,8 @@ int main() {
   const std::int64_t n = 2000000;
   const ir::Program original = workloads::fig7_original(n);
 
-  core::OptimizerOptions fusion_only;
-  fusion_only.reduce_storage = false;
-  fusion_only.eliminate_stores = false;
-  const ir::Program fused = core::optimize(original, fusion_only).program;
+  const ir::Program fused =
+      core::optimize(original, "fuse(solver=best)").program;
   const ir::Program eliminated = core::optimize(original).program;
 
   struct MachineUnderTest {

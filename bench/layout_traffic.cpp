@@ -102,9 +102,8 @@ int main(int argc, char** argv) {
   for (const Case& c : cases) {
     const Measured before = measure(c.program);
 
-    core::OptimizerOptions opts;
-    opts.passes = c.passes;  // verification stays on (opts.verify)
-    const core::OptimizeResult result = core::optimize(c.program, opts);
+    // Verification stays on (the PipelineOptions default).
+    const core::OptimizeResult result = core::optimize(c.program, c.passes);
     const Measured after = measure(result.program);
 
     const double ratio = static_cast<double>(before.line_bytes) /

@@ -1,6 +1,6 @@
 // Steady-state fast-forward throughput: wall-clock of the compiled replay
-// engine with and without periodic-loop macrosimulation (--fast-forward),
-// on fig3-scale stride-1 kernels.
+// engine with and without periodic-loop macrosimulation (on by default;
+// bwcopt --no-fast-forward turns it off), on fig3-scale stride-1 kernels.
 //
 // Fast-forward certifies the memory hierarchy's periodic fixpoint and
 // advances the remaining trips analytically (docs/runtime.md); the values

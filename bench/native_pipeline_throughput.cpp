@@ -99,11 +99,10 @@ ir::Program loop_chain(int loops, std::int64_t n, std::uint64_t seed) {
 /// longer changes it, so a timed run exercises pure analysis + pass
 /// machinery with zero transform work in either arm.
 ir::Program fixed_point(ir::Program program, const std::string& spec) {
-  core::OptimizerOptions opts;
-  opts.passes = spec;
+  pass::PipelineOptions opts;
   opts.verify = false;
   for (int iter = 0; iter < 8; ++iter) {
-    ir::Program next = core::optimize(program, opts).program;
+    ir::Program next = core::optimize(program, spec, opts).program;
     const bool stable = ir::equal(program, next);
     program = std::move(next);
     if (stable) return program;
@@ -151,24 +150,25 @@ int main(int argc, char** argv) {
   double min_gated = 1e300;
   std::vector<std::pair<std::string, double>> metrics;
   for (const Workload& w : workloads) {
-    core::OptimizerOptions opts;
-    opts.passes = w.spec;
+    pass::PipelineOptions opts;
     opts.verify = false;
     opts.cache_analyses = true;
-    const core::OptimizeResult cached = core::optimize(w.program, opts);
+    const core::OptimizeResult cached =
+        core::optimize(w.program, w.spec, opts);
     opts.cache_analyses = false;
-    const core::OptimizeResult uncached = core::optimize(w.program, opts);
+    const core::OptimizeResult uncached =
+        core::optimize(w.program, w.spec, opts);
     if (!ir::equal(cached.program, uncached.program)) {
       std::printf("!! cache on/off mismatch on %s\n", w.key.c_str());
       exact = false;
     }
 
     opts.cache_analyses = true;
-    const double warm =
-        seconds_of([&] { (void)core::optimize(w.program, opts); }, reps);
+    const double warm = seconds_of(
+        [&] { (void)core::optimize(w.program, w.spec, opts); }, reps);
     opts.cache_analyses = false;
-    const double cold =
-        seconds_of([&] { (void)core::optimize(w.program, opts); }, reps);
+    const double cold = seconds_of(
+        [&] { (void)core::optimize(w.program, w.spec, opts); }, reps);
     const double speedup = cold / warm;
     if (!json) {
       std::printf("%-10s %-6s %12.3f %12.3f %8.2fx\n", w.key.c_str(),

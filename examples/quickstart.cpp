@@ -32,7 +32,7 @@ int main() {
     std::cout << "before: " << model::summarize(before) << "\n\n";
 
     const core::OptimizeResult opt = core::optimize(original);
-    std::cout << "passes:\n" << core::render_log(opt) << "\n";
+    std::cout << "passes:\n" << opt.pipeline.to_text() << "\n";
     std::cout << ir::to_string(opt.program) << "\n";
 
     const model::Measurement after = model::measure(opt.program, o2k);

@@ -54,7 +54,7 @@ int main() {
   std::cout << "original program:\n" << ir::to_string(p) << "\n";
 
   const core::OptimizeResult opt = core::optimize(p);
-  std::cout << "optimizer log:\n" << core::render_log(opt) << "\n";
+  std::cout << "optimizer log:\n" << opt.pipeline.to_text() << "\n";
   std::cout << "optimized program:\n" << ir::to_string(opt.program) << "\n";
 
   TextTable t("Predicted time across machines (bandwidth-bound model)");

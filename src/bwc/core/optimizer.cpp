@@ -1,80 +1,17 @@
 #include "bwc/core/optimizer.h"
 
-#include <sstream>
-#include <utility>
-
-#include "bwc/pass/pass_manager.h"
 #include "bwc/pass/passes.h"
-#include "bwc/support/error.h"
+#include "bwc/pass/pipeline_spec.h"
 
 namespace bwc::core {
 
-namespace {
-
-const char* solver_name(FusionSolver solver) {
-  switch (solver) {
-    case FusionSolver::kBest: return "best";
-    case FusionSolver::kExact: return "exact";
-    case FusionSolver::kGreedy: return "greedy";
-    case FusionSolver::kBisection: return "bisection";
-    case FusionSolver::kEdgeWeighted: return "edge-weighted";
-    case FusionSolver::kNone: return "none";
-  }
-  return "best";
-}
-
-}  // namespace
-
-std::string default_pipeline(const OptimizerOptions& options) {
-  std::ostringstream os;
-  const char* sep = "";
-  if (options.auto_interchange) {
-    os << sep << "interchange";
-    sep = ",";
-  }
-  if (options.solver != FusionSolver::kNone) {
-    os << sep << "fuse(solver=" << solver_name(options.solver);
-    if (options.allow_shifted_fusion) os << ",shift=1";
-    os << ")";
-    sep = ",";
-  }
-  if (options.reduce_storage) {
-    os << sep << "reduce-storage";
-    sep = ",";
-  }
-  if (options.eliminate_stores) {
-    os << sep << "eliminate-stores";
-    sep = ",";
-  }
-  if (options.scalar_replacement) {
-    os << sep << "scalar-replace";
-    sep = ",";
-  }
-  return os.str();
-}
-
-OptimizeResult optimize(const ir::Program& program,
-                        const OptimizerOptions& options) {
-  BWC_CHECK(options.cores >= 1, "optimizer target core count must be >= 1");
-
-  const std::string spec_text =
-      options.passes.empty() ? default_pipeline(options) : options.passes;
-  const pass::PipelineSpec spec = pass::parse_pipeline_spec(spec_text);
-
-  pass::PipelineOptions pipeline_options;
-  pipeline_options.verify = options.verify;
-  pipeline_options.verify_max_events = options.verify_max_events;
-  pipeline_options.static_verify = options.static_verify;
-  pipeline_options.cache_analyses = options.cache_analyses;
-  pipeline_options.audit_analyses = options.audit_analyses;
-  pipeline_options.print_after = options.print_after;
-
-  pass::PassManager manager(std::move(pipeline_options));
-  manager.add(pass::build_pipeline(spec));
+OptimizeResult optimize(const ir::Program& program, const std::string& passes,
+                        const pass::PipelineOptions& options) {
+  pass::PassManager manager(options);
+  manager.add(pass::build_pipeline(pass::parse_pipeline_spec(passes)));
 
   OptimizeResult result;
   result.program = program.clone();
-  result.cores = options.cores;
   result.pipeline = manager.run(result.program);
 
   // The applied fusion plan, for callers inspecting partition structure.
@@ -83,22 +20,6 @@ OptimizeResult optimize(const ir::Program& program,
       result.plan = fuse->plan();
   }
   return result;
-}
-
-std::vector<std::string> OptimizeResult::log_lines() const {
-  std::vector<std::string> lines;
-  if (cores > 1) {
-    lines.push_back("target: " + std::to_string(cores) +
-                    " cores (minimizing shared-bus traffic)");
-  }
-  for (auto& line : pipeline.legacy_lines()) lines.push_back(std::move(line));
-  return lines;
-}
-
-std::string render_log(const OptimizeResult& result) {
-  std::ostringstream os;
-  for (const auto& line : result.log_lines()) os << "  - " << line << "\n";
-  return os.str();
 }
 
 }  // namespace bwc::core

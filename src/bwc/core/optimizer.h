@@ -1,97 +1,32 @@
-// core::optimize -- the paper's compiler strategy as one entry point, now
-// a thin wrapper over the bwc::pass pipeline machinery.
+// core::optimize -- the paper's compiler strategy as one entry point, a
+// thin wrapper over the bwc::pass pipeline machinery.
 //
-// The option struct maps to a PipelineSpec (default_pipeline): bandwidth-
-// minimal loop fusion organizes the global computation to minimize total
-// memory transfer (paper Section 3), storage reduction shrinks localized
-// arrays, store elimination removes writebacks to arrays whose uses
-// complete inside the fused loop; interchange and scalar replacement are
-// opt-in satellites. Callers wanting a non-default ordering set
-// OptimizerOptions::passes to a spec string ("interchange,fuse(solver=
-// exact),reduce-storage") -- see docs/PIPELINE.md for the grammar, the
-// pass catalogue, and the PassReport/remark schema. Per-pass facts
-// (timing, IR deltas, predicted traffic deltas, verifier outcomes,
-// machine-readable remarks) live in OptimizeResult::pipeline; the
-// human-readable log lines of the old free-form interface are derived
-// from it by log_lines()/render_log, byte-identical to the pre-pass-
-// manager output.
+// Which passes run is always a PipelineSpec string (docs/PIPELINE.md has
+// the grammar and the pass catalogue). The default, kDefaultPipeline, is
+// the paper's strategy: bandwidth-minimal loop fusion organizes the global
+// computation to minimize total memory transfer (paper Section 3), storage
+// reduction shrinks localized arrays, store elimination removes writebacks
+// to arrays whose uses complete inside the fused loop. Interchange, scalar
+// replacement, regrouping and the layout passes are opt-in entries of the
+// same spec ("interchange,fuse(solver=exact),reduce-storage"). Per-pass
+// facts (timing, IR deltas, predicted traffic deltas, verifier outcomes,
+// machine-readable remarks) live in OptimizeResult::pipeline;
+// PipelineReport::to_text renders them as the human-readable pass log.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "bwc/fusion/fusion_graph.h"
 #include "bwc/ir/program.h"
-#include "bwc/pass/pass.h"
-#include "bwc/pass/pipeline_spec.h"
+#include "bwc/pass/pass_manager.h"
 #include "bwc/pass/report.h"
 
 namespace bwc::core {
 
-enum class FusionSolver {
-  kBest,          // exact when small, best heuristic otherwise
-  kExact,         // exact enumeration (throws beyond 12 loops)
-  kGreedy,
-  kBisection,     // recursive min-cut bisection
-  kEdgeWeighted,  // prior-work baseline objective
-  kNone,          // skip fusion
-};
-
-struct OptimizerOptions {
-  /// Explicit pipeline spec ("fuse(solver=exact),reduce-storage", see
-  /// docs/PIPELINE.md). When empty, the pipeline is derived from the
-  /// flags below by default_pipeline(); when set, it wins and the
-  /// per-pass flags (solver, reduce_storage, ...) are ignored.
-  std::string passes;
-  FusionSolver solver = FusionSolver::kBest;
-  bool reduce_storage = true;
-  bool eliminate_stores = true;
-  /// Fusion with alignment: allow fusing loops separated by a bounded
-  /// forward dependence distance by delaying the consumer (kShifted).
-  bool allow_shifted_fusion = false;
-  /// Run the loop-interchange heuristic before fusion: 2-deep nests that
-  /// traverse column-major data row-by-row are swapped to stride-1 order
-  /// when legal.
-  bool auto_interchange = false;
-  /// After the bandwidth passes, keep stencil-reused array elements in
-  /// rotating scalars (Callahan-Cocke-Kennedy register reuse): reduces
-  /// register<->L1 traffic, the paper's second most critical resource.
-  bool scalar_replacement = false;
-  /// Re-check every pass's output with the independent verifier
-  /// (bwc::verify): structural validation throughout, translation
-  /// validation for the scheduling passes (interchange, fusion),
-  /// observability certification for the storage passes. A violation
-  /// raises bwc::Error carrying the verifier's diagnostics.
-  bool verify = true;
-  /// Per-program event budget for the instance-level checks; programs
-  /// whose traces would exceed it degrade to structural validation only.
-  std::uint64_t verify_max_events = 2'000'000;
-  /// Static-prover-first checking (pass::StaticVerifyMode): kOn consults
-  /// the input-independent legality provers before replaying traces and
-  /// skips the replay on a proof; kOff is trace-only; kOnly never replays
-  /// (a static refutation fails, an unknown is reported as skipped).
-  pass::StaticVerifyMode static_verify = pass::StaticVerifyMode::kOn;
-  /// Serve repeated analysis queries (statement summaries, liveness,
-  /// fusion graph, traffic bounds) from the pass::AnalysisManager cache.
-  /// Off recomputes every query; results are identical either way.
-  bool cache_analyses = true;
-  /// Fingerprint every cache entry against the IR it was computed from
-  /// and raise bwc::Error on a hit whose program has since changed -- a
-  /// pass mutated the IR without declaring the invalidation. Debugging
-  /// aid (bwcopt --audit-analyses); costs one ir::to_string per query.
-  bool audit_analyses = false;
-  /// When set, called with each pass and the program state after it ran
-  /// (bwcopt --print-after-all).
-  std::function<void(const pass::Pass&, const ir::Program&)> print_after;
-  /// Core count the optimized program is intended to run at. The passes
-  /// themselves are core-count independent (they minimize total shared
-  /// traffic, which is what binds at scale -- docs/MODEL.md section 7);
-  /// the value is recorded in the log and threaded to measurement by
-  /// callers such as bwcopt --cores.
-  int cores = 1;
-};
+/// The paper's pipeline: fusion, then storage reduction, then store
+/// elimination.
+inline constexpr char kDefaultPipeline[] =
+    "fuse(solver=best),reduce-storage,eliminate-stores";
 
 struct OptimizeResult {
   ir::Program program;
@@ -100,24 +35,13 @@ struct OptimizeResult {
   /// Structured per-pass reports: remarks, timing, IR and predicted
   /// memory-traffic deltas, verifier outcomes, analysis-cache counters.
   pass::PipelineReport pipeline;
-  /// Core count the run targeted (OptimizerOptions::cores).
-  int cores = 1;
-
-  /// The human-readable log: the multicore prelude line (cores > 1)
-  /// followed by each pass's legacy lines, byte-identical to the old
-  /// free-form `log` vector.
-  std::vector<std::string> log_lines() const;
 };
 
-/// The PipelineSpec string the given options denote -- what optimize()
-/// runs when options.passes is empty.
-std::string default_pipeline(const OptimizerOptions& options = {});
-
-/// Run the bandwidth-reduction pipeline on a program.
+/// Run the pipeline spec `passes` on a copy of `program` ("" runs no
+/// passes). Throws bwc::Error on a malformed spec, a structurally invalid
+/// input, or a pass its verifier check rejects (options.verify).
 OptimizeResult optimize(const ir::Program& program,
-                        const OptimizerOptions& options = {});
-
-/// Render the log as a bulleted block.
-std::string render_log(const OptimizeResult& result);
+                        const std::string& passes = kDefaultPipeline,
+                        const pass::PipelineOptions& options = {});
 
 }  // namespace bwc::core

@@ -154,4 +154,12 @@ std::vector<MachineModel> all_presets() {
           generic_modern_l3()};
 }
 
+MachineModel machine_by_name(const std::string& name) {
+  if (name == "o2k") return origin2000_r10k();
+  if (name == "exemplar") return exemplar_pa8000();
+  if (name == "modern") return generic_modern();
+  throw Error("unknown machine \"" + name +
+              "\" (supported: o2k, exemplar, modern)");
+}
+
 }  // namespace bwc::machine

@@ -101,4 +101,9 @@ MachineModel generic_modern_l3();
 /// All presets, for parameterized tests and sweeps.
 std::vector<MachineModel> all_presets();
 
+/// The preset a command line or a bwcd request names: "o2k"
+/// (origin2000_r10k), "exemplar" (exemplar_pa8000) or "modern"
+/// (generic_modern). Throws bwc::Error listing the supported names.
+MachineModel machine_by_name(const std::string& name);
+
 }  // namespace bwc::machine

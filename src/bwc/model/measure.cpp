@@ -2,9 +2,18 @@
 
 #include <sstream>
 
+#include "bwc/support/error.h"
 #include "bwc/support/table.h"
 
 namespace bwc::model {
+
+ExecEngine engine_by_name(const std::string& name) {
+  if (name == "compiled") return ExecEngine::kCompiled;
+  if (name == "reference") return ExecEngine::kReference;
+  if (name == "native") return ExecEngine::kNative;
+  throw Error("unknown engine \"" + name +
+              "\" (supported: compiled, reference, native)");
+}
 
 Measurement measure(const ir::Program& program,
                     const machine::MachineModel& machine,

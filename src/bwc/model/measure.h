@@ -30,6 +30,10 @@ struct Measurement {
 /// reason lands in MeasureOptions::native_report.
 enum class ExecEngine { kCompiled, kReference, kNative };
 
+/// The engine a command line or a bwcd request names: "compiled",
+/// "reference" or "native". Throws bwc::Error listing the supported names.
+ExecEngine engine_by_name(const std::string& name);
+
 /// Knobs for measure(). `fast_forward` controls the compiled engines'
 /// steady-state fast-forward (see runtime::ExecOptions::fast_forward);
 /// measured profiles are bit-identical either way, so this is purely a

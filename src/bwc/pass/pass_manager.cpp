@@ -76,8 +76,8 @@ PipelineReport PassManager::run(ir::Program& program) {
       report.traffic_bound_after = report.traffic_bound_before;
     }
 
-    // The legacy optimizer checked only passes that changed the program;
-    // an unchanged program is trivially equivalent to itself.
+    // Only passes that changed the program are checked: an unchanged
+    // program is trivially equivalent to itself.
     if (result.changed && options_.verify) {
       const auto verify_start = std::chrono::steady_clock::now();
       const verify::Report checked = pass->check(

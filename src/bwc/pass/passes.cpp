@@ -53,8 +53,8 @@ PassResult InterchangePass::run(ir::Program& program, AnalysisManager& am,
       transform::auto_interchange(program, &am.statement_summaries(program));
   PassResult pr;
   if (result.interchanged.empty()) {
-    // The legacy optimizer logged nothing when no nest was interchanged;
-    // record the miss as a note so render_log stays byte-identical.
+    // Nothing to interchange is routine (most nests are already stride-1):
+    // record it as a note, which the text log leaves out.
     report.note("interchange-no-candidates",
                 "no 2-deep nest both profits from and permits interchange");
     return pr;

@@ -114,30 +114,22 @@ void PassReport::finding(
                            std::move(message), std::move(args), severity});
 }
 
-std::vector<std::string> PassReport::legacy_lines() const {
-  std::vector<std::string> lines;
-  for (const auto& r : remarks) {
-    if (r.kind != RemarkKind::kNote) lines.push_back(r.message);
-  }
-  if (verify.ran) {
-    std::string line = "verify (" + label + "): " + verify.check;
-    if (verify.skipped) {
-      line += " skipped: " + verify.skip_reason;
-    } else {
-      line += " certified, " + std::to_string(verify.instances_checked) +
-              " instance(s) checked";
+std::string PipelineReport::to_text() const {
+  std::ostringstream os;
+  for (const PassReport& p : passes) {
+    for (const Remark& r : p.remarks) {
+      if (r.kind != RemarkKind::kNote) os << "  - " << r.message << "\n";
     }
-    lines.push_back(line);
+    if (!p.verify.ran) continue;
+    os << "  - verify (" << p.label << "): " << p.verify.check;
+    if (p.verify.skipped) {
+      os << " skipped: " << p.verify.skip_reason << "\n";
+    } else {
+      os << " certified, " << p.verify.instances_checked
+         << " instance(s) checked\n";
+    }
   }
-  return lines;
-}
-
-std::vector<std::string> PipelineReport::legacy_lines() const {
-  std::vector<std::string> lines;
-  for (const auto& report : passes) {
-    for (auto& line : report.legacy_lines()) lines.push_back(std::move(line));
-  }
-  return lines;
+  return os.str();
 }
 
 int PipelineReport::error_findings() const {

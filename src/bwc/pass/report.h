@@ -1,9 +1,7 @@
 // Structured per-pass reporting: remarks, IR deltas, timing and verifier
-// outcomes, replacing the optimizer's old free-form string log. Every pass
-// run produces one PassReport; a pipeline run produces a PipelineReport.
-// The legacy log lines are derived from the reports (legacy_lines), so
-// core::render_log output stays stable while every fact is also available
-// as a typed field. docs/PIPELINE.md documents the remark schema; the JSON
+// outcomes. Every pass run produces one PassReport; a pipeline run produces
+// a PipelineReport, rendered as the human-readable pass log (to_text) or as
+// JSON (to_json). docs/PIPELINE.md documents the remark schema; the JSON
 // rendering is validated in CI by tools/check_remarks_schema.py.
 #pragma once
 
@@ -17,11 +15,10 @@
 
 namespace bwc::pass {
 
-/// How a remark relates to the legacy log: kApplied and kMissed remarks
-/// are exactly the lines the pre-pass-manager optimizer logged (their
-/// `message` is byte-identical to the old line); kNote remarks are
-/// additional machine-readable detail (why a fusion was rejected, which
-/// array shrank) that never appears in render_log.
+/// What a remark records: a transformation a pass applied, or one it
+/// looked for and did not find (both are lines of the pass log), or a
+/// kNote of machine-readable detail (why a fusion was rejected, which
+/// array shrank) that the text log leaves out.
 enum class RemarkKind { kApplied, kMissed, kNote };
 
 const char* remark_kind_name(RemarkKind kind);
@@ -38,7 +35,7 @@ struct Remark {
   RemarkKind kind = RemarkKind::kNote;
   /// Stable kebab-case code, e.g. "fusion-applied", "store-eliminated".
   std::string code;
-  /// Human-readable text; for kApplied/kMissed this is the legacy log line.
+  /// Human-readable text; for kApplied/kMissed this is the pass-log line.
   std::string message;
   /// Structured key=value detail (all values rendered as strings).
   std::vector<std::pair<std::string, std::string>> args;
@@ -109,10 +106,6 @@ struct PassReport {
   /// A graded diagnostic finding (lint): a kNote remark with a severity.
   void finding(RemarkSeverity severity, std::string code, std::string message,
                std::vector<std::pair<std::string, std::string>> args = {});
-
-  /// The legacy optimizer log lines for this pass: kApplied/kMissed remark
-  /// messages in order, then the verify line when the checker ran.
-  std::vector<std::string> legacy_lines() const;
 };
 
 /// Analysis-cache counters (filled from AnalysisManager::stats()).
@@ -127,8 +120,10 @@ struct PipelineReport {
   std::vector<PassReport> passes;
   AnalysisCacheStats analysis;
 
-  /// Legacy log lines of all passes, in pipeline order.
-  std::vector<std::string> legacy_lines() const;
+  /// The pass log, one "  - " line per kApplied/kMissed remark and per
+  /// verifier check that ran, in pipeline order. Deterministic: no wall
+  /// clocks or cache counters, so every replay engine prints the same log.
+  std::string to_text() const;
 
   /// Number of kError-severity remarks across all passes (bwcopt --lint
   /// exits 1 when nonzero).

@@ -50,7 +50,9 @@ Client::~Client() {
 }
 
 Client::Client(Client&& other) noexcept
-    : fd_(other.fd_), timeout_ms_(other.timeout_ms_) {
+    : fd_(other.fd_),
+      timeout_ms_(other.timeout_ms_),
+      reader_(std::move(other.reader_)) {
   other.fd_ = -1;
 }
 
@@ -59,6 +61,7 @@ Client& Client::operator=(Client&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
     timeout_ms_ = other.timeout_ms_;
+    reader_ = std::move(other.reader_);
     other.fd_ = -1;
   }
   return *this;
@@ -78,11 +81,10 @@ void Client::send_bytes(const std::string& bytes) {
 }
 
 std::string Client::read_frame() {
-  FrameReader reader;
   char buf[16384];
   std::string payload;
   while (true) {
-    switch (reader.next(&payload)) {
+    switch (reader_.next(&payload)) {
       case FrameStatus::kFrame: return payload;
       case FrameStatus::kOversized:
         throw Error("[bad-response] oversized response frame");
@@ -103,7 +105,7 @@ std::string Client::read_frame() {
       if (errno == EINTR) continue;
       throw Error("[connection-lost] recv failed");
     }
-    reader.feed(buf, static_cast<std::size_t>(n));
+    reader_.feed(buf, static_cast<std::size_t>(n));
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 
+#include "bwc/server/frame.h"
 #include "bwc/server/protocol.h"
 
 namespace bwc::server {
@@ -44,6 +45,9 @@ class Client {
  private:
   int fd_ = -1;
   std::int64_t timeout_ms_ = 30'000;
+  /// Bytes received but not yet returned: one recv can carry the next
+  /// response too (pipelined requests), which the next read_frame owns.
+  FrameReader reader_;
 };
 
 }  // namespace bwc::server

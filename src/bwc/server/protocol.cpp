@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "bwc/machine/machine_model.h"
+#include "bwc/model/measure.h"
 #include "bwc/support/error.h"
 #include "bwc/tune/autotune.h"
 
@@ -100,14 +102,13 @@ Request parse_request_schema(const JsonValue& doc) {
     bad_request("op \"" + op + "\" requires a non-empty \"program\"");
   r.pipeline = doc.string_or("pipeline", "");
   r.machine = doc.string_or("machine", "o2k");
-  if (r.machine != "o2k" && r.machine != "exemplar" && r.machine != "modern")
-    bad_request("unknown machine \"" + r.machine +
-                "\" (supported: o2k, exemplar, modern)");
   r.engine = doc.string_or("engine", "compiled");
-  if (r.engine != "compiled" && r.engine != "reference" &&
-      r.engine != "native")
-    bad_request("unknown engine \"" + r.engine +
-                "\" (supported: compiled, reference, native)");
+  try {
+    machine::machine_by_name(r.machine);
+    model::engine_by_name(r.engine);
+  } catch (const Error& e) {
+    bad_request(e.what());
+  }
   r.cores = static_cast<int>(int_field(doc, "cores", 1, 1, 1024));
   r.scale =
       static_cast<std::uint64_t>(int_field(doc, "scale", 16, 1, 1 << 20));

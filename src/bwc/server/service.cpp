@@ -35,28 +35,17 @@ std::uint64_t unix_micros() {
 }
 
 /// Canonical pipeline spec for a request: the explicit spec re-rendered
-/// through the parser, or the default pipeline. Throws on a bad spec.
+/// through the parser; an absent or blank spec means the default
+/// pipeline. Throws on a bad spec.
 std::string canonical_pipeline(const Request& request) {
-  if (request.pipeline.empty()) return core::default_pipeline();
-  return pass::parse_pipeline_spec(request.pipeline).to_string();
+  const std::string spec =
+      pass::parse_pipeline_spec(request.pipeline).to_string();
+  return spec.empty() ? core::kDefaultPipeline : spec;
 }
 
 machine::MachineModel make_machine(const Request& request) {
-  machine::MachineModel m;
-  if (request.machine == "o2k") {
-    m = machine::origin2000_r10k();
-  } else if (request.machine == "exemplar") {
-    m = machine::exemplar_pa8000();
-  } else {
-    m = machine::generic_modern();
-  }
+  const machine::MachineModel m = machine::machine_by_name(request.machine);
   return m.scaled(request.scale).with_cores(request.cores);
-}
-
-model::ExecEngine make_engine(const Request& request) {
-  if (request.engine == "reference") return model::ExecEngine::kReference;
-  if (request.engine == "native") return model::ExecEngine::kNative;
-  return model::ExecEngine::kCompiled;
 }
 
 JsonValue ir_stats_json(const pass::IrStats& s) {
@@ -133,6 +122,30 @@ JsonValue measurement_json(const model::Measurement& m) {
 
 }  // namespace
 
+class Service::InflightGuard {
+ public:
+  InflightGuard(Service& service, std::string key_fp)
+      : service_(service), key_fp_(std::move(key_fp)) {
+    std::unique_lock<std::mutex> lock(service_.inflight_mutex_);
+    service_.inflight_done_.wait(
+        lock, [&] { return service_.inflight_.count(key_fp_) == 0; });
+    service_.inflight_.insert(key_fp_);
+  }
+  ~InflightGuard() {
+    {
+      std::lock_guard<std::mutex> lock(service_.inflight_mutex_);
+      service_.inflight_.erase(key_fp_);
+    }
+    service_.inflight_done_.notify_all();
+  }
+  InflightGuard(const InflightGuard&) = delete;
+  InflightGuard& operator=(const InflightGuard&) = delete;
+
+ private:
+  Service& service_;
+  const std::string key_fp_;
+};
+
 Service::Service(const ServiceOptions& options)
     : options_(options),
       cache_(options.cache_dir),
@@ -159,10 +172,7 @@ std::string Service::compute_result_body(const Request& request) {
   const std::string canonical_text = ir::to_string(original);
   const std::string spec = canonical_pipeline(request);
 
-  core::OptimizerOptions opts;
-  opts.passes = spec;
-  opts.cores = request.cores;
-  const core::OptimizeResult result = core::optimize(original, opts);
+  const core::OptimizeResult result = core::optimize(original, spec);
 
   JsonValue body = JsonValue::object();
   body.set("schema", JsonValue::string(kSchemaName));
@@ -190,7 +200,7 @@ std::string Service::compute_result_body(const Request& request) {
   if (request.measure) {
     const machine::MachineModel machine = make_machine(request);
     model::MeasureOptions measure_opts;
-    measure_opts.engine = make_engine(request);
+    measure_opts.engine = model::engine_by_name(request.engine);
     const model::Measurement before =
         model::measure(original, machine, measure_opts);
     const model::Measurement after =
@@ -252,7 +262,7 @@ std::string Service::compute_tune_result_body(
   topts.threads = request.cores;
   topts.seed_specs = seed_specs;
   topts.machine = make_machine(request);
-  topts.engine = make_engine(request);
+  topts.engine = model::engine_by_name(request.engine);
   const tune::TuneResult result = tune::tune(original, topts);
   if (winner_spec != nullptr) *winner_spec = result.winner_spec;
 
@@ -378,6 +388,7 @@ Response Service::handle(const Request& request) {
       try {
         const std::string key = cache_key_text(request);
         key_fp = CompileCache::fingerprint(key);
+        const InflightGuard guard(*this, key_fp);
         CompileCache::Lookup lookup = cache_.get(key);
         if (lookup.hit) {
           response.cache_hit = true;
@@ -402,6 +413,7 @@ Response Service::handle(const Request& request) {
         const std::vector<std::string> seeds = tune_seed_specs();
         const std::string key = tune_cache_key_text(request, seeds);
         key_fp = CompileCache::fingerprint(key);
+        const InflightGuard guard(*this, key_fp);
         CompileCache::Lookup lookup = cache_.get(key);
         if (lookup.hit) {
           response.cache_hit = true;

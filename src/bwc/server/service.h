@@ -22,8 +22,11 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -110,6 +113,12 @@ class Service {
                         std::uint64_t response_bytes);
 
  private:
+  /// Marks one cache key as being computed for as long as it lives; a
+  /// second guard on the same key waits until the first is gone. So
+  /// concurrent identical requests run the pipeline once, and the others
+  /// are then served from the cache.
+  class InflightGuard;
+
   Response handle_optimize(const Request& request);
   Response stats_response() const;
   void log_served(const Request& request, const Response& response,
@@ -122,6 +131,9 @@ class Service {
   std::atomic<std::uint64_t> ok_{0};
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> pipeline_runs_{0};
+  std::mutex inflight_mutex_;
+  std::condition_variable inflight_done_;
+  std::set<std::string> inflight_;  // fingerprints of keys being computed
 };
 
 }  // namespace bwc::server

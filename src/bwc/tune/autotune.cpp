@@ -136,14 +136,14 @@ class Evaluator {
         s.feasible = true;
         return s;
       }
-      core::OptimizerOptions opts;
-      opts.passes = render_suffix(passes, start);
       std::size_t done = start;
+      pass::PipelineOptions opts;
       opts.print_after = [&](const pass::Pass&, const ir::Program& after) {
         ++done;
         remember(render_prefix(passes, done), after);
       };
-      const core::OptimizeResult result = core::optimize(source, opts);
+      const core::OptimizeResult result =
+          core::optimize(source, render_suffix(passes, start), opts);
       s.predicted =
           verify::compute_traffic_bound(result.program).lower_bound_bytes;
       s.stride = stride_penalty(result.program);
@@ -221,7 +221,7 @@ TuneResult tune(const ir::Program& program, const TuneOptions& options) {
 
   TuneResult out;
   out.floor = verify::compute_data_floor(program);
-  out.default_spec = canonical_spec(core::default_pipeline());
+  out.default_spec = canonical_spec(core::kDefaultPipeline);
   out.certificate.floor_bytes = out.floor.floor_bytes;
   out.certificate.tolerance_percent = options.gap_percent;
   const double within =
@@ -343,19 +343,11 @@ TuneResult tune(const ir::Program& program, const TuneOptions& options) {
     try {
       Finalist f;
       f.v.spec = spec;
-      if (spec.empty()) {
-        f.v.measured_bytes = static_cast<std::int64_t>(
-            model::measure(program, options.machine, measure_opts)
-                .profile.memory_bytes());
-      } else {
-        core::OptimizerOptions opts;
-        opts.passes = spec;
-        core::OptimizeResult result = core::optimize(program, opts);
-        f.v.measured_bytes = static_cast<std::int64_t>(
-            model::measure(result.program, options.machine, measure_opts)
-                .profile.memory_bytes());
-        f.pipeline = std::move(result.pipeline);
-      }
+      core::OptimizeResult result = core::optimize(program, spec);
+      f.v.measured_bytes = static_cast<std::int64_t>(
+          model::measure(result.program, options.machine, measure_opts)
+              .profile.memory_bytes());
+      f.pipeline = std::move(result.pipeline);
       const auto it = predicted.find(spec);
       f.v.predicted_bytes =
           it != predicted.end()

@@ -226,11 +226,9 @@ TEST_P(TwoDFuzz, OptimizerPreservesSemantics) {
         rng, 8 + static_cast<std::int64_t>(rng.uniform(10)),
         1 + static_cast<int>(rng.uniform(3)));
     const double base = runtime::execute(p).checksum;
-    for (auto solver :
-         {core::FusionSolver::kBest, core::FusionSolver::kGreedy}) {
-      core::OptimizerOptions opts;
-      opts.solver = solver;
-      const auto r = core::optimize(p, opts);
+    for (const std::string solver : {"best", "greedy"}) {
+      const auto r = core::optimize(
+          p, "fuse(solver=" + solver + "),reduce-storage,eliminate-stores");
       const double after = runtime::execute(r.program).checksum;
       ASSERT_NEAR(base, after, 1e-9 * (std::abs(base) + 1.0))
           << "seed " << GetParam() << " trial " << trial << "\n"

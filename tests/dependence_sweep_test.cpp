@@ -180,36 +180,33 @@ double run_parallel_with_bound_check(const Program& p, int cores,
 
 TEST_P(PipelineSweep, RandomProgramsVerifiedAndChecksumPreserved) {
   const auto& [solver_index, mask] = GetParam();
-  const core::FusionSolver solvers[] = {
-      core::FusionSolver::kBest, core::FusionSolver::kExact,
-      core::FusionSolver::kGreedy, core::FusionSolver::kBisection,
-      core::FusionSolver::kEdgeWeighted};
+  const char* const solvers[] = {"best", "exact", "greedy", "bisection",
+                                 "edge-weighted"};
+  // The mask's bits pick shifted fusion, interchange, storage reduction
+  // and store elimination around the solver's fuse pass.
+  std::string spec = (mask & 2) != 0 ? "interchange," : "";
+  spec += std::string("fuse(solver=") + solvers[solver_index] +
+          ((mask & 1) != 0 ? ",shift=1)" : ")");
+  if ((mask & 4) != 0) spec += ",reduce-storage";
+  if ((mask & 8) != 0) spec += ",eliminate-stores";
   // Core count varies with the parameter point but is deterministic, so
   // every pipeline combination eventually meets every core count.
   const int core_choices[] = {1, 2, 4, 8};
-  core::OptimizerOptions opts;
-  opts.solver = solvers[solver_index];
-  opts.allow_shifted_fusion = (mask & 1) != 0;
-  opts.auto_interchange = (mask & 2) != 0;
-  opts.reduce_storage = (mask & 4) != 0;
-  opts.eliminate_stores = (mask & 8) != 0;
-  opts.verify = true;
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     const int cores =
         core_choices[(static_cast<std::uint64_t>(solver_index) + mask +
                       seed) %
                      4];
-    opts.cores = cores;
     Prng rng(seed);
     const Program p = workloads::random_program(rng);
     // optimize() throws if any pass fails translation / observability /
     // structural validation.
-    const core::OptimizeResult result = core::optimize(p, opts);
+    const core::OptimizeResult result = core::optimize(p, spec);
     const double before = runtime::execute(p).checksum;
     const double after = runtime::execute(result.program).checksum;
     ASSERT_NEAR(before, after, 1e-9 * (std::abs(before) + 1.0))
         << "seed=" << seed << " solver=" << solver_index << " mask=" << mask
-        << "\n" << core::render_log(result);
+        << "\n" << result.pipeline.to_text();
     const double par =
         run_parallel_with_bound_check(result.program, cores, "1d");
     ASSERT_NEAR(before, par, 1e-9 * (std::abs(before) + 1.0))
@@ -217,12 +214,12 @@ TEST_P(PipelineSweep, RandomProgramsVerifiedAndChecksumPreserved) {
 
     Prng rng2(seed);
     const Program p2 = workloads::random_program_2d(rng2, 10, 3);
-    const core::OptimizeResult result2 = core::optimize(p2, opts);
+    const core::OptimizeResult result2 = core::optimize(p2, spec);
     const double before2 = runtime::execute(p2).checksum;
     const double after2 = runtime::execute(result2.program).checksum;
     ASSERT_NEAR(before2, after2, 1e-9 * (std::abs(before2) + 1.0))
         << "2d seed=" << seed << " solver=" << solver_index
-        << " mask=" << mask << "\n" << core::render_log(result2);
+        << " mask=" << mask << "\n" << result2.pipeline.to_text();
     const double par2 =
         run_parallel_with_bound_check(result2.program, cores, "2d");
     ASSERT_NEAR(before2, par2, 1e-9 * (std::abs(before2) + 1.0))

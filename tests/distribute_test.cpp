@@ -148,10 +148,7 @@ TEST(Distribute, UndoesFusion) {
   // Fuse blur_sharpen, then distribute: the statement-per-loop structure
   // returns (the fused loop splits back apart), and traffic rises.
   const Program p = workloads::blur_sharpen(100000);
-  core::OptimizerOptions fusion_only;
-  fusion_only.reduce_storage = false;
-  fusion_only.eliminate_stores = false;
-  const Program fused = core::optimize(p, fusion_only).program;
+  const Program fused = core::optimize(p, "fuse(solver=best)").program;
   EXPECT_EQ(fused.top_loop_indices().size(), 1u);
   const DistributionResult r = distribute_loops(fused);
   EXPECT_GE(r.loops_after, 4);
@@ -190,10 +187,7 @@ TEST(Distribute, RandomProgramsPreserveSemantics) {
 
 TEST(Distribute, GuardedFusedProgramsSurvive) {
   const Program p = workloads::fig6_original(16);
-  core::OptimizerOptions fusion_only;
-  fusion_only.reduce_storage = false;
-  fusion_only.eliminate_stores = false;
-  const Program fused = core::optimize(p, fusion_only).program;
+  const Program fused = core::optimize(p, "fuse(solver=best)").program;
   const DistributionResult r = distribute_loops(fused);
   expect_preserved(p, r.program);
 }

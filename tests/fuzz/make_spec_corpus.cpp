@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
   int n = 0;
   for (const std::string& gene : bwc::tune::gene_pool())
     rc |= write_seed(dir, "gene" + std::to_string(n++), gene);
-  rc |= write_seed(dir, "default",
-                   bwc::core::default_pipeline(bwc::core::OptimizerOptions{}));
+  rc |= write_seed(dir, "default", bwc::core::kDefaultPipeline);
   bwc::Prng rng(1);
   const std::vector<std::string>& pool = bwc::tune::gene_pool();
   std::string spec = pool[0];

@@ -128,10 +128,7 @@ TEST(Integration, SpSubroutineUtilizationShape) {
 TEST(Integration, Fig8StoreEliminationStacksToTwoX) {
   const ir::Program original = workloads::fig7_original(150000);
 
-  core::OptimizerOptions fusion_only;
-  fusion_only.reduce_storage = false;
-  fusion_only.eliminate_stores = false;
-  const auto fused = core::optimize(original, fusion_only);
+  const auto fused = core::optimize(original, "fuse(solver=best)");
   const auto full = core::optimize(original);
 
   const auto t0 = model::measure(original, o2k_scaled()).time.total_s;

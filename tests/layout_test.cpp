@@ -133,9 +133,7 @@ void expect_layout_equivalent(const Program& original,
 /// Run one layout pipeline (verification on) and push the result through
 /// the engine matrix.
 void expect_pipeline_equivalent(const Program& p, const std::string& passes) {
-  core::OptimizerOptions opts;
-  opts.passes = passes;
-  const core::OptimizeResult result = core::optimize(p, opts);
+  const core::OptimizeResult result = core::optimize(p, passes);
   expect_layout_equivalent(p, result.program);
 }
 
@@ -374,10 +372,9 @@ TEST(LayoutLegality, UnknownWhenComputationChanged) {
 // --------------------------------------------------------------------
 
 TEST(LayoutReports, PerArrayBreakdownNamesTheTransposedArray) {
-  core::OptimizerOptions opts;
-  opts.passes = "transpose-layout,regroup-arrays,pad-arrays";
   const core::OptimizeResult result =
-      core::optimize(workloads::transposed_sweep(256), opts);
+      core::optimize(workloads::transposed_sweep(256),
+                     "transpose-layout,regroup-arrays,pad-arrays");
   ASSERT_EQ(result.pipeline.passes.size(), 3u);
   const pass::PassReport& transpose = result.pipeline.passes.at(0);
   EXPECT_TRUE(transpose.changed);
@@ -389,10 +386,8 @@ TEST(LayoutReports, PerArrayBreakdownNamesTheTransposedArray) {
 }
 
 TEST(LayoutReports, LintFlagsConflictingStride) {
-  core::OptimizerOptions opts;
-  opts.passes = "lint";
   const core::OptimizeResult bad =
-      core::optimize(workloads::transposed_sweep(512), opts);
+      core::optimize(workloads::transposed_sweep(512), "lint");
   ASSERT_EQ(bad.pipeline.passes.size(), 1u);
   bool flagged = false;
   for (const pass::Remark& r : bad.pipeline.passes.at(0).remarks)
@@ -402,7 +397,7 @@ TEST(LayoutReports, LintFlagsConflictingStride) {
   EXPECT_TRUE(flagged);
 
   const core::OptimizeResult good =
-      core::optimize(workloads::blur_sharpen(512), opts);
+      core::optimize(workloads::blur_sharpen(512), "lint");
   for (const pass::Remark& r : good.pipeline.passes.at(0).remarks)
     EXPECT_NE(r.code, "lint-conflict-stride");
 }

@@ -19,9 +19,7 @@ using ir::ArrayId;
 using ir::Program;
 
 core::OptimizeResult run_lint(const Program& p) {
-  core::OptimizerOptions opts;
-  opts.passes = "lint";
-  return core::optimize(p, opts);
+  return core::optimize(p, "lint");
 }
 
 /// The lint findings (severity, code) of a single-pass run.

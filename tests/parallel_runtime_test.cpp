@@ -232,18 +232,14 @@ TEST(ParallelFusionFallback, MulticoreOptimizeDegradesToHeuristic) {
   // Asking the multicore pipeline for kExact on a >12-loop program is a
   // structured failure...
   const Program p = workloads::jacobi_chain(256, 14);
-  core::OptimizerOptions exact;
-  exact.solver = core::FusionSolver::kExact;
-  exact.cores = 4;
-  EXPECT_THROW(core::optimize(p, exact), fusion::FusionCapacityError);
+  EXPECT_THROW(
+      core::optimize(p, "fuse(solver=exact),reduce-storage,eliminate-stores"),
+      fusion::FusionCapacityError);
 
   // ...while kBest degrades to the suggested heuristic and the result
   // stays bit-identical under parallel replay at every core count
   // (docs/TRANSFORMS.md documents this fallback).
-  core::OptimizerOptions best;
-  best.solver = core::FusionSolver::kBest;
-  best.cores = 4;
-  const core::OptimizeResult result = core::optimize(p, best);
+  const core::OptimizeResult result = core::optimize(p);
   EXPECT_EQ(result.plan.solver.rfind("best(", 0), 0u) << result.plan.solver;
   expect_parallel_identical(result.program);
 }

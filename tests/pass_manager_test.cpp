@@ -1,9 +1,10 @@
 // Tests for the bwc::pass layer: PipelineSpec parsing, the pass registry,
 // ordering equivalence against hand-called transforms, analysis-cache
 // correctness (on/off equivalence, stale-analysis auditing), structured
-// reports, and the legacy render_log compatibility freeze.
+// reports, and the text pass log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -82,9 +83,7 @@ TEST(PassRegistry, RejectsUnknownPassesAndParams) {
   EXPECT_THROW(build_pipeline(parse_pipeline_spec("fuse(shift=2)")), Error);
   EXPECT_THROW(build_pipeline(parse_pipeline_spec("interchange(x=1)")),
                Error);
-  core::OptimizerOptions opts;
-  opts.passes = "bogus";
-  EXPECT_THROW(core::optimize(workloads::fig7_original(16), opts), Error);
+  EXPECT_THROW(core::optimize(workloads::fig7_original(16), "bogus"), Error);
 }
 
 TEST(PassRegistry, BuildsEveryKnownPass) {
@@ -156,11 +155,11 @@ void expect_matches_hand_calls(const Program& original,
   for (const PassSpec& pass : spec.passes) hand_apply(hand, pass);
 
   for (const bool cache : {true, false}) {
-    core::OptimizerOptions opts;
-    opts.passes = spec_text;
+    PipelineOptions opts;
     opts.verify = false;
     opts.cache_analyses = cache;
-    const core::OptimizeResult result = core::optimize(original, opts);
+    const core::OptimizeResult result =
+        core::optimize(original, spec_text, opts);
     EXPECT_TRUE(ir::equal(hand, result.program))
         << "pipeline \"" << spec_text << "\" (cache=" << cache
         << ") diverged from hand-called transforms:\n-- hand:\n"
@@ -173,8 +172,7 @@ void expect_matches_hand_calls(const Program& original,
 }
 
 TEST(PassOrdering, DefaultPipelineOnPaperWorkloads) {
-  const core::OptimizerOptions defaults;
-  const std::string spec = core::default_pipeline(defaults);
+  const std::string spec = core::kDefaultPipeline;
   EXPECT_EQ(spec, "fuse(solver=best),reduce-storage,eliminate-stores");
   expect_matches_hand_calls(workloads::fig7_original(128), spec);
   expect_matches_hand_calls(workloads::fig6_original(24), spec);
@@ -221,10 +219,10 @@ TEST(PassOrdering, RandomizedSweep) {
 
 TEST(PassOrdering, VerifierDoesNotChangeTheResult) {
   for (const bool verify : {true, false}) {
-    core::OptimizerOptions opts;
+    PipelineOptions opts;
     opts.verify = verify;
-    const core::OptimizeResult r =
-        core::optimize(workloads::fig6_original(24), opts);
+    const core::OptimizeResult r = core::optimize(
+        workloads::fig6_original(24), core::kDefaultPipeline, opts);
     const core::OptimizeResult base =
         core::optimize(workloads::fig6_original(24));
     EXPECT_TRUE(ir::equal(r.program, base.program)) << verify;
@@ -234,16 +232,16 @@ TEST(PassOrdering, VerifierDoesNotChangeTheResult) {
 // -- Analysis cache -----------------------------------------------------------
 
 TEST(AnalysisCache, CachingIsObservableInStats) {
-  core::OptimizerOptions opts;
-  const core::OptimizeResult warm =
-      core::optimize(workloads::fig6_original(24), opts);
+  PipelineOptions opts;
+  const core::OptimizeResult warm = core::optimize(
+      workloads::fig6_original(24), core::kDefaultPipeline, opts);
   EXPECT_GT(warm.pipeline.analysis.hits, 0u);
   EXPECT_GT(warm.pipeline.analysis.misses, 0u);
   EXPECT_GT(warm.pipeline.analysis.invalidations, 0u);
 
   opts.cache_analyses = false;
-  const core::OptimizeResult cold =
-      core::optimize(workloads::fig6_original(24), opts);
+  const core::OptimizeResult cold = core::optimize(
+      workloads::fig6_original(24), core::kDefaultPipeline, opts);
   EXPECT_EQ(cold.pipeline.analysis.hits, 0u);
   EXPECT_GT(cold.pipeline.analysis.misses, warm.pipeline.analysis.misses);
 }
@@ -302,9 +300,6 @@ TEST(AnalysisCache, AuditAcceptsDeclaredInvalidation) {
 }
 
 TEST(AnalysisCache, AuditAcceptsTheDefaultPipeline) {
-  core::OptimizerOptions opts;
-  opts.auto_interchange = true;
-  opts.scalar_replacement = true;
   PipelineOptions options;
   options.audit_analyses = true;
   PassManager manager(options);
@@ -347,10 +342,8 @@ TEST(PassReports, RecordPerPassFacts) {
 }
 
 TEST(PassReports, UnchangedPassKeepsStatsAndSkipsVerify) {
-  core::OptimizerOptions opts;
-  opts.passes = "reduce-storage";
   const core::OptimizeResult result =
-      core::optimize(workloads::fig7_original(64), opts);
+      core::optimize(workloads::fig7_original(64), "reduce-storage");
   ASSERT_EQ(result.pipeline.passes.size(), 1u);
   const PassReport& r = result.pipeline.passes[0];
   EXPECT_FALSE(r.changed);
@@ -362,10 +355,8 @@ TEST(PassReports, UnchangedPassKeepsStatsAndSkipsVerify) {
 }
 
 TEST(PassReports, PlanIsExtractedFromExplicitPipelines) {
-  core::OptimizerOptions opts;
-  opts.passes = "eliminate-stores,fuse(solver=exact)";
-  const core::OptimizeResult result =
-      core::optimize(workloads::fig7_original(64), opts);
+  const core::OptimizeResult result = core::optimize(
+      workloads::fig7_original(64), "eliminate-stores,fuse(solver=exact)");
   EXPECT_EQ(result.plan.num_partitions, 1);
   EXPECT_EQ(result.plan.solver, "exact");
 }
@@ -380,63 +371,117 @@ TEST(PassReports, JsonRenderingIsWellFormedEnoughToFreeze) {
   EXPECT_NE(json.find("\"traffic_bound_delta_bytes\""), std::string::npos);
 }
 
-// -- Legacy log compatibility -------------------------------------------------
+// -- The pass log -------------------------------------------------------------
 
-TEST(LegacyLog, RenderLogIsByteIdenticalToPreRefactorOutput) {
-  // Frozen from the pre-pass-manager optimizer. Do not edit these strings
-  // to make the test pass: they are the compatibility contract. The freeze
-  // predates the static legality prover, so pin trace-only verification.
-  core::OptimizerOptions legacy;
-  legacy.static_verify = pass::StaticVerifyMode::kOff;
-  const core::OptimizeResult fig7 =
-      core::optimize(workloads::fig7_original(1000), legacy);
-  const std::vector<std::string> expected_fig7 = {
-      "fusion (best(exact)): 2 loops -> 1 partitions; arrays loaded 3 -> 2",
-      "verify (fusion): translation certified, 4002 instance(s) checked",
-      "storage reduction: no candidate arrays",
-      "store elimination: removed writebacks to res",
-      "verify (store elimination): store-elimination certified, 4002 "
-      "instance(s) checked",
-  };
-  EXPECT_EQ(fig7.log_lines(), expected_fig7);
-  std::string rendered;
-  for (const auto& line : expected_fig7) rendered += "  - " + line + "\n";
-  EXPECT_EQ(core::render_log(fig7), rendered);
-
-  const core::OptimizeResult fig6 =
-      core::optimize(workloads::fig6_original(2000), legacy);
-  const std::vector<std::string> expected_fig6 = {
-      "fusion (best(exact)): 4 loops -> 1 partitions; arrays loaded 7 -> 2",
-      "verify (fusion): translation skipped: instance-level check needs "
-      "~44000001 events, budget is 2000000",
-      "storage reduction: shrank array a to column buffers (cur/prev), "
-      "peeled column(s) 1",
-      "storage reduction: contracted array b to scalar b_s",
-      "storage reduction: referenced array bytes 64000000 -> 48000",
-      "verify (storage reduction): storage-reduction skipped: "
-      "instance-level check needs ~60000001 events, budget is 2000000",
-      "store elimination: no candidate arrays",
-  };
-  EXPECT_EQ(fig6.log_lines(), expected_fig6);
+/// The first remark of `report` with `code`, or nullptr.
+const Remark* find_remark(const PassReport& report, const std::string& code) {
+  for (const Remark& r : report.remarks)
+    if (r.code == code) return &r;
+  return nullptr;
 }
 
-TEST(LegacyLog, MulticorePreludeLineIsPreserved) {
-  core::OptimizerOptions opts;
-  opts.cores = 4;
-  const core::OptimizeResult result =
-      core::optimize(workloads::fig7_original(64), opts);
-  ASSERT_FALSE(result.log_lines().empty());
-  EXPECT_EQ(result.log_lines()[0],
-            "target: 4 cores (minimizing shared-bus traffic)");
+/// The value of `key` in a remark's args ("" when absent).
+std::string arg(const Remark& remark, const std::string& key) {
+  for (const auto& [k, v] : remark.args)
+    if (k == key) return v;
+  return "";
 }
 
-TEST(LegacyLog, NotesNeverAppearInRenderLog) {
-  core::OptimizerOptions opts;
-  opts.auto_interchange = true;  // no candidates in fig7: note-only pass
-  const core::OptimizeResult result =
-      core::optimize(workloads::fig7_original(64), opts);
-  for (const auto& line : result.log_lines())
-    EXPECT_EQ(line.find("interchange"), std::string::npos) << line;
+TEST(PassLog, Fig7FusesCertifiesAndEliminatesStores) {
+  // Trace-only verification, so the certificates count checked instances.
+  PipelineOptions options;
+  options.static_verify = StaticVerifyMode::kOff;
+  const core::OptimizeResult fig7 = core::optimize(
+      workloads::fig7_original(1000), core::kDefaultPipeline, options);
+  ASSERT_EQ(fig7.pipeline.passes.size(), 3u);
+
+  const PassReport& fuse = fig7.pipeline.passes[0];
+  const Remark* fused = find_remark(fuse, "fusion-applied");
+  ASSERT_NE(fused, nullptr);
+  EXPECT_EQ(fused->kind, RemarkKind::kApplied);
+  EXPECT_EQ(arg(*fused, "loops"), "2");
+  EXPECT_EQ(arg(*fused, "partitions"), "1");
+  EXPECT_TRUE(fuse.verify.ran);
+  EXPECT_EQ(fuse.verify.check, "translation");
+  EXPECT_FALSE(fuse.verify.skipped);
+  EXPECT_EQ(fuse.verify.instances_checked, 4002u);
+
+  const PassReport& storage = fig7.pipeline.passes[1];
+  EXPECT_FALSE(storage.changed);
+  EXPECT_FALSE(storage.verify.ran);
+  const Remark* none = find_remark(storage, "storage-no-candidates");
+  ASSERT_NE(none, nullptr);
+  EXPECT_EQ(none->kind, RemarkKind::kMissed);
+
+  const PassReport& stores = fig7.pipeline.passes[2];
+  const Remark* eliminated = find_remark(stores, "stores-eliminated");
+  ASSERT_NE(eliminated, nullptr);
+  EXPECT_EQ(eliminated->kind, RemarkKind::kApplied);
+  EXPECT_EQ(arg(*eliminated, "arrays"), "res");
+  EXPECT_TRUE(stores.verify.ran);
+  EXPECT_EQ(stores.verify.check, "store-elimination");
+  EXPECT_FALSE(stores.verify.skipped);
+  EXPECT_EQ(stores.verify.instances_checked, 4002u);
+
+  // The text log: one line per applied/missed remark and per check.
+  const std::string text = fig7.pipeline.to_text();
+  EXPECT_NE(text.find("  - " + fused->message + "\n"), std::string::npos);
+  EXPECT_NE(text.find("  - verify (fusion): translation certified, 4002 "
+                      "instance(s) checked\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5) << text;
+}
+
+TEST(PassLog, Fig6ShrinksStorageAndSkipsOversizedChecks) {
+  PipelineOptions options;
+  options.static_verify = StaticVerifyMode::kOff;
+  const core::OptimizeResult fig6 = core::optimize(
+      workloads::fig6_original(2000), core::kDefaultPipeline, options);
+  ASSERT_EQ(fig6.pipeline.passes.size(), 3u);
+
+  const PassReport& fuse = fig6.pipeline.passes[0];
+  const Remark* fused = find_remark(fuse, "fusion-applied");
+  ASSERT_NE(fused, nullptr);
+  EXPECT_EQ(arg(*fused, "loops"), "4");
+  EXPECT_EQ(arg(*fused, "partitions"), "1");
+
+  // One storage-reduced remark per array: a shrinks to column buffers,
+  // b contracts to a scalar.
+  const PassReport& storage = fig6.pipeline.passes[1];
+  EXPECT_TRUE(storage.changed);
+  std::vector<std::string> actions;
+  for (const Remark& r : storage.remarks)
+    if (r.code == "storage-reduced") actions.push_back(r.message);
+  ASSERT_EQ(actions.size(), 2u);
+  EXPECT_EQ(actions[0].rfind("storage reduction: shrank array a ", 0), 0u)
+      << actions[0];
+  EXPECT_EQ(actions[1], "storage reduction: contracted array b to scalar b_s");
+  const Remark* bytes = find_remark(storage, "storage-bytes");
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(arg(*bytes, "bytes_before"), "64000000");
+  EXPECT_EQ(arg(*bytes, "bytes_after"), "48000");
+
+  // Both instance-level checks exceed the 2M-event budget and are
+  // reported as skipped, not certified.
+  for (const PassReport* report : {&fuse, &storage}) {
+    EXPECT_TRUE(report->verify.ran) << report->pass;
+    EXPECT_TRUE(report->verify.skipped) << report->pass;
+    EXPECT_NE(report->verify.skip_reason.find("budget is 2000000"),
+              std::string::npos)
+        << report->verify.skip_reason;
+    EXPECT_EQ(report->verify.instances_checked, 0u) << report->pass;
+  }
+  EXPECT_FALSE(fig6.pipeline.passes[2].changed);
+}
+
+TEST(PassLog, NotesNeverAppearInText) {
+  // No nest of fig7 profits from interchange: a note-only pass.
+  const core::OptimizeResult result = core::optimize(
+      workloads::fig7_original(64), "interchange," +
+                                        std::string(core::kDefaultPipeline));
+  EXPECT_EQ(result.pipeline.to_text().find("interchange"), std::string::npos)
+      << result.pipeline.to_text();
   bool saw_note = false;
   for (const auto& report : result.pipeline.passes) {
     for (const auto& remark : report.remarks)

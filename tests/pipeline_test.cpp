@@ -81,11 +81,11 @@ TEST(AdiLike, ChecksumFusesWithColumnSweep) {
 
 TEST(AdiLike, FullPipelineSemantics) {
   const ir::Program p = workloads::adi_like(20);
-  for (auto solver : {core::FusionSolver::kBest, core::FusionSolver::kGreedy,
-                      core::FusionSolver::kBisection}) {
-    core::OptimizerOptions opts;
-    opts.solver = solver;
-    expect_preserved(p, core::optimize(p, opts).program);
+  for (const std::string solver : {"best", "greedy", "bisection"}) {
+    expect_preserved(
+        p, core::optimize(p, "fuse(solver=" + solver +
+                                 "),reduce-storage,eliminate-stores")
+               .program);
   }
 }
 

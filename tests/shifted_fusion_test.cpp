@@ -117,16 +117,11 @@ TEST(ShiftedFusion, JacobiChainFusesCompletely) {
 
 TEST(ShiftedFusion, JacobiTrafficDrops) {
   const ir::Program p = workloads::jacobi_chain(100000, 4);
-  core::OptimizerOptions base;
-  base.reduce_storage = false;
-  base.eliminate_stores = false;
-  core::OptimizerOptions aligned = base;
-  aligned.allow_shifted_fusion = true;
-
   const auto machine = machine::origin2000_r10k().scaled(16);
-  const auto plain = model::measure(core::optimize(p, base).program, machine);
-  const auto shifted =
-      model::measure(core::optimize(p, aligned).program, machine);
+  const auto plain = model::measure(
+      core::optimize(p, "fuse(solver=best)").program, machine);
+  const auto shifted = model::measure(
+      core::optimize(p, "fuse(solver=best,shift=1)").program, machine);
   EXPECT_NEAR(plain.exec.checksum, shifted.exec.checksum,
               1e-9 * std::abs(plain.exec.checksum));
   // One fused sweep streams u/v once instead of once per sweep.
@@ -169,9 +164,8 @@ TEST(ShiftedFusion, RandomProgramsPreserveSemantics) {
     params.num_arrays = 2 + static_cast<int>(rng.uniform(3));
     params.n = 48;
     const ir::Program p = workloads::random_program(rng, params);
-    core::OptimizerOptions opts;
-    opts.allow_shifted_fusion = true;
-    const auto r = core::optimize(p, opts);
+    const auto r = core::optimize(
+        p, "fuse(solver=best,shift=1),reduce-storage,eliminate-stores");
     expect_preserved(p, r.program);
   }
 }
@@ -180,9 +174,8 @@ TEST(ShiftedFusion, OptimizerOptionOffMatchesBaseline) {
   const ir::Program p = offset_pair_program(1);
   const auto plain = core::optimize(p);
   EXPECT_EQ(plain.plan.num_partitions, 2);  // preventing without alignment
-  core::OptimizerOptions opts;
-  opts.allow_shifted_fusion = true;
-  const auto aligned = core::optimize(p, opts);
+  const auto aligned = core::optimize(
+      p, "fuse(solver=best,shift=1),reduce-storage,eliminate-stores");
   EXPECT_EQ(aligned.plan.num_partitions, 1);
 }
 

@@ -236,8 +236,8 @@ TEST(StaticFirstVerification, AcceptanceBarAcrossBundledWorkloads) {
   int ran = 0;
   int statically = 0;
   for (const auto& row : rows) {
-    core::OptimizerOptions opts;  // static-first is the default
-    const core::OptimizeResult result = core::optimize(row.program, opts);
+    // Static-first is the default.
+    const core::OptimizeResult result = core::optimize(row.program);
     int row_ran = 0;
     int row_static = 0;
     count_checks(result, &row_ran, &row_static);
@@ -254,10 +254,10 @@ TEST(StaticFirstVerification, AcceptanceBarAcrossBundledWorkloads) {
 }
 
 TEST(StaticFirstVerification, OffModeUsesTraceValidatorOnly) {
-  core::OptimizerOptions opts;
+  pass::PipelineOptions opts;
   opts.static_verify = pass::StaticVerifyMode::kOff;
-  const core::OptimizeResult result =
-      core::optimize(workloads::fig7_original(500), opts);
+  const core::OptimizeResult result = core::optimize(
+      workloads::fig7_original(500), core::kDefaultPipeline, opts);
   for (const auto& report : result.pipeline.passes) {
     if (!report.verify.ran) continue;
     EXPECT_NE(report.verify.check.rfind("static-", 0), 0u)
@@ -269,10 +269,10 @@ TEST(StaticFirstVerification, OnlyModeNeverTracesAndSkipsUnknowns) {
   // fig6's storage reduction (shrink + peel) is outside the static
   // prover's model: in kOnly mode its check must be reported as skipped,
   // not silently certified and not trace-validated.
-  core::OptimizerOptions opts;
+  pass::PipelineOptions opts;
   opts.static_verify = pass::StaticVerifyMode::kOnly;
-  const core::OptimizeResult result =
-      core::optimize(workloads::fig6_original(2000), opts);
+  const core::OptimizeResult result = core::optimize(
+      workloads::fig6_original(2000), core::kDefaultPipeline, opts);
   bool saw_skipped_unknown = false;
   for (const auto& report : result.pipeline.passes) {
     if (!report.verify.ran) continue;
@@ -289,9 +289,10 @@ TEST(StaticFirstVerification, ChecksumPreservedUnderAllModes) {
   for (const auto mode :
        {pass::StaticVerifyMode::kOn, pass::StaticVerifyMode::kOff,
         pass::StaticVerifyMode::kOnly}) {
-    core::OptimizerOptions opts;
+    pass::PipelineOptions opts;
     opts.static_verify = mode;
-    const core::OptimizeResult result = core::optimize(p, opts);
+    const core::OptimizeResult result =
+        core::optimize(p, core::kDefaultPipeline, opts);
     EXPECT_NEAR(before, runtime::execute(result.program).checksum,
                 1e-9 * (std::abs(before) + 1.0))
         << pass::static_verify_mode_name(mode);

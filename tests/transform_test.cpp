@@ -335,11 +335,9 @@ TEST(Optimizer, RandomProgramsEndToEnd) {
     params.num_arrays = 2 + static_cast<int>(rng.uniform(4));
     params.n = 24;
     const Program p = workloads::random_program(rng, params);
-    for (auto solver : {core::FusionSolver::kBest, core::FusionSolver::kGreedy,
-                        core::FusionSolver::kEdgeWeighted}) {
-      core::OptimizerOptions opts;
-      opts.solver = solver;
-      const core::OptimizeResult r = core::optimize(p, opts);
+    for (const std::string solver : {"best", "greedy", "edge-weighted"}) {
+      const core::OptimizeResult r = core::optimize(
+          p, "fuse(solver=" + solver + "),reduce-storage,eliminate-stores");
       expect_same_semantics(p, r.program);
     }
   }
@@ -347,12 +345,9 @@ TEST(Optimizer, RandomProgramsEndToEnd) {
 
 TEST(Optimizer, PassesCanBeDisabled) {
   const Program p = workloads::fig7_original(32);
-  core::OptimizerOptions opts;
-  opts.solver = core::FusionSolver::kNone;
-  opts.reduce_storage = false;
-  opts.eliminate_stores = false;
-  const core::OptimizeResult r = core::optimize(p, opts);
+  const core::OptimizeResult r = core::optimize(p, "");
   EXPECT_TRUE(ir::equal(p, r.program));
+  EXPECT_TRUE(r.pipeline.passes.empty());
 }
 
 }  // namespace

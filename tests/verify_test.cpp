@@ -125,32 +125,17 @@ TEST(Structure, RejectsUndeclaredScalarAndInvalidSlot) {
 // Translation validation: acceptance
 // ---------------------------------------------------------------------------
 
-core::FusionSolver kAllSolvers[] = {
-    core::FusionSolver::kBest, core::FusionSolver::kExact,
-    core::FusionSolver::kGreedy, core::FusionSolver::kBisection,
-    core::FusionSolver::kEdgeWeighted};
+fusion::FusionPlan (*const kAllSolvers[])(const fusion::FusionGraph&) = {
+    fusion::best_fusion,
+    [](const fusion::FusionGraph& g) { return fusion::exact_enumeration(g); },
+    fusion::greedy_fusion, fusion::recursive_bisection,
+    fusion::edge_weighted_baseline};
 
 TEST(Translation, CertifiesFusionAcrossWorkloadsAndSolvers) {
   for (const auto& [name, p] : small_workloads()) {
-    for (const core::FusionSolver solver : kAllSolvers) {
+    for (const auto solve : kAllSolvers) {
       const fusion::FusionGraph g = fusion::build_fusion_graph(p);
-      fusion::FusionPlan plan;
-      switch (solver) {
-        case core::FusionSolver::kBest: plan = fusion::best_fusion(g); break;
-        case core::FusionSolver::kExact:
-          plan = fusion::exact_enumeration(g);
-          break;
-        case core::FusionSolver::kGreedy:
-          plan = fusion::greedy_fusion(g);
-          break;
-        case core::FusionSolver::kBisection:
-          plan = fusion::recursive_bisection(g);
-          break;
-        case core::FusionSolver::kEdgeWeighted:
-          plan = fusion::edge_weighted_baseline(g);
-          break;
-        case core::FusionSolver::kNone: continue;
-      }
+      const fusion::FusionPlan plan = solve(g);
       const Program fused = transform::apply_fusion(p, g, plan);
       const verify::Report r = verify::validate_translation(p, fused);
       EXPECT_TRUE(r.ok() && !r.skipped)
@@ -481,12 +466,10 @@ TEST(Observability, RejectsReducingOutputArray) {
 // ---------------------------------------------------------------------------
 
 TEST(Pipeline, VerifierCertifiesEveryPass) {
-  core::OptimizerOptions opts;
-  opts.allow_shifted_fusion = true;
-  opts.auto_interchange = true;
-  opts.scalar_replacement = true;
-  const core::OptimizeResult result =
-      core::optimize(workloads::blur_sharpen(256), opts);
+  const core::OptimizeResult result = core::optimize(
+      workloads::blur_sharpen(256),
+      "interchange,fuse(solver=best,shift=1),reduce-storage,eliminate-stores,"
+      "scalar-replace");
   int verified_passes = 0;
   for (const auto& report : result.pipeline.passes) {
     if (report.verify.ran) {
@@ -495,27 +478,27 @@ TEST(Pipeline, VerifierCertifiesEveryPass) {
       EXPECT_FALSE(report.verify.check.empty()) << report.pass;
     }
   }
-  EXPECT_GE(verified_passes, 2) << core::render_log(result);
+  EXPECT_GE(verified_passes, 2) << result.pipeline.to_text();
 }
 
 TEST(Pipeline, VerifyOffProducesNoVerifyLines) {
-  core::OptimizerOptions opts;
+  pass::PipelineOptions opts;
   opts.verify = false;
-  const core::OptimizeResult result =
-      core::optimize(workloads::blur_sharpen(256), opts);
+  const core::OptimizeResult result = core::optimize(
+      workloads::blur_sharpen(256), core::kDefaultPipeline, opts);
   for (const auto& report : result.pipeline.passes) {
     EXPECT_FALSE(report.verify.ran) << report.pass;
   }
 }
 
 TEST(Pipeline, OversizedProgramsDegradeToStructuralChecks) {
-  core::OptimizerOptions opts;
+  pass::PipelineOptions opts;
   opts.verify_max_events = 1000;
   // The static prover certifies fig7's transforms without replaying events;
   // force trace-only verification so the event budget is actually exercised.
   opts.static_verify = pass::StaticVerifyMode::kOff;
-  const core::OptimizeResult result =
-      core::optimize(workloads::fig7_original(400000), opts);
+  const core::OptimizeResult result = core::optimize(
+      workloads::fig7_original(400000), core::kDefaultPipeline, opts);
   bool skipped = false;
   for (const auto& report : result.pipeline.passes) {
     if (report.verify.ran && report.verify.skipped) {
@@ -523,7 +506,7 @@ TEST(Pipeline, OversizedProgramsDegradeToStructuralChecks) {
       EXPECT_FALSE(report.verify.skip_reason.empty()) << report.pass;
     }
   }
-  EXPECT_TRUE(skipped) << core::render_log(result);
+  EXPECT_TRUE(skipped) << result.pipeline.to_text();
 }
 
 // ---------------------------------------------------------------------------
@@ -544,31 +527,31 @@ void expect_bound_holds(const std::string& name, const Program& p,
 
 TEST(TrafficBound, HoldsOnAllWorkloadsOriginalAndOptimized) {
   const machine::MachineModel machine = machine::origin2000_r10k().scaled(16);
-  core::OptimizerOptions opts;
-  opts.allow_shifted_fusion = true;
-  opts.auto_interchange = true;
   for (const auto& [name, p] : small_workloads()) {
     expect_bound_holds(name, p, machine);
-    const core::OptimizeResult result = core::optimize(p, opts);
+    const core::OptimizeResult result = core::optimize(
+        p,
+        "interchange,fuse(solver=best,shift=1),reduce-storage,"
+        "eliminate-stores");
     expect_bound_holds(name + " (optimized)", result.program, machine);
   }
 }
 
 TEST(TrafficBound, HoldsOnRandomPrograms) {
   const machine::MachineModel machine = machine::origin2000_r10k().scaled(16);
-  core::OptimizerOptions opts;
-  opts.allow_shifted_fusion = true;
+  const std::string passes =
+      "fuse(solver=best,shift=1),reduce-storage,eliminate-stores";
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Prng rng(seed);
     const Program p = workloads::random_program(rng);
     expect_bound_holds("random/" + std::to_string(seed), p, machine);
-    const core::OptimizeResult result = core::optimize(p, opts);
+    const core::OptimizeResult result = core::optimize(p, passes);
     expect_bound_holds("random/" + std::to_string(seed) + " (optimized)",
                        result.program, machine);
     Prng rng2(seed);
     const Program p2 = workloads::random_program_2d(rng2, 12, 3);
     expect_bound_holds("random2d/" + std::to_string(seed), p2, machine);
-    const core::OptimizeResult r2 = core::optimize(p2, opts);
+    const core::OptimizeResult r2 = core::optimize(p2, passes);
     expect_bound_holds("random2d/" + std::to_string(seed) + " (optimized)",
                        r2.program, machine);
   }

@@ -7,13 +7,15 @@
 //
 // Exit status: 0 on success, 1 when the traffic-bound or semantics check
 // fails (a bug), 2 on bad usage or any error.
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "bwc/core/optimizer.h"
 #include "bwc/ir/parser.h"
@@ -47,32 +49,18 @@ struct Options {
   std::string engine = "compiled";
   bool fast_forward = true;
   std::string codegen_cache_dir;
-  std::string passes;
-  std::string solver = "best";
-  bool storage = true;
-  bool stores = true;
-  bool regroup = false;
-  bool shift = false;
-  bool interchange = false;
-  bool scalar_replace = false;
+  std::string passes = core::kDefaultPipeline;
+  /// Verification, static-first policy, analysis auditing, print-after.
+  pass::PipelineOptions pipeline_options;
   std::uint64_t seed = 1;
   bool print = false;
-  bool print_after_all = false;
-  /// "json": print the structured pass reports as the only stdout output.
-  std::string remarks;
+  /// Print the structured pass reports as JSON as the only stdout output.
+  bool remarks = false;
   /// Print the traffic-bound report and assert bound <= measured traffic.
   bool verify_report = false;
-  /// Run the independent verifier after every optimizer pass.
-  bool verify_pipeline = true;
-  /// Static-prover-first checking policy: on|off|only.
-  std::string static_verify = "on";
   /// Run the bwc-lint diagnostics pass over the input program instead of
   /// optimizing; exit 1 on any error-severity finding.
   bool lint = false;
-  /// Serve repeated analysis queries from the AnalysisManager cache.
-  bool cache_analyses = true;
-  /// Fingerprint cache entries and fail on undeclared invalidations.
-  bool audit_analyses = false;
   /// Search the pipeline space instead of running one pipeline.
   bool tune = false;
   std::string tune_strategy = "beam";
@@ -81,16 +69,46 @@ struct Options {
   std::uint64_t tune_seed = 0;
   /// bwcd record log whose pipeline-spec records seed the population.
   std::string tune_seed_log;
+
+  /// `bwcopt bwcd-client` only; the workload fields above are shared.
+  struct Client {
+    std::string host = "127.0.0.1";
+    int port = 0;
+    std::string op = "optimize";
+    std::string pipeline;  // empty: the daemon's default pipeline
+    bool measure = true;
+    std::int64_t timeout_ms = 0;
+    std::string strategy = "beam";
+    double gap = 5.0;
+    std::string budget = "small";
+    std::uint64_t tune_seed = 0;
+    /// Print the raw response payload instead of the human summary.
+    bool json = false;
+  } client;
 };
 
-/// One entry of the flag table: every flag bwcopt accepts, its value
-/// placeholder (empty for boolean flags; starting with '[' for an
-/// optional inline value, e.g. "--tune" or "--tune=genetic"), one-line
-/// help, and its effect.
+/// A flag value that must be a number and nothing else: std::from_chars
+/// rejects trailing characters ("64x"), a sign on an unsigned type ("-1"),
+/// leading blanks and out-of-range values, which std::stoll/std::stoull
+/// would truncate or wrap.
+template <typename T>
+T number(const std::string& v) {
+  T x{};
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, x);
+  if (ec != std::errc() || ptr != end) throw std::invalid_argument(v);
+  return x;
+}
+
+/// One entry of a flag table: the flag, its value placeholder (empty for
+/// boolean flags; starting with '[' for an optional inline value, e.g.
+/// "--tune" or "--tune=genetic"), help text, and its effect. An apply
+/// that throws rejects the value: a bwc::Error with its own message, any
+/// other exception as a bad value.
 struct Flag {
   const char* name;
   const char* value;  // e.g. "<int>"; "" for flags taking no value
-  const char* help;
+  std::string help;
   void (*apply)(Options&, const std::string&);
 };
 
@@ -104,60 +122,54 @@ const Flag kFlags[] = {
      [](Options& o, const std::string& v) { o.file = v; }},
     {"--n", "<int>",
      "problem size (default 100000; fig6 uses a 2-D n x n, capped at 2000)",
-     [](Options& o, const std::string& v) { o.n = std::stoll(v); }},
+     [](Options& o, const std::string& v) { o.n = number<std::int64_t>(v); }},
     {"--seed", "<int>", "PRNG seed for --program random (default 1)",
-     [](Options& o, const std::string& v) { o.seed = std::stoull(v); }},
+     [](Options& o, const std::string& v) {
+       o.seed = number<std::uint64_t>(v);
+     }},
     // Machine model and measurement.
     {"--machine", "<o2k|exemplar|modern>", "machine model (default o2k)",
-     [](Options& o, const std::string& v) { o.machine = v; }},
+     [](Options& o, const std::string& v) {
+       machine::machine_by_name(v);
+       o.machine = v;
+     }},
     {"--cores", "<int>",
      "core count for the multicore shared-bandwidth model (default 1); "
      "runs the parallel compiled engine and prints the scaling curve with "
      "the bus-saturation point",
-     [](Options& o, const std::string& v) { o.cores = std::stoi(v); }},
+     [](Options& o, const std::string& v) {
+       o.cores = number<int>(v);
+       if (o.cores < 1) throw Error("--cores must be >= 1");
+     }},
     {"--scale", "<int>", "cache scale divisor (default 16)",
-     [](Options& o, const std::string& v) { o.scale = std::stoull(v); }},
+     [](Options& o, const std::string& v) {
+       o.scale = number<std::uint64_t>(v);
+     }},
     {"--engine", "<compiled|reference|native>",
      "replay engine for measurement (default compiled; all are "
      "bit-identical; native compiles each lowered workload to host "
      "machine code via the system C compiler and falls back to the "
      "compiled VM with a warning when none is available)",
-     [](Options& o, const std::string& v) { o.engine = v; }},
+     [](Options& o, const std::string& v) {
+       model::engine_by_name(v);
+       o.engine = v;
+     }},
     {"--codegen-cache-dir", "<path>",
      "on-disk cache for --engine native objects (default "
      "$BWC_CODEGEN_CACHE_DIR or ./.bwc-codegen-cache)",
      [](Options& o, const std::string& v) { o.codegen_cache_dir = v; }},
-    {"--fast-forward", "",
-     "steady-state fast-forward in the compiled replay (default on; exact "
-     "macrosimulation, all observables bit-identical)",
-     [](Options& o, const std::string&) { o.fast_forward = true; }},
     {"--no-fast-forward", "",
-     "disable fast-forward (for timing comparisons and debugging)",
+     "disable the compiled replay's steady-state fast-forward (exact "
+     "macrosimulation, on by default; all observables are bit-identical "
+     "either way) for timing comparisons and debugging",
      [](Options& o, const std::string&) { o.fast_forward = false; }},
     // Pipeline selection.
     {"--passes", "<spec>",
-     "explicit pass pipeline, e.g. "
-     "\"interchange,fuse(solver=exact),reduce-storage,eliminate-stores\" "
-     "(grammar in docs/PIPELINE.md); overrides --solver, --no-storage, "
-     "--no-stores, --shift, --interchange and --scalar-replace",
+     std::string("pass pipeline (default \"") + core::kDefaultPipeline +
+         "\"; \"\" runs no passes), e.g. "
+         "\"interchange,fuse(solver=exact,shift=1),scalar-replace\"; grammar "
+         "and pass catalogue in docs/PIPELINE.md",
      [](Options& o, const std::string& v) { o.passes = v; }},
-    {"--solver", "<best|exact|greedy|bisection|edge-weighted|none>",
-     "fusion solver (default best; none skips fusion)",
-     [](Options& o, const std::string& v) { o.solver = v; }},
-    {"--no-storage", "", "disable the storage-reduction pass",
-     [](Options& o, const std::string&) { o.storage = false; }},
-    {"--no-stores", "", "disable the store-elimination pass",
-     [](Options& o, const std::string&) { o.stores = false; }},
-    {"--regroup", "", "also run inter-array regrouping (appends the "
-     "regroup pass to the pipeline)",
-     [](Options& o, const std::string&) { o.regroup = true; }},
-    {"--shift", "", "allow fusion with loop alignment (bounded shifts)",
-     [](Options& o, const std::string&) { o.shift = true; }},
-    {"--interchange", "", "run stride-1 loop interchange before fusion",
-     [](Options& o, const std::string&) { o.interchange = true; }},
-    {"--scalar-replace", "", "rotating-scalar register reuse after the "
-     "bandwidth passes",
-     [](Options& o, const std::string&) { o.scalar_replace = true; }},
     // Verification and reporting.
     {"--verify", "",
      "print the static traffic lower-bound report and assert bound <= "
@@ -166,13 +178,24 @@ const Flag kFlags[] = {
     {"--no-verify", "",
      "skip the in-pipeline verifier (translation validation and "
      "observability certification run after every pass by default)",
-     [](Options& o, const std::string&) { o.verify_pipeline = false; }},
+     [](Options& o, const std::string&) { o.pipeline_options.verify = false; }},
     {"--static-verify", "<on|off|only>",
      "static-prover-first checking (default on): the symbolic legality "
      "provers run before any trace replay and a proof skips the replay; "
      "off is trace-only; only never replays (a static refutation fails, "
      "an undecided check is reported as skipped)",
-     [](Options& o, const std::string& v) { o.static_verify = v; }},
+     [](Options& o, const std::string& v) {
+       if (v == "on") {
+         o.pipeline_options.static_verify = pass::StaticVerifyMode::kOn;
+       } else if (v == "off") {
+         o.pipeline_options.static_verify = pass::StaticVerifyMode::kOff;
+       } else if (v == "only") {
+         o.pipeline_options.static_verify = pass::StaticVerifyMode::kOnly;
+       } else {
+         throw Error("unknown static-verify mode: " + v +
+                     " (supported: on, off, only)");
+       }
+     }},
     {"--lint", "",
      "run the bwc-lint diagnostics pass over the input program instead of "
      "optimizing: dead stores, unreachable guard arms, analysis-opaque "
@@ -180,16 +203,13 @@ const Flag kFlags[] = {
      "error-severity finding (combine with --remarks=json for the "
      "machine-readable report)",
      [](Options& o, const std::string&) { o.lint = true; }},
-    {"--no-cache-analyses", "",
-     "recompute every analysis query instead of serving it from the "
-     "pass-manager cache (the pre-pass-manager behavior; results are "
-     "identical either way)",
-     [](Options& o, const std::string&) { o.cache_analyses = false; }},
     {"--audit-analyses", "",
      "fingerprint analysis-cache entries against the IR they were "
      "computed from and fail on a stale hit -- catches passes that "
      "mutate the program without declaring the invalidation",
-     [](Options& o, const std::string&) { o.audit_analyses = true; }},
+     [](Options& o, const std::string&) {
+       o.pipeline_options.audit_analyses = true;
+     }},
     // Autotuning.
     {"--tune", "[=beam|genetic]",
      "search the pipeline space for this workload instead of running one "
@@ -201,22 +221,31 @@ const Flag kFlags[] = {
      "(docs/AUTOTUNE.md; the scoring pool uses --cores threads)",
      [](Options& o, const std::string& v) {
        o.tune = true;
-       if (!v.empty()) o.tune_strategy = v;
+       if (v.empty()) return;
+       tune::parse_strategy(v);
+       o.tune_strategy = v;
      }},
     {"--tune-gap", "<percent>",
      "certificate tolerance: stop the search early and certify the winner "
      "when its traffic is within this percentage of the data-movement "
      "floor (default 5)",
-     [](Options& o, const std::string& v) { o.tune_gap = std::stod(v); }},
+     [](Options& o, const std::string& v) {
+       o.tune_gap = number<double>(v);
+       if (!(o.tune_gap >= 0.0 && o.tune_gap <= 1000.0))
+         throw Error("--tune-gap must be in [0, 1000]");
+     }},
     {"--tune-budget", "<small|medium|large|int>",
      "maximum candidates scored: small=16, medium=48, large=128, or an "
      "explicit count (default medium)",
-     [](Options& o, const std::string& v) { o.tune_budget = v; }},
+     [](Options& o, const std::string& v) {
+       tune::parse_budget(v);
+       o.tune_budget = v;
+     }},
     {"--tune-seed", "<int>",
      "search PRNG seed (default 0); a fixed seed replays the identical "
      "search and winner at any --cores value",
      [](Options& o, const std::string& v) {
-       o.tune_seed = std::stoull(v);
+       o.tune_seed = number<std::uint64_t>(v);
      }},
     {"--tune-seed-log", "<path>",
      "seed the starting population with the pipeline-spec records of a "
@@ -226,62 +255,159 @@ const Flag kFlags[] = {
      "print the structured per-pass reports (remarks, timing, predicted "
      "traffic deltas) in the given format as the only output; skips "
      "measurement (schema bwc-remarks-v1, docs/PIPELINE.md)",
-     [](Options& o, const std::string& v) { o.remarks = v; }},
+     [](Options& o, const std::string& v) {
+       if (v != "json")
+         throw Error("unknown remarks format: " + v + " (supported: json)");
+       o.remarks = true;
+     }},
     {"--print", "", "print the original and optimized programs",
      [](Options& o, const std::string&) { o.print = true; }},
     {"--print-after-all", "", "print the program after every pass",
-     [](Options& o, const std::string&) { o.print_after_all = true; }},
+     [](Options& o, const std::string&) {
+       o.pipeline_options.print_after = [](const pass::Pass& pass,
+                                           const ir::Program& program) {
+         std::cout << "---- after " << pass.name() << " ----\n"
+                   << ir::to_string(program) << "\n";
+       };
+     }},
 };
 
-void print_help(std::ostream& os) {
-  os << "bwcopt -- drive the bandwidth optimizer over a workload and "
-        "measure it\n\n"
-        "usage: bwcopt [options]\n\n"
-        "Output: the pass log, before/after memory traffic and predicted "
-        "time on the\nchosen machine model, scaling curves (--cores > 1), "
-        "the tuning report, and a\nsemantics check. Exit 0 on success, 1 "
-        "when a bound or the semantics check is\nviolated, 2 on bad usage "
-        "or any error.\n\noptions:\n";
-  for (const Flag& flag : kFlags) {
+/// The bwcd-client flags. Values the daemon validates (machine, engine,
+/// strategy, budget) pass through unchecked, so a bad one comes back as
+/// the daemon's status="error" response.
+const Flag kClientFlags[] = {
+    {"--host", "<addr>", "daemon address (default 127.0.0.1)",
+     [](Options& o, const std::string& v) { o.client.host = v; }},
+    {"--port", "<int>", "daemon port (required)",
+     [](Options& o, const std::string& v) { o.client.port = number<int>(v); }},
+    {"--op", "<optimize|tune|stats|ping>", "request kind (default optimize)",
+     [](Options& o, const std::string& v) {
+       if (v != "optimize" && v != "tune" && v != "stats" && v != "ping")
+         throw Error("unknown op: " + v +
+                     " (supported: optimize, tune, stats, ping)");
+       o.client.op = v;
+     }},
+    {"--program", "<fig6|fig7|sec21|jacobi|adi|blur|cascade|stride|random>",
+     "workload to submit (default fig7)",
+     [](Options& o, const std::string& v) { o.program = v; }},
+    {"--file", "<path>", "submit the program from a text file instead",
+     [](Options& o, const std::string& v) { o.file = v; }},
+    {"--n", "<int>", "problem size (default 100000)",
+     [](Options& o, const std::string& v) { o.n = number<std::int64_t>(v); }},
+    {"--seed", "<int>", "PRNG seed for --program random (default 1)",
+     [](Options& o, const std::string& v) {
+       o.seed = number<std::uint64_t>(v);
+     }},
+    {"--passes", "<spec>", "pipeline spec (default: the daemon default)",
+     [](Options& o, const std::string& v) { o.client.pipeline = v; }},
+    {"--machine", "<o2k|exemplar|modern>", "machine model (default o2k)",
+     [](Options& o, const std::string& v) { o.machine = v; }},
+    {"--cores", "<int>", "core count (default 1)",
+     [](Options& o, const std::string& v) { o.cores = number<int>(v); }},
+    {"--scale", "<int>", "cache scale divisor (default 16)",
+     [](Options& o, const std::string& v) {
+       o.scale = number<std::uint64_t>(v);
+     }},
+    {"--engine", "<compiled|reference|native>",
+     "replay engine for the measurement (default compiled)",
+     [](Options& o, const std::string& v) { o.engine = v; }},
+    {"--no-measure", "", "skip the machine-model measurement",
+     [](Options& o, const std::string&) { o.client.measure = false; }},
+    {"--strategy", "<beam|genetic>",
+     "tune-op search strategy (default beam)",
+     [](Options& o, const std::string& v) { o.client.strategy = v; }},
+    {"--gap", "<percent>", "tune-op certificate tolerance (default 5)",
+     [](Options& o, const std::string& v) {
+       o.client.gap = number<double>(v);
+     }},
+    {"--budget", "<small|medium|large|int>",
+     "tune-op evaluation budget (default small; the daemon keeps tune "
+     "requests comparable to optimize in service time)",
+     [](Options& o, const std::string& v) { o.client.budget = v; }},
+    {"--tune-seed", "<int>", "tune-op search seed (default 0)",
+     [](Options& o, const std::string& v) {
+       o.client.tune_seed = number<std::uint64_t>(v);
+     }},
+    {"--timeout-ms", "<int>",
+     "queue-wait deadline for this request (default: daemon default)",
+     [](Options& o, const std::string& v) {
+       o.client.timeout_ms = number<std::int64_t>(v);
+     }},
+    {"--json", "", "print the raw response payload",
+     [](Options& o, const std::string&) { o.client.json = true; }},
+};
+
+/// A command line: `bwcopt` itself or its bwcd-client subcommand.
+struct Command {
+  const char* name;             // "bwcopt" or "bwcopt bwcd-client"
+  const char* usage;            // arguments after the name
+  const char* about;            // the --help preamble
+  std::span<const Flag> flags;  // every flag the command accepts
+  int first;                    // index of the first flag in argv
+};
+
+const char kMainAbout[] =
+    "bwcopt -- drive the bandwidth optimizer over a workload and measure "
+    "it\n\nusage: bwcopt [options]\n\n"
+    "Output: the pass log, before/after memory traffic and predicted time "
+    "on the\nchosen machine model, scaling curves (--cores > 1), the "
+    "tuning report, and a\nsemantics check. Exit 0 on success, 1 when a "
+    "bound or the semantics check is\nviolated, 2 on bad usage or any "
+    "error.\n";
+
+const char kClientAbout[] =
+    "bwcopt bwcd-client -- submit one request to a running bwcd\n\n"
+    "usage: bwcopt bwcd-client --port <port> [options]\n\n"
+    "Exit 0 when the response status is \"ok\" (or \"pong\"), 1 on any "
+    "error\nstatus, 2 on bad usage or a transport failure.\n";
+
+const Command kMain = {"bwcopt", "[options]", kMainAbout, kFlags, 1};
+const Command kClient = {"bwcopt bwcd-client", "--port <port> [options]",
+                         kClientAbout, kClientFlags, 2};
+
+void print_help(const Command& command) {
+  std::cout << command.about << "\noptions:\n";
+  for (const Flag& flag : command.flags) {
     std::string head = "  " + std::string(flag.name);
     if (flag.value[0] == '[')
       head += std::string(flag.value);  // optional inline value
     else if (flag.value[0] != '\0')
       head += " " + std::string(flag.value);
-    os << head << "\n";
+    std::cout << head << "\n";
     // Wrap the help text at 70 columns under an 8-column indent.
     std::istringstream words(flag.help);
     std::string word;
     std::string line;
     while (words >> word) {
       if (!line.empty() && line.size() + 1 + word.size() > 70) {
-        os << "        " << line << "\n";
+        std::cout << "        " << line << "\n";
         line.clear();
       }
       if (!line.empty()) line += " ";
       line += word;
     }
-    if (!line.empty()) os << "        " << line << "\n";
+    if (!line.empty()) std::cout << "        " << line << "\n";
   }
-  os << "  --help\n        print this help and exit\n";
+  std::cout << "  --help\n        print this help and exit\n";
 }
 
-[[noreturn]] void usage_error(const std::string& why) {
-  std::cerr << "bwcopt: " << why << "\n"
-            << "usage: bwcopt [options]; run bwcopt --help for the flag "
-               "list\n";
+[[noreturn]] void usage_error(const Command& command, const std::string& why) {
+  std::cerr << command.name << ": " << why << "\n"
+            << "usage: " << command.name << " " << command.usage << "; run "
+            << command.name << " --help for the flag list\n";
   std::exit(2);
 }
 
-Options parse(int argc, char** argv) {
+/// Parse argv against the command's flag table; both "--flag value" and
+/// "--flag=value" are accepted. Exits 0 after --help, 2 on bad usage.
+Options parse(const Command& command, int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = command.first; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      print_help(std::cout);
+      print_help(command);
       std::exit(0);
     }
-    // Accept both "--flag value" and "--flag=value".
     std::string inline_value;
     bool has_inline = false;
     const std::size_t eq = arg.find('=');
@@ -291,13 +417,13 @@ Options parse(int argc, char** argv) {
       has_inline = true;
     }
     const Flag* found = nullptr;
-    for (const Flag& flag : kFlags) {
+    for (const Flag& flag : command.flags) {
       if (arg == flag.name) {
         found = &flag;
         break;
       }
     }
-    if (found == nullptr) usage_error("unknown flag: " + arg);
+    if (found == nullptr) usage_error(command, "unknown flag: " + arg);
     const bool optional_value = found->value[0] == '[';
     const bool takes_value = !optional_value && found->value[0] != '\0';
     std::string value;
@@ -311,34 +437,19 @@ Options parse(int argc, char** argv) {
       } else if (i + 1 < argc) {
         value = argv[++i];
       } else {
-        usage_error("flag " + arg + " requires a value " + found->value);
+        usage_error(command,
+                    "flag " + arg + " requires a value " + found->value);
       }
     } else if (has_inline) {
-      usage_error("flag " + arg + " takes no value");
+      usage_error(command, "flag " + arg + " takes no value");
     }
     try {
       found->apply(o, value);
-    } catch (const std::exception&) {
-      usage_error("bad value \"" + value + "\" for flag " + arg);
-    }
-  }
-  if (!o.remarks.empty() && o.remarks != "json")
-    usage_error("unknown remarks format: " + o.remarks + " (supported: json)");
-  if (o.static_verify != "on" && o.static_verify != "off" &&
-      o.static_verify != "only")
-    usage_error("unknown static-verify mode: " + o.static_verify +
-                " (supported: on, off, only)");
-  if (o.cores < 1) usage_error("--cores must be >= 1");
-  if (o.tune) {
-    try {
-      tune::parse_strategy(o.tune_strategy);
-      tune::parse_budget(o.tune_budget);
     } catch (const Error& e) {
-      usage_error(e.what());
+      usage_error(command, e.what());
+    } catch (const std::exception&) {
+      usage_error(command, "bad value \"" + value + "\" for flag " + arg);
     }
-    if (!(o.tune_gap >= 0.0 && o.tune_gap <= 1000.0))
-      usage_error("--tune-gap must be in [0, 1000]");
-    if (o.lint) usage_error("--tune and --lint are mutually exclusive");
   }
   return o;
 }
@@ -376,45 +487,8 @@ ir::Program make_program(const Options& o) {
 }
 
 machine::MachineModel make_machine(const Options& o) {
-  machine::MachineModel m;
-  if (o.machine == "o2k") {
-    m = machine::origin2000_r10k();
-  } else if (o.machine == "exemplar") {
-    m = machine::exemplar_pa8000();
-  } else if (o.machine == "modern") {
-    m = machine::generic_modern();
-  } else {
-    throw Error("unknown machine: " + o.machine);
-  }
+  const machine::MachineModel m = machine::machine_by_name(o.machine);
   return m.scaled(o.scale).with_cores(o.cores);
-}
-
-model::ExecEngine make_engine(const std::string& name) {
-  if (name == "compiled") return model::ExecEngine::kCompiled;
-  if (name == "reference") return model::ExecEngine::kReference;
-  if (name == "native") return model::ExecEngine::kNative;
-  throw Error("unknown engine: " + name);
-}
-
-core::FusionSolver make_solver(const std::string& name) {
-  if (name == "best") return core::FusionSolver::kBest;
-  if (name == "exact") return core::FusionSolver::kExact;
-  if (name == "greedy") return core::FusionSolver::kGreedy;
-  if (name == "bisection") return core::FusionSolver::kBisection;
-  if (name == "edge-weighted") return core::FusionSolver::kEdgeWeighted;
-  if (name == "none") return core::FusionSolver::kNone;
-  throw Error("unknown solver: " + name);
-}
-
-/// The PipelineSpec string this invocation runs: --passes verbatim, else
-/// the default pipeline of the per-pass flags; --regroup appends the
-/// regroup pass either way.
-std::string effective_pipeline(const Options& o,
-                               const core::OptimizerOptions& opts) {
-  std::string spec = o.passes.empty() ? core::default_pipeline(opts)
-                                      : o.passes;
-  if (o.regroup) spec += (spec.empty() ? "regroup" : ",regroup");
-  return spec;
 }
 
 // ---- autotune mode: search the pipeline space for the workload ----
@@ -427,12 +501,12 @@ int run_tune(const Options& o, const ir::Program& original) {
   topts.seed = o.tune_seed;
   topts.threads = o.cores;
   topts.machine = make_machine(o);
-  topts.engine = make_engine(o.engine);
+  topts.engine = model::engine_by_name(o.engine);
   if (!o.tune_seed_log.empty())
     topts.seed_specs = server::read_pipeline_specs(o.tune_seed_log);
   const tune::TuneResult result = tune::tune(original, topts);
 
-  if (!o.remarks.empty()) {
+  if (o.remarks) {
     // Winner's per-pass reports plus the synthetic tune record carrying
     // the certificate, as one schema-valid bwc-remarks-v1 document.
     pass::PipelineReport report = result.winner_pipeline;
@@ -494,169 +568,11 @@ int run_tune(const Options& o, const ir::Program& original) {
 
 // ---- bwcd-client: speak the bwcd-v1 protocol to a running daemon ----
 
-struct ClientOptions {
-  std::string host = "127.0.0.1";
-  int port = 0;
-  std::string op = "optimize";
-  /// Workload selection reuses the top-level table (--program/--file/...).
-  Options workload;
-  std::string pipeline;
-  bool measure = true;
-  std::int64_t timeout_ms = 0;
-  /// Tune-op knobs (--op tune).
-  std::string strategy = "beam";
-  double gap = 5.0;
-  std::string budget = "small";
-  std::uint64_t tune_seed = 0;
-  /// Print the raw response payload instead of the human summary.
-  bool json = false;
-};
-
-const Flag kClientFlags[] = {
-    {"--host", "<addr>", "daemon address (default 127.0.0.1)",
-     [](Options&, const std::string&) {}},
-    {"--port", "<int>", "daemon port (required)",
-     [](Options&, const std::string&) {}},
-    {"--op", "<optimize|tune|stats|ping>", "request kind (default optimize)",
-     [](Options&, const std::string&) {}},
-    {"--program", "<fig6|fig7|sec21|jacobi|adi|blur|cascade|stride|random>",
-     "workload to submit (default fig7)",
-     [](Options& o, const std::string& v) { o.program = v; }},
-    {"--file", "<path>", "submit the program from a text file instead",
-     [](Options& o, const std::string& v) { o.file = v; }},
-    {"--n", "<int>", "problem size (default 100000)",
-     [](Options& o, const std::string& v) { o.n = std::stoll(v); }},
-    {"--seed", "<int>", "PRNG seed for --program random (default 1)",
-     [](Options& o, const std::string& v) { o.seed = std::stoull(v); }},
-    {"--passes", "<spec>", "pipeline spec (default: the daemon default)",
-     [](Options&, const std::string&) {}},
-    {"--machine", "<o2k|exemplar|modern>", "machine model (default o2k)",
-     [](Options& o, const std::string& v) { o.machine = v; }},
-    {"--cores", "<int>", "core count (default 1)",
-     [](Options& o, const std::string& v) { o.cores = std::stoi(v); }},
-    {"--scale", "<int>", "cache scale divisor (default 16)",
-     [](Options& o, const std::string& v) { o.scale = std::stoull(v); }},
-    {"--engine", "<compiled|reference|native>",
-     "replay engine for the measurement (default compiled)",
-     [](Options& o, const std::string& v) { o.engine = v; }},
-    {"--no-measure", "", "skip the machine-model measurement",
-     [](Options&, const std::string&) {}},
-    {"--strategy", "<beam|genetic>",
-     "tune-op search strategy (default beam)",
-     [](Options&, const std::string&) {}},
-    {"--gap", "<percent>", "tune-op certificate tolerance (default 5)",
-     [](Options&, const std::string&) {}},
-    {"--budget", "<small|medium|large|int>",
-     "tune-op evaluation budget (default small; the daemon keeps tune "
-     "requests comparable to optimize in service time)",
-     [](Options&, const std::string&) {}},
-    {"--tune-seed", "<int>", "tune-op search seed (default 0)",
-     [](Options&, const std::string&) {}},
-    {"--timeout-ms", "<int>",
-     "queue-wait deadline for this request (default: daemon default)",
-     [](Options&, const std::string&) {}},
-    {"--json", "", "print the raw response payload",
-     [](Options&, const std::string&) {}},
-};
-
-void print_client_help(std::ostream& os) {
-  os << "bwcopt bwcd-client -- submit one request to a running bwcd\n\n"
-        "usage: bwcopt bwcd-client --port <port> [options]\n\n"
-        "Exit 0 when the response status is \"ok\" (or \"pong\"), 1 on any "
-        "error\nstatus, 2 on bad usage or a transport failure.\n\noptions:\n";
-  for (const Flag& flag : kClientFlags) {
-    std::string head = "  " + std::string(flag.name);
-    if (flag.value[0] != '\0') head += " " + std::string(flag.value);
-    os << head << "\n        " << flag.help << "\n";
-  }
-  os << "  --help\n        print this help and exit\n";
-}
-
-[[noreturn]] void client_usage_error(const std::string& why) {
-  std::cerr << "bwcopt bwcd-client: " << why << "\n"
-            << "usage: bwcopt bwcd-client --port <port> [options]; run "
-               "bwcopt bwcd-client --help for the flag list\n";
-  std::exit(2);
-}
-
-ClientOptions parse_client(int argc, char** argv) {
-  ClientOptions c;
-  // argv[1] is the subcommand name; flags start at argv[2].
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_client_help(std::cout);
-      std::exit(0);
-    }
-    std::string value;
-    bool has_value = false;
-    const std::size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      has_value = true;
-    }
-    const Flag* found = nullptr;
-    for (const Flag& flag : kClientFlags) {
-      if (arg == flag.name) {
-        found = &flag;
-        break;
-      }
-    }
-    if (found == nullptr) client_usage_error("unknown flag: " + arg);
-    const bool takes_value = found->value[0] != '\0';
-    if (takes_value && !has_value) {
-      if (i + 1 >= argc)
-        client_usage_error("flag " + arg + " requires a value " +
-                           found->value);
-      value = argv[++i];
-      has_value = true;
-    } else if (!takes_value && has_value) {
-      client_usage_error("flag " + arg + " takes no value");
-    }
-    try {
-      // Flags shared with the top-level table route through workload;
-      // client-only flags are handled here.
-      if (arg == "--host") {
-        c.host = value;
-      } else if (arg == "--port") {
-        c.port = std::stoi(value);
-      } else if (arg == "--op") {
-        c.op = value;
-      } else if (arg == "--passes") {
-        c.pipeline = value;
-      } else if (arg == "--no-measure") {
-        c.measure = false;
-      } else if (arg == "--timeout-ms") {
-        c.timeout_ms = std::stoll(value);
-      } else if (arg == "--strategy") {
-        c.strategy = value;
-      } else if (arg == "--gap") {
-        c.gap = std::stod(value);
-      } else if (arg == "--budget") {
-        c.budget = value;
-      } else if (arg == "--tune-seed") {
-        c.tune_seed = std::stoull(value);
-      } else if (arg == "--json") {
-        c.json = true;
-      } else {
-        found->apply(c.workload, value);
-      }
-    } catch (const std::exception&) {
-      client_usage_error("bad value \"" + value + "\" for flag " + arg);
-    }
-  }
-  if (c.port < 1 || c.port > 65535)
-    client_usage_error("--port is required (1..65535)");
-  if (c.op != "optimize" && c.op != "tune" && c.op != "stats" &&
-      c.op != "ping")
-    client_usage_error("unknown op: " + c.op +
-                       " (supported: optimize, tune, stats, ping)");
-  return c;
-}
-
 int bwcd_client_main(int argc, char** argv) {
-  const ClientOptions c = parse_client(argc, argv);
+  const Options o = parse(kClient, argc, argv);
+  const Options::Client& c = o.client;
+  if (c.port < 1 || c.port > 65535)
+    usage_error(kClient, "--port is required (1..65535)");
   try {
     server::Request request;
     if (c.op == "stats") {
@@ -667,11 +583,11 @@ int bwcd_client_main(int argc, char** argv) {
       const bool is_tune = c.op == "tune";
       request.op = is_tune ? server::Request::Op::kTune
                            : server::Request::Op::kOptimize;
-      request.program = ir::to_string(make_program(c.workload));
-      request.machine = c.workload.machine;
-      request.cores = c.workload.cores;
-      request.scale = c.workload.scale;
-      request.engine = c.workload.engine;
+      request.program = ir::to_string(make_program(o));
+      request.machine = o.machine;
+      request.cores = o.cores;
+      request.scale = o.scale;
+      request.engine = o.engine;
       request.timeout_ms = c.timeout_ms;
       if (is_tune) {
         request.strategy = c.strategy;
@@ -710,44 +626,24 @@ int bwcd_client_main(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc > 1 && std::string(argv[1]) == "bwcd-client")
     return bwcd_client_main(argc, argv);
-  const Options o = parse(argc, argv);
+  const Options o = parse(kMain, argc, argv);
+  if (o.tune && o.lint)
+    usage_error(kMain, "--tune and --lint are mutually exclusive");
   try {
     const ir::Program original = make_program(o);
     if (o.tune) return run_tune(o, original);
 
-    core::OptimizerOptions opts;
-    opts.solver = make_solver(o.solver);
-    opts.reduce_storage = o.storage;
-    opts.eliminate_stores = o.stores;
-    opts.allow_shifted_fusion = o.shift;
-    opts.auto_interchange = o.interchange;
-    opts.scalar_replacement = o.scalar_replace;
-    opts.verify = o.verify_pipeline;
-    opts.static_verify = o.static_verify == "off"
-                             ? pass::StaticVerifyMode::kOff
-                             : o.static_verify == "only"
-                                   ? pass::StaticVerifyMode::kOnly
-                                   : pass::StaticVerifyMode::kOn;
-    opts.cache_analyses = o.cache_analyses;
-    opts.audit_analyses = o.audit_analyses;
-    opts.cores = o.cores;
-    opts.passes = o.lint ? "lint" : effective_pipeline(o, opts);
-    if (o.print_after_all) {
-      opts.print_after = [](const pass::Pass& pass,
-                            const ir::Program& program) {
-        std::cout << "---- after " << pass.name() << " ----\n"
-                  << ir::to_string(program) << "\n";
-      };
-    }
-    const core::OptimizeResult result = core::optimize(original, opts);
+    const std::string spec = o.lint ? "lint" : o.passes;
+    const core::OptimizeResult result =
+        core::optimize(original, spec, o.pipeline_options);
+    const std::string name = o.file.empty() ? o.program : o.file;
 
     if (o.lint) {
       // Diagnostics mode: findings are the only product; exit 1 when any
       // error-severity finding was emitted.
       const int errors = result.pipeline.error_findings();
-      if (!o.remarks.empty()) {
-        const std::string name = o.file.empty() ? o.program : o.file;
-        std::cout << result.pipeline.to_json(name, opts.passes) << "\n";
+      if (o.remarks) {
+        std::cout << result.pipeline.to_json(name, spec) << "\n";
       } else {
         for (const auto& pass_report : result.pipeline.passes) {
           for (const auto& remark : pass_report.remarks) {
@@ -761,11 +657,10 @@ int main(int argc, char** argv) {
       return errors > 0 ? 1 : 0;
     }
 
-    if (!o.remarks.empty()) {
+    if (o.remarks) {
       // Machine-readable mode: the JSON document is the only stdout
       // output, so CI can pipe it straight into the schema validator.
-      const std::string name = o.file.empty() ? o.program : o.file;
-      std::cout << result.pipeline.to_json(name, opts.passes) << "\n";
+      std::cout << result.pipeline.to_json(name, spec) << "\n";
       return 0;
     }
 
@@ -775,10 +670,10 @@ int main(int argc, char** argv) {
                 << "\n---- optimized ----\n" << ir::to_string(result.program)
                 << "\n";
     }
-    std::cout << "passes:\n" << core::render_log(result) << "\n";
+    std::cout << "passes:\n" << result.pipeline.to_text() << "\n";
 
     model::MeasureOptions measure_opts;
-    measure_opts.engine = make_engine(o.engine);
+    measure_opts.engine = model::engine_by_name(o.engine);
     measure_opts.fast_forward = o.fast_forward;
     measure_opts.native.cache_dir = o.codegen_cache_dir;
     runtime::NativeReport native_report;

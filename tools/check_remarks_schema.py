@@ -16,7 +16,8 @@ docs/PIPELINE.md: one object per run carrying the pipeline spec, the
 analysis-cache counters, and a per-pass record with wall time, IR
 before/after stats, the predicted traffic-bound delta from
 verify::compute_traffic_bound, the inter-pass verification outcome and
-the structured remarks whose `message` fields are the legacy log lines.
+the structured remarks (the `message` of an applied or missed remark is
+its line in the text pass log, PipelineReport::to_text).
 
 CI pipes every bundled workload (and a non-default --passes ordering)
 through this check so the JSON surface stays stable for downstream
