@@ -34,12 +34,14 @@ inline machine::MachineModel exemplar() {
 /// warm-up pass, then one measured pass. Returns the measured profile.
 ///
 /// The warm-up pass only has to leave the hierarchy in the exact state a
-/// full pass would, so it runs with the online steady-state fast-forward
-/// detector attached (memsim/fastforward.h): periodic spans of the access
-/// stream are absorbed and folded in analytically, which cuts warm-up
-/// simulation cost without changing the warmed state or the measured pass
-/// by a byte. Machines whose hierarchies are not translation-invariant
-/// (page randomization) warm up by full simulation automatically.
+/// full pass would, so it runs with online steady-state fast-forward
+/// attached (memsim::AccessFastForward): the period is inferred from the
+/// raw access stream and certified by memsim::PeriodDetector, the same
+/// certifier the compiled engines' stream loops use, and periodic spans
+/// are absorbed and folded in analytically. That cuts warm-up simulation
+/// cost without changing the warmed state or the measured pass by a byte.
+/// Machines whose hierarchies are not translation-invariant (page
+/// randomization) warm up by full simulation automatically.
 ///
 /// Counter hygiene (regression-tested in tests/runtime_test.cpp): the
 /// warm-up pass uses its own Recorder whose scope ends -- settling the

@@ -3,13 +3,14 @@
 // bytes_per_second is the paper's useful-traffic metric.
 #include <benchmark/benchmark.h>
 
+#include "bwc/runtime/recorder.h"
 #include "bwc/workloads/stride_kernels.h"
 
 namespace {
 
+using bwc::runtime::NullRecorder;
 using bwc::workloads::AddressSpace;
 using bwc::workloads::figure3_kernels;
-using bwc::workloads::NullRecorder;
 using bwc::workloads::StrideKernel;
 
 constexpr std::int64_t kN = 2000000;

@@ -1,5 +1,6 @@
 #include "bwc/memsim/fastforward.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "bwc/support/error.h"
@@ -8,26 +9,102 @@ namespace bwc::memsim {
 
 namespace {
 
-// Detection knobs. The window must hold two occurrences of the longest
-// period considered; adoption attempts are spaced so the O(period^2) scan
-// amortizes to a few ops per access. Streams that keep defeating
-// verification get a bounded number of chances before the detector turns
-// itself off and the stream pays nothing but one branch per access.
+// The counter delta repeats long before the resident state becomes
+// translation-stationary: a cold stream misses at a steady rate from the
+// first line, but the state only settles once it has swept past every
+// level's capacity (all sets full, evictions steady -- including stale
+// lines of a *previous* phase draining out). The patience budget must
+// therefore cover capacity / period-shift boundaries, plus slack;
+// adversarial streams still degrade to plain simulation once it is spent.
+constexpr std::int64_t kStateRetrySlack = 64;
+// Snapshotting and comparing the resident state is O(resident lines), far
+// too expensive to pay at every boundary of a capacity-long drain. State
+// checks back off exponentially while the counter delta stays stable
+// (periods 1, 2, 4, ... apart, capped), so total state work is
+// O(resident * log(drain)) and certification lands within a bounded
+// factor of the true drain point.
+constexpr std::int64_t kMaxStateCheckGap = 256;
+
+// Online detection knobs. The window must hold two occurrences of the
+// longest period considered; adoption attempts are spaced so the
+// O(period^2) scan amortizes to a few ops per access. Streams that keep
+// defeating verification get a bounded number of chances before the
+// detector turns itself off and the stream pays nothing but one branch
+// per access.
 constexpr std::size_t kMaxPeriod = 32;
 constexpr std::size_t kWindow = 2 * kMaxPeriod;  // power of two (ring mask)
 constexpr std::uint64_t kAttemptInterval = 128;
 constexpr int kMaxFailedAdoptions = 8;
-constexpr std::int64_t kStateRetrySlack = 64;
-// State snapshots/comparisons are O(resident lines); during a capacity-
-// long drain they back off exponentially (super-periods 1, 2, 4, ...
-// apart, capped) while the counter delta stays stable, bounding total
-// state work to O(resident * log(drain)).
-constexpr std::int64_t kMaxStateCheckGap = 256;
 // A super-period's access span is buffered while skipping (the partial
 // tail must be replayable); refuse hypotheses that would buffer more.
 constexpr std::size_t kMaxSuperPeriodAccesses = 4096;
 
+std::uint64_t magnitude(std::int64_t x) {
+  return static_cast<std::uint64_t>(x < 0 ? -x : x);
+}
+
 }  // namespace
+
+std::uint64_t line_granular_repeats(const MemoryHierarchy& h,
+                                    std::int64_t step_bytes) {
+  const std::uint64_t line = h.max_line_bytes();
+  return line / std::gcd(magnitude(step_bytes), line);
+}
+
+// -- PeriodDetector -------------------------------------------------------
+
+PeriodDetector::PeriodDetector(MemoryHierarchy* h,
+                               std::int64_t period_shift_bytes)
+    : h_(h),
+      shift_(period_shift_bytes),
+      max_periods_(static_cast<std::int64_t>(2 * h->total_capacity_bytes() /
+                                             magnitude(period_shift_bytes)) +
+                   kStateRetrySlack) {
+  h_->snapshot_counters(&prev_);
+}
+
+bool PeriodDetector::boundary() {
+  h_->snapshot_counters(&cur_);
+  MemoryHierarchy::subtract_counters(cur_, prev_, &delta_);
+  std::swap(prev_, cur_);
+  if (++periods_ > max_periods_) {
+    exhausted_ = true;
+    return false;
+  }
+  if (!have_last_ || !(delta_ == last_delta_)) {
+    // Delta changed: new traffic regime, restart the state protocol.
+    std::swap(last_delta_, delta_);
+    have_last_ = true;
+    have_snap_ = false;
+    gap_ = 1;
+    wait_ = 0;
+    return false;
+  }
+  // Delta stable (last_delta_ is the candidate per-period advance).
+  if (have_snap_) {
+    if (h_->state_equals_shifted(snap_, shift_)) return true;
+    // The traffic delta stabilizes while stale lines are still draining
+    // out of the state; back off and retry at the next check point.
+    have_snap_ = false;
+    gap_ = std::min(2 * gap_, kMaxStateCheckGap);
+    wait_ = gap_ - 1;
+    return false;
+  }
+  if (wait_ > 0) {
+    --wait_;
+    return false;
+  }
+  h_->snapshot_state(&snap_);
+  have_snap_ = true;
+  return false;
+}
+
+void PeriodDetector::skip(std::uint64_t periods) {
+  h_->apply_counters_scaled(last_delta_, periods);
+  h_->shift_state(shift_ * static_cast<std::int64_t>(periods));
+}
+
+// -- AccessFastForward ----------------------------------------------------
 
 AccessFastForward::AccessFastForward(MemoryHierarchy* hierarchy)
     : hierarchy_(hierarchy), attempt_countdown_(kWindow) {
@@ -77,7 +154,13 @@ void AccessFastForward::access(bool is_store, std::uint64_t addr,
         ++rep_;
         if (++rep_in_sp_ == sp_reps_) {
           rep_in_sp_ = 0;
-          on_super_period();
+          if (detector_->boundary()) {
+            mode_ = Mode::kSkip;
+            skipped_sps_ = 0;
+            partial_.clear();
+          } else if (detector_->exhausted()) {
+            fail_adoption();
+          }
         }
       }
       return;
@@ -133,100 +216,39 @@ void AccessFastForward::try_adopt() {
     }
     if (!ok) continue;
 
-    const std::uint64_t line = hierarchy_->max_line_bytes();
-    const std::uint64_t mag =
-        static_cast<std::uint64_t>(delta < 0 ? -delta : delta);
-    const std::uint64_t reps = line / std::gcd(mag, line);
+    const std::uint64_t reps = line_granular_repeats(*hierarchy_, delta);
     if (reps * p > kMaxSuperPeriodAccesses) continue;
 
     pattern_.assign(p, Access{});
     for (std::size_t j = 0; j < p; ++j) pattern_[p - 1 - j] = back(j);
     shift_ = delta;
     sp_reps_ = reps;
-    sp_shift_ = delta * static_cast<std::int64_t>(reps);
     pos_ = 0;
     rep_ = 1;
     rep_in_sp_ = 0;
-    hierarchy_->snapshot_counters(&prev_counters_);
-    have_last_delta_ = false;
-    have_state_snap_ = false;
-    state_retries_ = 0;
-    state_check_gap_ = 1;
-    state_check_wait_ = 0;
-    // Patience for the cold fill: the state cannot be translation-
-    // stationary until the stream has swept past every level's capacity.
-    state_retry_budget_ =
-        static_cast<std::int64_t>(
-            2 * hierarchy_->total_capacity_bytes() /
-            static_cast<std::uint64_t>(delta < 0 ? -sp_shift_ : sp_shift_)) +
-        kStateRetrySlack;
+    detector_.emplace(hierarchy_, delta * static_cast<std::int64_t>(reps));
     mode_ = Mode::kVerify;
     return;
   }
 }
 
-void AccessFastForward::on_super_period() {
-  hierarchy_->snapshot_counters(&cur_counters_);
-  MemoryHierarchy::subtract_counters(cur_counters_, prev_counters_, &delta_);
-  std::swap(prev_counters_, cur_counters_);
-
-  if (++state_retries_ > state_retry_budget_) {
-    fail_adoption();
-    return;
-  }
-  if (!have_last_delta_ || !(delta_ == last_delta_)) {
-    // Delta changed: new traffic regime, restart the state protocol.
-    std::swap(last_delta_, delta_);
-    have_last_delta_ = true;
-    have_state_snap_ = false;
-    state_check_gap_ = 1;
-    state_check_wait_ = 0;
-    return;
-  }
-  // Delta stable (last_delta_ is the candidate per-super-period advance).
-  if (have_state_snap_) {
-    if (hierarchy_->state_equals_shifted(state_snap_, sp_shift_)) {
-      mode_ = Mode::kSkip;
-      skipped_sps_ = 0;
-      partial_.clear();
-      return;
-    }
-    // The traffic delta stabilizes while stale lines are still draining
-    // out of the state; back off and retry at the next check point.
-    have_state_snap_ = false;
-    state_check_gap_ = std::min(2 * state_check_gap_, kMaxStateCheckGap);
-    state_check_wait_ = state_check_gap_ - 1;
-    return;
-  }
-  if (state_check_wait_ > 0) {
-    --state_check_wait_;
-    return;
-  }
-  hierarchy_->snapshot_state(&state_snap_);
-  have_state_snap_ = true;
-}
-
-void AccessFastForward::fail_adoption() {
+void AccessFastForward::restart_collection() {
   pattern_.clear();
-  have_last_delta_ = false;
-  have_state_snap_ = false;
-  if (++failed_adoptions_ >= kMaxFailedAdoptions) {
-    mode_ = Mode::kOff;
-    return;
-  }
+  detector_.reset();
   mode_ = Mode::kCollect;
   history_count_ = 0;
   history_head_ = 0;
   attempt_countdown_ = kWindow;
 }
 
+void AccessFastForward::fail_adoption() {
+  restart_collection();
+  if (++failed_adoptions_ >= kMaxFailedAdoptions) mode_ = Mode::kOff;
+}
+
 void AccessFastForward::settle() {
   if (mode_ != Mode::kSkip) return;
-  if (skipped_sps_ > 0) {
-    hierarchy_->apply_counters_scaled(last_delta_, skipped_sps_);
-    hierarchy_->shift_state(sp_shift_ *
-                            static_cast<std::int64_t>(skipped_sps_));
-  }
+  if (skipped_sps_ > 0) detector_->skip(skipped_sps_);
   // The absorbed tail past the last super-period boundary matched the
   // prediction but was never simulated; replay it against the translated
   // state, exactly where full simulation would have issued it.
@@ -235,11 +257,7 @@ void AccessFastForward::settle() {
   skipped_sps_ = 0;
   // Back to collection: the next access either re-establishes the same
   // pattern (a new phase of the stream) or the stream has moved on.
-  pattern_.clear();
-  mode_ = Mode::kCollect;
-  history_count_ = 0;
-  history_head_ = 0;
-  attempt_countdown_ = kWindow;
+  restart_collection();
 }
 
 }  // namespace bwc::memsim

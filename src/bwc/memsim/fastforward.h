@@ -1,32 +1,88 @@
-// Online steady-state fast-forward for raw access streams.
+// Steady-state fast-forward: the periodic-fixpoint certifier and the
+// online period source for raw access streams.
 //
-// Native workloads (the Figure 3 stride kernels, STREAM, the proxies)
-// issue per-element access streams with no loop metadata attached, yet in
-// steady state those streams are periodic: a fixed tuple of accesses
-// repeats, every address advancing by a constant shift per repetition.
-// AccessFastForward watches such a stream on its way into a
-// MemoryHierarchy, infers the period online, proves the hierarchy has
-// reached its periodic fixpoint -- identical per-super-period counter
-// deltas plus resident state that equals its own translation by the
-// super-period's address shift -- and then *absorbs* matching accesses
-// instead of simulating them, folding the skipped super-periods back into
-// the hierarchy analytically on settle(). Every counter and the final
-// resident state are exactly what full simulation would have produced,
-// which is why bench::steady_state_profile can use it for warm-up passes
-// without perturbing the measured pass by a single byte.
+// A stream whose access tuple repeats with every address advanced by a
+// constant shift drives a translation-invariant MemoryHierarchy (pure
+// modulo set indexing) towards a *periodic fixpoint*: identical
+// per-period counter deltas and a resident state that equals its own
+// translation by the period's address shift. PeriodDetector certifies
+// that fixpoint and then advances the hierarchy by any number of periods
+// analytically -- counters by m * delta, resident tags by m * shift --
+// which by induction is exactly what simulating them would have done.
 //
-// The compiled engine's stream loops use the offline twin of this driver
-// (runtime/fastforward.h), which gets the period from lowering metadata
-// instead of inferring it.
+// The certifier is fed by two period sources:
+//  - the compiled engines' stream loops (runtime/fastforward.h), whose
+//    period comes from lowering's uniform per-iteration address step;
+//  - AccessFastForward below, which infers the period online from a raw
+//    access stream with no loop metadata attached -- the native workloads
+//    (Figure 3 stride kernels, STREAM, the proxies) in
+//    bench::steady_state_profile's warm-up passes.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "bwc/memsim/hierarchy.h"
 
 namespace bwc::memsim {
 
+/// Repetitions of an address step of `step_bytes` (nonzero) after which
+/// the accumulated shift is a line multiple at every level of `h` at
+/// once: max_line / gcd(|step|, max_line).
+std::uint64_t line_granular_repeats(const MemoryHierarchy& h,
+                                    std::int64_t step_bytes);
+
+/// Periodic-fixpoint certifier. The caller replays one period of its
+/// stream into the hierarchy (flushing any coalesced run), then calls
+/// boundary(); true means the fixpoint is certified, delta() is the
+/// exact per-period counter advance and skip() may fold any number of
+/// further periods in analytically. exhausted() reports that the
+/// capacity-scaled patience budget is spent and the caller should stop
+/// probing.
+class PeriodDetector {
+ public:
+  /// `period_shift_bytes` (nonzero) is the address shift of one period;
+  /// it must be a multiple of h->max_line_bytes() (line_granular_repeats)
+  /// and the hierarchy translation_invariant(). Snapshots the counters:
+  /// the first period starts now.
+  PeriodDetector(MemoryHierarchy* h, std::int64_t period_shift_bytes);
+
+  /// Close one period. True once the fixpoint is certified: the counter
+  /// delta repeated and the resident state equals its snapshot translated
+  /// by the period shift.
+  bool boundary();
+  bool exhausted() const { return exhausted_; }
+  /// The certified per-period counter advance (valid once boundary()
+  /// returned true).
+  const MemoryHierarchy::Counters& delta() const { return last_delta_; }
+  /// Advance the hierarchy by `periods` certified periods without
+  /// simulating them: counters by periods * delta(), resident state by
+  /// periods * the period shift.
+  void skip(std::uint64_t periods);
+
+ private:
+  MemoryHierarchy* h_;
+  std::int64_t shift_;
+  std::int64_t max_periods_;
+  MemoryHierarchy::Counters prev_, cur_, delta_, last_delta_;
+  bool have_last_ = false;
+  MemoryHierarchy::ResidentState snap_;
+  bool have_snap_ = false;
+  std::int64_t periods_ = 0;
+  std::int64_t gap_ = 1;   // periods between state checks (backoff)
+  std::int64_t wait_ = 0;  // periods left before the next snapshot
+  bool exhausted_ = false;
+};
+
+/// Online period source: watches a raw access stream on its way into a
+/// MemoryHierarchy, infers a period from the recent window, certifies it
+/// with a PeriodDetector at super-period boundaries, and then *absorbs*
+/// matching accesses instead of simulating them, folding the skipped
+/// super-periods back in on settle(). Every counter and the final
+/// resident state are exactly what full simulation would have produced,
+/// which is why bench::steady_state_profile can use it for warm-up passes
+/// without perturbing the measured pass by a single byte.
 class AccessFastForward {
  public:
   /// The hierarchy must be translation_invariant() (checked); callers gate
@@ -43,11 +99,10 @@ class AccessFastForward {
   /// mismatch settles the skipped span before re-entering detection.
   void access(bool is_store, std::uint64_t addr, std::uint64_t size);
 
-  /// Fold any absorbed-but-unapplied span into the hierarchy: scale the
-  /// certified per-super-period counter delta by the super-periods
-  /// skipped, translate the resident state, and replay the partial tail
-  /// element by element. Must be called before the hierarchy's counters or
-  /// state are read; safe to call at any time.
+  /// Fold any absorbed-but-unapplied span into the hierarchy: skip the
+  /// certified super-periods (PeriodDetector::skip) and replay the
+  /// partial tail element by element. Must be called before the
+  /// hierarchy's counters or state are read; safe to call at any time.
   void settle();
 
   /// Accesses absorbed by the skip path so far (observability).
@@ -62,7 +117,7 @@ class AccessFastForward {
 
   // kCollect: forward everything, look for a period in the recent window.
   // kVerify: forward everything while checking each access against the
-  //          adopted pattern and fingerprinting super-period boundaries.
+  //          adopted pattern and certifying at super-period boundaries.
   // kSkip:   absorb matching accesses; counters/state owed until settle().
   // kOff:    detection failed too often; forward-only, zero overhead.
   enum class Mode : std::uint8_t { kCollect, kVerify, kSkip, kOff };
@@ -71,8 +126,8 @@ class AccessFastForward {
   bool matches_expected(const Access& a) const;
   void collect(const Access& a);
   void try_adopt();
-  void on_super_period();  // kVerify super-period fingerprinting
   void fail_adoption();
+  void restart_collection();
 
   MemoryHierarchy* hierarchy_;
   Mode mode_ = Mode::kCollect;
@@ -88,28 +143,14 @@ class AccessFastForward {
   // seen; occurrence r of pattern slot j is predicted at
   // pattern_[j].addr + shift_ * r. A super-period is `sp_reps_` pattern
   // repetitions, chosen so its total shift is line-granular at every
-  // level.
+  // level; the certifier's period is one super-period.
   std::vector<Access> pattern_;
   std::int64_t shift_ = 0;     // bytes per pattern repetition
   std::uint64_t sp_reps_ = 0;  // pattern repetitions per super-period
-  std::int64_t sp_shift_ = 0;  // shift_ * sp_reps_
   std::size_t pos_ = 0;        // next pattern slot expected
   std::uint64_t rep_ = 0;      // current repetition number (shift multiple)
   std::uint64_t rep_in_sp_ = 0;
-
-  // Super-period fingerprints (kVerify).
-  MemoryHierarchy::Counters prev_counters_, cur_counters_, delta_, last_delta_;
-  bool have_last_delta_ = false;
-  MemoryHierarchy::ResidentState state_snap_;
-  bool have_state_snap_ = false;
-  // The counter delta stabilizes from the first cold miss, but the
-  // resident state only becomes translation-stationary once the stream
-  // has swept every level's capacity; the retry budget is sized for that
-  // fill at adoption time (capacity / super-period shift, plus slack).
-  std::int64_t state_retries_ = 0;       // super-periods since adoption
-  std::int64_t state_retry_budget_ = 0;  // capacity-scaled patience
-  std::int64_t state_check_gap_ = 1;     // backoff between state checks
-  std::int64_t state_check_wait_ = 0;    // super-periods until next check
+  std::optional<PeriodDetector> detector_;  // kVerify and kSkip
 
   // Skip-phase debt: super-periods fully absorbed, plus the partial tail
   // of absorbed accesses past the last super-period boundary.

@@ -157,9 +157,7 @@ std::string resolve_compiler(const NativeOptions& opts) {
 }
 
 /// Per-iteration access totals of one stream loop, for bulk accounting
-/// when the values kernel runs without hooks. Mirrors run_stream_range:
-/// a loads every iteration when it is an array; b only for bodies that
-/// read it (never kCopy/kReduce); the store only for non-reduce bodies.
+/// when the values kernel runs without hooks.
 struct StreamIterCounts {
   std::uint64_t loads = 0;
   std::uint64_t stores = 0;
@@ -168,21 +166,10 @@ struct StreamIterCounts {
 
 StreamIterCounts stream_iter_counts(const StreamLoop& sl) {
   StreamIterCounts c;
-  const bool reads_b = sl.body == StreamLoop::Body::kBinary ||
-                       sl.body == StreamLoop::Body::kCallF ||
-                       sl.body == StreamLoop::Body::kCallG;
-  if (sl.a.kind == StreamOperand::Kind::kArray) {
-    ++c.loads;
-    c.reg_bytes += sl.a.elem_bytes;
-  }
-  if (reads_b && sl.b.kind == StreamOperand::Kind::kArray) {
-    ++c.loads;
-    c.reg_bytes += sl.b.elem_bytes;
-  }
-  if (sl.body != StreamLoop::Body::kReduce) {
-    ++c.stores;
-    c.reg_bytes += sl.lhs.elem_bytes;
-  }
+  for_each_stream_access(sl, [&](const StreamOperand& o, bool is_store) {
+    ++(is_store ? c.stores : c.loads);
+    c.reg_bytes += o.elem_bytes;
+  });
   return c;
 }
 
@@ -472,8 +459,7 @@ int stream_callback(void* host, int loop_id) {
     if (d->sched != nullptr) {
       d->sched->run(sl, ctx, *d->rec);
     } else {
-      run_stream_serial_with(sl, sl.lower, sl.upper, ctx, *d->rec,
-                             d->fast_forward, *d->exec);
+      run_stream_serial(sl, ctx, *d->rec, d->fast_forward, *d->exec);
     }
     return 0;
   } catch (...) {

@@ -18,6 +18,7 @@
 #include "bwc/ir/stmt.h"
 #include "bwc/runtime/codegen.h"
 #include "bwc/runtime/lowering.h"
+#include "bwc/runtime/stream_exec.h"
 
 namespace bwc::runtime {
 
@@ -267,13 +268,6 @@ bool is_array(const StreamOperand& o) {
   return o.kind == StreamOperand::Kind::kArray;
 }
 
-/// Does the body read operand b? (kCopy and kReduce read only a.)
-bool body_reads_b(const StreamLoop& sl) {
-  return sl.body == StreamLoop::Body::kBinary ||
-         sl.body == StreamLoop::Body::kCallF ||
-         sl.body == StreamLoop::Body::kCallG;
-}
-
 /// Emit the cursor setup for one stream operand, mirroring
 /// make_stream_cursor (stream_exec.h): constants and scalars hoist to a
 /// value local, arrays get a walking pointer (plus the simulated address
@@ -365,7 +359,6 @@ void emit_stream_kernel(std::string& out, const LoweredProgram& lp,
     if (hooks) out += "  const u64 B" + n + " = ctx->bases[" + n + "];\n";
   }
 
-  std::uint64_t flops_per_iter = 0;
   if (sl.body == StreamLoop::Body::kReduce) {
     // `s = s <op> a`: accumulator carried in a register, scalar written
     // back once after the loop, load stream is a alone.
@@ -378,33 +371,23 @@ void emit_stream_kernel(std::string& out, const LoweredProgram& lp,
     emit_advance(out, sl.a, "a", hooks);
     out += "  }\n";
     out += "  S[" + std::to_string(sl.lhs.slot) + "] = acc;\n";
-    flops_per_iter = static_cast<std::uint64_t>(ir::kBinaryFlops);
   } else {
     emit_cursor(out, sl.lhs, "l", hooks);
     emit_cursor(out, sl.a, "a", hooks);
-    if (body_reads_b(sl)) emit_cursor(out, sl.b, "b", hooks);
+    if (stream_reads_b(sl)) emit_cursor(out, sl.b, "b", hooks);
     out += "  for (i64 i = lower; i <= upper; ++i) {\n";
     if (hooks) emit_load_hook(out, sl.a, "a");
     out += "    const double x = " + cursor_read(sl.a, "a") + ";\n";
-    if (body_reads_b(sl)) {
+    if (stream_reads_b(sl)) {
       if (hooks) emit_load_hook(out, sl.b, "b");
       out += "    const double y = " + cursor_read(sl.b, "b") + ";\n";
     }
     std::string r;
     switch (sl.body) {
       case StreamLoop::Body::kCopy: r = "x"; break;
-      case StreamLoop::Body::kBinary:
-        r = bin_c(sl.bin_op, "x", "y");
-        flops_per_iter = static_cast<std::uint64_t>(ir::kBinaryFlops);
-        break;
-      case StreamLoop::Body::kCallF:
-        r = "ctx->call_f(x, y)";
-        flops_per_iter = static_cast<std::uint64_t>(sl.call_flops);
-        break;
-      default:  // kCallG; kReduce handled above
-        r = "ctx->call_g(x, y)";
-        flops_per_iter = static_cast<std::uint64_t>(sl.call_flops);
-        break;
+      case StreamLoop::Body::kBinary: r = bin_c(sl.bin_op, "x", "y"); break;
+      case StreamLoop::Body::kCallF: r = "ctx->call_f(x, y)"; break;
+      default: r = "ctx->call_g(x, y)"; break;  // kCallG; kReduce above
     }
     out += "    const double r = " + r + ";\n";
     if (hooks) {
@@ -414,9 +397,10 @@ void emit_stream_kernel(std::string& out, const LoweredProgram& lp,
     out += "    *l_p = r;\n";
     emit_advance(out, sl.lhs, "l", hooks);
     emit_advance(out, sl.a, "a", hooks);
-    if (body_reads_b(sl)) emit_advance(out, sl.b, "b", hooks);
+    if (stream_reads_b(sl)) emit_advance(out, sl.b, "b", hooks);
     out += "  }\n";
   }
+  const std::uint64_t flops_per_iter = stream_flops_per_iter(sl);
   if (hooks && flops_per_iter != 0) {
     out += "  ctx->rec_flops(ctx->sink, " + lit_u64(flops_per_iter) +
            " * (u64)trips);\n";

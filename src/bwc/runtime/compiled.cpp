@@ -81,8 +81,7 @@ class Vm {
     if (scheduler_ != nullptr) {
       scheduler_->run(sl, ctx, recorder_);
     } else {
-      run_stream_serial(sl, sl.lower, sl.upper, ctx, recorder_,
-                        fast_forward_);
+      run_stream_serial(sl, ctx, recorder_, fast_forward_);
     }
   }
 

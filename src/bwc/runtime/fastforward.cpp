@@ -1,8 +1,6 @@
 #include "bwc/runtime/fastforward.h"
 
-#include <numeric>
-
-#include "bwc/support/error.h"
+#include "bwc/memsim/fastforward.h"
 
 namespace bwc::runtime {
 
@@ -12,125 +10,8 @@ namespace {
 // worth arming: certification needs four (warm-up, two equal deltas, one
 // state comparison) and anything close to that would skip next to nothing.
 constexpr std::int64_t kMinPeriodsToAttempt = 8;
-// The counter delta repeats long before the resident state becomes
-// translation-stationary: a cold stream misses at a steady rate from the
-// first line, but the state only settles once it has swept past every
-// level's capacity (all sets full, evictions steady -- including stale
-// lines of a *previous* phase draining out). The patience budget must
-// therefore cover capacity / period-shift boundaries, plus slack;
-// adversarial streams still degrade to plain replay once it is spent.
-constexpr std::int64_t kStateRetrySlack = 64;
-// Snapshotting and comparing the resident state is O(resident lines), far
-// too expensive to pay at every boundary of a capacity-long drain. State
-// checks back off exponentially while the counter delta stays stable
-// (periods 1, 2, 4, ... apart, capped), so total state work is
-// O(resident * log(drain)) and certification lands within a bounded
-// factor of the true drain point.
-constexpr std::int64_t kMaxStateCheckGap = 256;
 
-std::int64_t period_budget(const memsim::MemoryHierarchy& h,
-                           std::int64_t period_shift_bytes) {
-  const auto mag = static_cast<std::uint64_t>(
-      period_shift_bytes < 0 ? -period_shift_bytes : period_shift_bytes);
-  return static_cast<std::int64_t>(2 * h.total_capacity_bytes() / mag) +
-         kStateRetrySlack;
-}
-
-/// Periodic-fixpoint detector shared by the value-carrying serial driver
-/// and the value-free access replay. Protocol: replay one period, flush
-/// the recorder, call boundary(); true means the fixpoint is certified and
-/// delta() is the exact per-period counter advance. exhausted() reports
-/// that the retry budget is spent and the caller should stop probing.
-class PeriodDetector {
- public:
-  PeriodDetector(memsim::MemoryHierarchy* h, std::int64_t period_shift_bytes)
-      : h_(h),
-        shift_(period_shift_bytes),
-        max_periods_(period_budget(*h, period_shift_bytes)) {
-    h_->snapshot_counters(&prev_);
-  }
-
-  bool boundary() {
-    h_->snapshot_counters(&cur_);
-    memsim::MemoryHierarchy::subtract_counters(cur_, prev_, &delta_);
-    std::swap(prev_, cur_);
-    if (++periods_ > max_periods_) {
-      exhausted_ = true;
-      return false;
-    }
-    if (!have_last_ || !(delta_ == last_delta_)) {
-      // Delta changed: new traffic regime, restart the state protocol.
-      std::swap(last_delta_, delta_);
-      have_last_ = true;
-      have_snap_ = false;
-      gap_ = 1;
-      wait_ = 0;
-      return false;
-    }
-    // Delta stable (last_delta_ is the candidate per-period advance).
-    if (have_snap_) {
-      if (h_->state_equals_shifted(snap_, shift_)) return true;
-      have_snap_ = false;
-      gap_ = std::min(2 * gap_, kMaxStateCheckGap);
-      wait_ = gap_ - 1;
-      return false;
-    }
-    if (wait_ > 0) {
-      --wait_;
-      return false;
-    }
-    h_->snapshot_state(&snap_);
-    have_snap_ = true;
-    return false;
-  }
-
-  bool exhausted() const { return exhausted_; }
-  const memsim::MemoryHierarchy::Counters& delta() const {
-    return last_delta_;
-  }
-
- private:
-  memsim::MemoryHierarchy* h_;
-  std::int64_t shift_;
-  std::int64_t max_periods_;
-  memsim::MemoryHierarchy::Counters prev_, cur_, delta_, last_delta_;
-  bool have_last_ = false;
-  memsim::MemoryHierarchy::ResidentState snap_;
-  bool have_snap_ = false;
-  std::int64_t periods_ = 0;
-  std::int64_t gap_ = 1;   // periods between state checks (backoff)
-  std::int64_t wait_ = 0;  // periods left before the next snapshot
-  bool exhausted_ = false;
-};
-
-/// Iterations per period: the smallest count after which the loop's
-/// uniform step has advanced by a line multiple at every level at once.
-std::int64_t period_iters(const StreamLoop& sl,
-                          const memsim::MemoryHierarchy& h) {
-  const std::uint64_t line = h.max_line_bytes();
-  const std::uint64_t mag = static_cast<std::uint64_t>(
-      sl.uniform_step_bytes < 0 ? -sl.uniform_step_bytes
-                                : sl.uniform_step_bytes);
-  return static_cast<std::int64_t>(line / std::gcd(mag, line));
-}
-
-/// Apply a certified fast-forward of `m` periods of `P` iterations:
-/// advance the hierarchy analytically and bulk-count the skipped accesses
-/// in the recorder. The per-period register bytes are exactly the
-/// registers<->L1 boundary bytes of the delta.
-void apply_fast_forward(const memsim::MemoryHierarchy::Counters& delta,
-                        std::int64_t period_shift, std::int64_t P,
-                        std::int64_t m, Recorder& rec) {
-  const auto times = static_cast<std::uint64_t>(m);
-  memsim::MemoryHierarchy* h = rec.hierarchy();
-  h->apply_counters_scaled(delta, times);
-  h->shift_state(period_shift * m);
-  rec.count_fast_forward(delta.loads * times, delta.stores * times,
-                         (delta.toward_cpu[0] + delta.from_cpu[0]) * times,
-                         times * static_cast<std::uint64_t>(P));
-}
-
-// -- Specialized value kernels for fast-forwarded spans -------------------
+// -- Specialized value kernels for the values-first pass -----------------
 //
 // With Op a template constant the apply_stream_bin switch folds away and
 // each instantiation is a bare unit-stride loop over raw doubles --
@@ -186,9 +67,8 @@ bool try_stream_values_fast(const StreamLoop& sl, std::int64_t lower,
       sl.body != StreamLoop::Body::kBinary)
     return false;
   if (!stream_loop_parallel_safe(sl)) return false;
-  const bool uses_b = sl.body == StreamLoop::Body::kBinary;
   for (const StreamOperand* o : {&sl.lhs, &sl.a, &sl.b}) {
-    if (o == &sl.b && !uses_b) continue;
+    if (o == &sl.b && !stream_reads_b(sl)) continue;
     if (o->kind == StreamOperand::Kind::kIter) return false;
     if (o->kind == StreamOperand::Kind::kArray &&
         o->lin_coeff != sl.lhs.lin_coeff)
@@ -270,95 +150,37 @@ void run_stream_values(const StreamLoop& sl, std::int64_t lower,
   run_stream_range(sl, lower, upper, ctx, null);
 }
 
-std::uint64_t stream_flops_per_iter(const StreamLoop& sl) {
-  switch (sl.body) {
-    case StreamLoop::Body::kBinary:
-    case StreamLoop::Body::kReduce:
-      return ir::kBinaryFlops;
-    case StreamLoop::Body::kCallF:
-    case StreamLoop::Body::kCallG:
-      return static_cast<std::uint64_t>(sl.call_flops);
-    case StreamLoop::Body::kCopy:
-      return 0;
-  }
-  return 0;
-}
-
 bool stream_fast_forwardable(const StreamLoop& sl, const Recorder& rec) {
   return sl.uniform_step_bytes != 0 && rec.hierarchy() != nullptr &&
          rec.hierarchy()->translation_invariant();
 }
 
-void run_stream_serial(const StreamLoop& sl, std::int64_t lower,
-                       std::int64_t upper, const StreamContext& ctx,
-                       Recorder& rec, bool fast_forward) {
-  run_stream_serial_with(sl, lower, upper, ctx, rec, fast_forward,
-                         default_range_exec());
-}
-
-void run_stream_serial_with(const StreamLoop& sl, std::int64_t lower,
-                            std::int64_t upper, const StreamContext& ctx,
-                            Recorder& rec, bool fast_forward,
-                            StreamRangeExec& exec) {
-  const std::int64_t trips = upper - lower + 1;
-  if (trips <= 0) return;
+void run_stream_serial(const StreamLoop& sl, const StreamContext& ctx,
+                       Recorder& rec, bool fast_forward,
+                       StreamRangeExec& exec) {
+  if (sl.upper < sl.lower) return;
   if (!fast_forward || !stream_fast_forwardable(sl, rec)) {
-    exec.range(sl, lower, upper, ctx, rec);
+    exec.range(sl, sl.lower, sl.upper, ctx, rec);
     return;
   }
-  memsim::MemoryHierarchy* h = rec.hierarchy();
-  const std::int64_t P = period_iters(sl, *h);
-  if (trips < kMinPeriodsToAttempt * P) {
-    exec.range(sl, lower, upper, ctx, rec);
-    return;
-  }
-  const std::int64_t period_shift = sl.uniform_step_bytes * P;
-
-  // Period deltas must not swallow a pending coalesced run from whatever
-  // preceded the loop; from here on flushes land on period boundaries,
-  // which is observable-exact by the run-splitting equivalence the
-  // hierarchy guarantees (see hierarchy.h load_run/store_run).
-  rec.flush();
-  PeriodDetector detector(h, period_shift);
-
-  std::int64_t i = lower;
-  bool certified = false;
-  while (i + P - 1 <= upper) {
-    exec.range(sl, i, i + P - 1, ctx, rec);
-    i += P;
-    rec.flush();
-    if (detector.boundary()) {
-      certified = true;
-      break;
-    }
-    if (detector.exhausted()) break;
-  }
-
-  if (certified) {
-    const std::int64_t m = (upper - i + 1) / P;
-    if (m > 0) {
-      apply_fast_forward(detector.delta(), period_shift, P, m, rec);
-      // The arithmetic of the skipped iterations still runs -- values must
-      // be exact for downstream statements and the checksum -- but as a
-      // bare vectorizable loop with no recorder.
-      exec.values(sl, i, i + m * P - 1, ctx);
-      const std::uint64_t fpi = stream_flops_per_iter(sl);
-      if (fpi != 0)
-        rec.flops(fpi * static_cast<std::uint64_t>(m * P));
-      i += m * P;
-    }
-  }
-  if (i <= upper) exec.range(sl, i, upper, ctx, rec);
+  // Addresses never depend on values, so the arithmetic can run ahead of
+  // the access stream as one bare in-order loop; the flops are charged in
+  // bulk, exactly as exec.range() charges them at the end of a range.
+  exec.values(sl, sl.lower, sl.upper, ctx);
+  const std::uint64_t fpi = stream_flops_per_iter(sl);
+  if (fpi != 0)
+    rec.flops(fpi * static_cast<std::uint64_t>(sl.upper - sl.lower + 1));
+  replay_stream_accesses(sl, sl.lower, sl.upper, ctx.bases, rec);
 }
 
 void replay_stream_accesses(const StreamLoop& sl, std::int64_t lower,
                             std::int64_t upper, const std::uint64_t* bases,
-                            Recorder& rec, bool fast_forward) {
+                            Recorder& rec) {
   const std::int64_t trips = upper - lower + 1;
   if (trips <= 0) return;
 
-  // The per-iteration access tuple in stream order: rhs loads a then b,
-  // then the lhs store -- exactly as run_stream_range issues them.
+  // The per-iteration access tuple in stream order, exactly as
+  // run_stream_range issues it.
   struct Cursor {
     std::uint64_t addr = 0;
     std::uint64_t bytes = 8;
@@ -367,22 +189,14 @@ void replay_stream_accesses(const StreamLoop& sl, std::int64_t lower,
   };
   Cursor cursors[3];
   int n = 0;
-  const auto add = [&](const StreamOperand& o, bool is_store) {
-    if (o.kind != StreamOperand::Kind::kArray) return;
+  for_each_stream_access(sl, [&](const StreamOperand& o, bool is_store) {
     const std::int64_t linear0 = o.lin_base + o.lin_coeff * lower - 1;
-    Cursor& c = cursors[n++];
-    c.addr = bases[static_cast<std::size_t>(o.slot)] +
-             static_cast<std::uint64_t>(linear0) * o.addr_scale;
-    c.bytes = o.elem_bytes;
-    c.step = o.lin_coeff * static_cast<std::int64_t>(o.addr_scale);
-    c.is_store = is_store;
-  };
-  add(sl.a, /*is_store=*/false);
-  if (sl.body != StreamLoop::Body::kCopy &&
-      sl.body != StreamLoop::Body::kReduce)
-    add(sl.b, /*is_store=*/false);
-  if (sl.lhs_is_array) add(sl.lhs, /*is_store=*/true);
-
+    cursors[n++] = {bases[static_cast<std::size_t>(o.slot)] +
+                        static_cast<std::uint64_t>(linear0) * o.addr_scale,
+                    o.elem_bytes,
+                    o.lin_coeff * static_cast<std::int64_t>(o.addr_scale),
+                    is_store};
+  });
   const auto emit = [&](std::int64_t count) {
     for (std::int64_t k = 0; k < count; ++k) {
       for (int s = 0; s < n; ++s) {
@@ -397,43 +211,50 @@ void replay_stream_accesses(const StreamLoop& sl, std::int64_t lower,
     }
   };
 
-  if (!fast_forward || n == 0 || !stream_fast_forwardable(sl, rec)) {
+  if (!stream_fast_forwardable(sl, rec)) {
     emit(trips);
     return;
   }
   memsim::MemoryHierarchy* h = rec.hierarchy();
-  const std::int64_t P = period_iters(sl, *h);
+  const auto P = static_cast<std::int64_t>(
+      memsim::line_granular_repeats(*h, sl.uniform_step_bytes));
   if (trips < kMinPeriodsToAttempt * P) {
     emit(trips);
     return;
   }
-  const std::int64_t period_shift = sl.uniform_step_bytes * P;
 
+  // Period deltas must not swallow a pending coalesced run from whatever
+  // preceded the loop; from here on flushes land on period boundaries,
+  // which is observable-exact by the run-splitting equivalence the
+  // hierarchy guarantees (see hierarchy.h load_run/store_run).
   rec.flush();
-  PeriodDetector detector(h, period_shift);
-
+  memsim::PeriodDetector detector(h, sl.uniform_step_bytes * P);
   std::int64_t i = lower;
-  bool certified = false;
   while (i + P - 1 <= upper) {
     emit(P);
     i += P;
     rec.flush();
     if (detector.boundary()) {
-      certified = true;
+      const std::int64_t m = (upper - i + 1) / P;
+      if (m > 0) {
+        // Advance the hierarchy analytically and bulk-count the skipped
+        // accesses; the per-period register bytes are exactly the
+        // registers<->L1 boundary bytes of the delta.
+        const auto times = static_cast<std::uint64_t>(m);
+        const memsim::MemoryHierarchy::Counters& delta = detector.delta();
+        detector.skip(times);
+        rec.count_fast_forward(
+            delta.loads * times, delta.stores * times,
+            (delta.toward_cpu[0] + delta.from_cpu[0]) * times,
+            times * static_cast<std::uint64_t>(P));
+        for (int s = 0; s < n; ++s)
+          cursors[s].addr +=
+              static_cast<std::uint64_t>(cursors[s].step * m * P);
+        i += m * P;
+      }
       break;
     }
     if (detector.exhausted()) break;
-  }
-
-  if (certified) {
-    const std::int64_t m = (upper - i + 1) / P;
-    if (m > 0) {
-      apply_fast_forward(detector.delta(), period_shift, P, m, rec);
-      // No flops here: in segment replay the workers already counted them.
-      for (int s = 0; s < n; ++s)
-        cursors[s].addr += static_cast<std::uint64_t>(cursors[s].step * m * P);
-      i += m * P;
-    }
   }
   emit(upper - i + 1);
 }

@@ -1,19 +1,26 @@
-// Offline steady-state fast-forward for fused stream loops.
+// Steady-state fast-forward for fused stream loops.
 //
 // A stream loop whose array accesses all advance by the same byte step per
 // iteration (StreamLoop::uniform_step_bytes, computed by lowering) drives
 // the memory hierarchy with a *periodic* access stream: after
 // P = line_bytes / gcd(|step|, line_bytes) iterations the whole access
 // tuple has shifted by exactly one cache-line multiple at every level.
-// On a translation-invariant hierarchy (pure modulo set indexing -- see
-// MemoryHierarchy::translation_invariant) the simulator therefore reaches
-// a periodic fixpoint: identical per-period counter deltas and a resident
-// state that equals its own translation by the period shift. Once that
-// fixpoint is *certified* (delta repeated, state compared modulo the
-// shift), the remaining m full periods need no simulation at all:
-// counters advance by m * delta, the resident tags translate by
-// m * shift, and only the arithmetic still runs -- as a tight native loop
-// with a no-op recorder, which the compiler can vectorize.
+// That step is this module's period source for the one fixpoint certifier,
+// memsim::PeriodDetector (memsim/fastforward.h, which also holds the
+// online source that infers periods from raw access streams). Once the
+// fixpoint is certified, the remaining m full periods need no simulation:
+// counters advance by m * delta and the resident tags translate by
+// m * shift.
+//
+// replay_stream_accesses() is the one period loop: it regenerates a
+// loop's access stream from the loop metadata, period by period, until
+// the certifier accepts, skips, and replays the tail. Both engines reach
+// it the same way -- the values of the iterations run first as a bare
+// in-order loop (exec.values), then the accesses replay -- whether the
+// loop runs serially (run_stream_serial) or in parallel chunks, whose
+// merge replays each chunk (parallel.h). That split is exact because a
+// stream loop's addresses are affine in the loop variable and never depend
+// on values, and its flops per iteration are constant.
 //
 // Every observable is bit-identical to full simulation by construction:
 // the certified delta *is* what one more period does, induction extends
@@ -21,10 +28,6 @@
 // contents. Loops that break the preconditions -- reductions, mixed
 // strides, stride-0 destinations, page-randomized machines (Exemplar) --
 // never enter the detector and replay in full.
-//
-// The warm-up passes of the native benchmark kernels use the *online*
-// twin of this driver (memsim/fastforward.h), which infers the period
-// from the raw access stream instead of reading lowering metadata.
 #pragma once
 
 #include <cstdint>
@@ -34,27 +37,15 @@
 
 namespace bwc::runtime {
 
-/// Recorder stand-in that discards accesses and flops: run_stream_range
-/// instantiated with it compiles to the bare arithmetic loop, used for the
-/// value-carrying pass over fast-forwarded iterations.
-struct NullRecorder {
-  void load(std::uint64_t, std::uint64_t) {}
-  void store(std::uint64_t, std::uint64_t) {}
-  void flops(std::uint64_t) {}
-};
-
-/// Flops one iteration of `sl` charges (the bulk charge run_stream_range
-/// applies at the end of a range).
-std::uint64_t stream_flops_per_iter(const StreamLoop& sl);
-
 /// Execute only the *values* of iterations [lower, upper] of `sl` -- no
 /// recorder, no flop accounting. The common shapes (copy / binary bodies
 /// over unit-stride arrays and hoisted invariants, order-free by
 /// stream_loop_parallelizable) run as tight specialized loops the
 /// compiler vectorizes; everything else falls back to run_stream_range
 /// over a NullRecorder, which preserves iteration order for dependent
-/// loops. This is what makes fast-forwarded spans cheap: their simulation
-/// cost is gone and their arithmetic runs at native speed.
+/// loops. This is the values-first pass of a fast-forwardable loop: its
+/// arithmetic runs at native speed, and only the access replay that
+/// follows is left for fast-forward to shorten.
 void run_stream_values(const StreamLoop& sl, std::int64_t lower,
                        std::int64_t upper, const StreamContext& ctx);
 
@@ -93,34 +84,31 @@ class StreamRangeExec {
 /// shared instance.
 StreamRangeExec& default_range_exec();
 
-/// Run iterations [lower, upper] of `sl` on the calling thread, exactly
-/// like run_stream_range(), but with steady-state fast-forward when
-/// `fast_forward` is set and the preconditions hold: the loop replays
-/// period by period until the hierarchy's periodic fixpoint is certified,
-/// then skips the remaining full periods analytically (arithmetic still
-/// runs, simulation does not) and replays the tail. Checksums, flop/load/
-/// store counts and boundary traffic are bit-identical either way.
-void run_stream_serial(const StreamLoop& sl, std::int64_t lower,
-                       std::int64_t upper, const StreamContext& ctx,
-                       Recorder& rec, bool fast_forward);
-
-/// run_stream_serial() with an explicit range executor: the same
-/// period-detection protocol (replay period by period, certify, skip,
-/// tail) driving `exec`'s kernels instead of the VM's. run_stream_serial
-/// is exactly this with default_range_exec().
-void run_stream_serial_with(const StreamLoop& sl, std::int64_t lower,
-                            std::int64_t upper, const StreamContext& ctx,
-                            Recorder& rec, bool fast_forward,
-                            StreamRangeExec& exec);
+/// Run the whole trip range of `sl` on the calling thread, exactly like
+/// run_stream_range(), through `exec`'s kernels. With `fast_forward` set
+/// and the preconditions met (stream_fast_forwardable), the values run
+/// first (exec.values), the flops are charged in bulk, and
+/// replay_stream_accesses() replays the access stream with steady-state
+/// fast-forward; otherwise exec.range() runs the whole range. Checksums,
+/// flop/load/store counts and boundary traffic are bit-identical either
+/// way. Keep the parameters few: the VM's dispatch loop calls this, and
+/// an argument passed on the stack costs that loop its frame-pointer
+/// register (~15% slower 1-D replay on a 4-vCPU x86-64 host).
+void run_stream_serial(const StreamLoop& sl, const StreamContext& ctx,
+                       Recorder& rec, bool fast_forward,
+                       StreamRangeExec& exec = default_range_exec());
 
 /// Replay only the *access stream* of iterations [lower, upper] of `sl`
-/// into `rec` -- no values, no flops -- with the same fast-forward
-/// protocol. The parallel engine uses this to merge compute-only worker
-/// chunks: workers do the arithmetic, the merge replays each chunk's
-/// addresses into the shared hierarchy in chunk order and fast-forwards
-/// within each chunk. `bases` is the per-array simulated base table.
+/// into `rec` -- no values, no flops -- with steady-state fast-forward:
+/// when the preconditions hold (stream_fast_forwardable) and the range
+/// spans at least a few periods, it replays period by period until
+/// memsim::PeriodDetector certifies the fixpoint, skips the remaining
+/// full periods analytically (bulk-counted in `rec`) and replays the
+/// tail. The serial driver calls it for a whole loop, the parallel merge
+/// once per compute-only chunk, in chunk order. `bases` is the per-array
+/// simulated base table.
 void replay_stream_accesses(const StreamLoop& sl, std::int64_t lower,
                             std::int64_t upper, const std::uint64_t* bases,
-                            Recorder& rec, bool fast_forward);
+                            Recorder& rec);
 
 }  // namespace bwc::runtime

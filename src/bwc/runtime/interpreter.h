@@ -52,14 +52,17 @@ struct ExecOptions {
   /// way -- this is purely a fork/join overhead knob).
   std::int64_t min_parallel_trips = 2;
   /// Compiled engine only: steady-state fast-forward for fused stream
-  /// loops (runtime/fastforward.h). Once the hierarchy's periodic
-  /// fixpoint is certified for a loop, the remaining full periods advance
-  /// analytically instead of being simulated; checksums, counts and
-  /// boundary traffic are bit-identical either way (held differentially
-  /// by tests/fastforward_test.cpp). Automatically inert on hierarchies
-  /// that are not translation-invariant (page-randomized machines) and on
-  /// loops without a uniform access step. The reference interpreter
-  /// ignores this flag.
+  /// loops (runtime/fastforward.h). A loop's values run first, then its
+  /// access stream replays period by period until memsim::PeriodDetector
+  /// certifies the hierarchy's periodic fixpoint, and the remaining full
+  /// periods advance analytically instead of being simulated. Checksums,
+  /// counts, boundary traffic and the final resident state are
+  /// bit-identical either way: false selects the full-simulation
+  /// reference that tests/fastforward_test.cpp compares against.
+  /// Automatically inert on hierarchies that are not
+  /// translation-invariant (page-randomized machines) and on loops
+  /// without a uniform access step. The reference interpreter ignores
+  /// this flag.
   bool fast_forward = true;
 };
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "bwc/runtime/interpreter.h"
+#include "bwc/runtime/stream_exec.h"
 #include "bwc/support/error.h"
 
 namespace bwc::runtime {
@@ -458,21 +459,18 @@ class Lowerer {
     if (sl.body == StreamLoop::Body::kReduce || !sl.lhs_is_array)
       return verify::Verdict::kDependent;
     std::vector<verify::LinearAccess> accesses;
-    const bool uses_b = sl.body != StreamLoop::Body::kCopy;
-    for (const StreamOperand* o : {&sl.lhs, &sl.a, &sl.b}) {
-      if (o == &sl.b && !uses_b) continue;
-      if (o->kind != StreamOperand::Kind::kArray) continue;
+    for_each_stream_access(sl, [&](const StreamOperand& o, bool is_store) {
       verify::LinearAccess access;
-      access.write = o == &sl.lhs;
+      access.write = is_store;
       // Addresses advance at the layout's slot pitch; each access still
       // touches elem_bytes of payload at its slot.
-      const std::int64_t scale = static_cast<std::int64_t>(o->addr_scale);
-      access.base = o->lin_base * scale;
-      access.coeff = o->lin_coeff * scale;
-      access.elem_bytes = static_cast<std::int64_t>(o->elem_bytes);
-      access.space = o->slot;
+      const std::int64_t scale = static_cast<std::int64_t>(o.addr_scale);
+      access.base = o.lin_base * scale;
+      access.coeff = o.lin_coeff * scale;
+      access.elem_bytes = static_cast<std::int64_t>(o.elem_bytes);
+      access.space = o.slot;
       accesses.push_back(access);
-    }
+    });
     return verify::certify_parallel_accesses(accesses, sl.lower, sl.upper);
   }
 
@@ -484,15 +482,12 @@ class Lowerer {
     if (sl.body == StreamLoop::Body::kReduce || !sl.lhs_is_array) return 0;
     const std::int64_t step =
         sl.lhs.lin_coeff * static_cast<std::int64_t>(sl.lhs.addr_scale);
-    if (step == 0) return 0;
-    const bool uses_b = sl.body != StreamLoop::Body::kCopy;
-    for (const StreamOperand* o : {&sl.a, &sl.b}) {
-      if (o == &sl.b && !uses_b) continue;
-      if (o->kind != StreamOperand::Kind::kArray) continue;
-      if (o->lin_coeff * static_cast<std::int64_t>(o->addr_scale) != step)
-        return 0;
-    }
-    return step;
+    bool uniform = step != 0;
+    for_each_stream_access(sl, [&](const StreamOperand& o, bool) {
+      uniform = uniform &&
+                o.lin_coeff * static_cast<std::int64_t>(o.addr_scale) == step;
+    });
+    return uniform ? step : 0;
   }
 
   const Program& program_;

@@ -32,8 +32,7 @@ void ParallelScheduler::run(const StreamLoop& sl, const StreamContext& ctx,
   if (trips <= 0) return;
   if (cores_ == 1 || trips < min_parallel_trips_ ||
       !stream_loop_parallel_safe(sl)) {
-    run_stream_serial_with(sl, sl.lower, sl.upper, ctx, rec, fast_forward_,
-                           exec);
+    run_stream_serial(sl, ctx, rec, fast_forward_, exec);
     return;
   }
 

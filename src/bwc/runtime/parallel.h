@@ -36,10 +36,11 @@ class ParallelScheduler : public StreamScheduler {
   /// `cores` worker threads; `min_parallel_trips` gates chunking (see
   /// ExecOptions). The options' hierarchy/coalesce settings determine
   /// whether worker traces buffer access runs at all. With `fast_forward`
-  /// set, chunks of fast-forwardable loops run compute-only on the
-  /// workers and the merge regenerates each chunk's access stream with
-  /// the steady-state detector applied per chunk (runtime/fastforward.h);
-  /// all other loops keep the trace-and-replay path.
+  /// set, chunks of fast-forwardable loops run values-only on the workers
+  /// and the merge replays each chunk's access stream, in chunk order,
+  /// through replay_stream_accesses (runtime/fastforward.h) -- the one
+  /// period loop the serial driver uses too. All other loops keep the
+  /// trace-and-replay path.
   ParallelScheduler(int cores, bool record_runs, bool coalesce,
                     std::int64_t min_parallel_trips, bool fast_forward);
   ~ParallelScheduler() override;

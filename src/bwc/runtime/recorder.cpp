@@ -26,16 +26,10 @@ void Recorder::merge(const TraceRecorder& trace) {
     // register totals accrue exactly as if the runs had been captured.
     replay_stream_accesses(*trace.segment_loop(), trace.segment_lower(),
                            trace.segment_upper(), trace.segment_bases(),
-                           *this, /*fast_forward=*/true);
+                           *this);
     return;
   }
-  for (const AccessRun& run : trace.runs()) {
-    if (run.is_store) {
-      hierarchy_->store_run(run.addr, run.bytes, run.count, run.descending);
-    } else {
-      hierarchy_->load_run(run.addr, run.bytes, run.count, run.descending);
-    }
-  }
+  for (const AccessRun& run : trace.runs()) issue(run);
 }
 
 }  // namespace bwc::runtime

@@ -31,6 +31,56 @@ namespace bwc::runtime {
 class TraceRecorder;
 struct StreamLoop;
 
+/// One coalesced access run: `count` same-kind accesses, contiguous in
+/// stream order, covering [addr, addr + bytes) in ascending address order
+/// (or descending when flagged -- a stride -1 stream). Recorder holds its
+/// pending run as one; a TraceRecorder captures a sequence of them.
+struct AccessRun {
+  std::uint64_t addr = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t count = 0;
+  bool is_store = false;
+  bool descending = false;
+
+  /// The coalescing rule: absorb the next access of the stream when it is
+  /// of the same kind and adjacent in the run's direction. A one-access
+  /// run has no direction yet and may grow either way; afterwards it
+  /// only extends in its established direction. False leaves the run
+  /// unchanged. Forced inline: it sits on Recorder::load/store, the
+  /// per-access hot path of the VM, and as a separate call it tips GCC
+  /// into no longer inlining those into the dispatch loop.
+  [[gnu::always_inline]] bool extend(std::uint64_t next, std::uint64_t size,
+                                     bool store) {
+    if (store != is_store) return false;
+    if ((count == 1 || !descending) && next == addr + bytes) {
+      bytes += size;
+      ++count;
+      descending = false;
+      return true;
+    }
+    if ((count == 1 || descending) && next + size == addr) {
+      addr = next;
+      bytes += size;
+      ++count;
+      descending = true;
+      return true;
+    }
+    return false;
+  }
+};
+
+/// Recorder stand-in that discards accesses and flops: an instrumented
+/// kernel (run_stream_range, the native workloads) instantiated with it
+/// compiles to the bare arithmetic loop -- the values-only pass of
+/// fast-forward and the native wall-clock benchmarks.
+struct NullRecorder {
+  void load(std::uint64_t, std::uint64_t) {}
+  void store(std::uint64_t, std::uint64_t) {}
+  void load_double(std::uint64_t) {}
+  void store_double(std::uint64_t) {}
+  void flops(std::uint64_t) {}
+};
+
 class Recorder {
  public:
   /// `hierarchy` may be null: flops and access counts are still tracked,
@@ -92,15 +142,9 @@ class Recorder {
   /// implied by profile()/destruction) before reading hierarchy counters.
   void flush() const {
     if (online_ff_ != nullptr) online_ff_->settle();
-    if (run_bytes_ == 0) return;
-    if (run_is_store_) {
-      hierarchy_->store_run(run_addr_, run_bytes_, run_count_,
-                            run_descending_);
-    } else {
-      hierarchy_->load_run(run_addr_, run_bytes_, run_count_,
-                           run_descending_);
-    }
-    run_bytes_ = 0;
+    if (run_.bytes == 0) return;
+    issue(run_);
+    run_.bytes = 0;
   }
 
   /// Bulk-account accesses that were executed without per-access hooks --
@@ -161,30 +205,18 @@ class Recorder {
 
  private:
   void extend_run(std::uint64_t addr, std::uint64_t size, bool is_store) {
-    if (run_bytes_ != 0 && is_store == run_is_store_) {
-      // A one-access run has no direction yet and may grow either way;
-      // afterwards the run only extends in its established direction.
-      if ((run_count_ == 1 || !run_descending_) &&
-          addr == run_addr_ + run_bytes_) {
-        run_bytes_ += size;
-        ++run_count_;
-        run_descending_ = false;
-        return;
-      }
-      if ((run_count_ == 1 || run_descending_) && addr + size == run_addr_) {
-        run_addr_ = addr;
-        run_bytes_ += size;
-        ++run_count_;
-        run_descending_ = true;
-        return;
-      }
-    }
+    if (run_.bytes != 0 && run_.extend(addr, size, is_store)) return;
     flush();
-    run_addr_ = addr;
-    run_bytes_ = size;
-    run_count_ = 1;
-    run_is_store_ = is_store;
-    run_descending_ = false;
+    run_ = AccessRun{addr, size, 1, is_store, false};
+  }
+
+  /// Issue one coalesced run to the hierarchy.
+  void issue(const AccessRun& run) const {
+    if (run.is_store) {
+      hierarchy_->store_run(run.addr, run.bytes, run.count, run.descending);
+    } else {
+      hierarchy_->load_run(run.addr, run.bytes, run.count, run.descending);
+    }
   }
 
   memsim::MemoryHierarchy* hierarchy_;
@@ -196,25 +228,10 @@ class Recorder {
   std::uint64_t reg_bytes_ = 0;
   std::uint64_t ff_events_ = 0;
   std::uint64_t ff_iterations_ = 0;
-  // Pending contiguous run, not yet issued to the hierarchy. Mutable so
-  // that profile() (const) can flush before snapshotting.
-  mutable std::uint64_t run_addr_ = 0;
-  mutable std::uint64_t run_bytes_ = 0;
-  mutable std::uint64_t run_count_ = 0;
-  mutable bool run_is_store_ = false;
-  mutable bool run_descending_ = false;
-};
-
-/// One coalesced access run captured by a TraceRecorder: `count`
-/// same-kind accesses, contiguous in stream order, covering
-/// [addr, addr + bytes) in ascending address order (or descending when
-/// flagged -- a stride -1 stream).
-struct AccessRun {
-  std::uint64_t addr = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t count = 0;
-  bool is_store = false;
-  bool descending = false;
+  // Pending contiguous run (none while bytes == 0), not yet issued to the
+  // hierarchy. Mutable so that profile() (const) can flush before
+  // snapshotting.
+  mutable AccessRun run_;
 };
 
 /// A Recorder that captures the access stream into a buffer instead of a
@@ -287,26 +304,9 @@ class TraceRecorder {
 
  private:
   void append(std::uint64_t addr, std::uint64_t size, bool is_store) {
-    if (coalesce_ && !runs_.empty()) {
-      AccessRun& last = runs_.back();
-      if (last.is_store == is_store) {
-        if ((last.count == 1 || !last.descending) &&
-            addr == last.addr + last.bytes) {
-          last.bytes += size;
-          ++last.count;
-          last.descending = false;
-          return;
-        }
-        if ((last.count == 1 || last.descending) &&
-            addr + size == last.addr) {
-          last.addr = addr;
-          last.bytes += size;
-          ++last.count;
-          last.descending = true;
-          return;
-        }
-      }
-    }
+    if (coalesce_ && !runs_.empty() &&
+        runs_.back().extend(addr, size, is_store))
+      return;
     runs_.push_back({addr, size, 1, is_store, false});
   }
 

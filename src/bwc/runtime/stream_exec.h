@@ -42,6 +42,52 @@ inline double apply_stream_bin(ir::BinOp op, double a, double b) {
   return 0.0;
 }
 
+// -- What one iteration does ----------------------------------------------
+//
+// The one description of a stream iteration that every engine, the access
+// replay, the native bulk counts and lowering's certificates derive from:
+// the body reads a, then b (two-operand bodies only), then stores the lhs
+// (every body but kReduce, whose lhs is a register accumulator), and
+// charges a constant number of flops.
+
+/// True when the body reads operand b: binary and intrinsic-call bodies.
+/// kCopy and kReduce read a alone.
+inline bool stream_reads_b(const StreamLoop& sl) {
+  return sl.body == StreamLoop::Body::kBinary ||
+         sl.body == StreamLoop::Body::kCallF ||
+         sl.body == StreamLoop::Body::kCallG;
+}
+
+/// Call `fn(const StreamOperand& o, bool is_store)` for each array access
+/// one iteration of `sl` issues, in stream order: the loads of a then b,
+/// then the store of the lhs. Constants, scalars and the loop variable
+/// issue no access and are skipped.
+template <typename Fn>
+void for_each_stream_access(const StreamLoop& sl, Fn&& fn) {
+  const auto visit = [&](const StreamOperand& o, bool is_store) {
+    if (o.kind == StreamOperand::Kind::kArray) fn(o, is_store);
+  };
+  visit(sl.a, /*is_store=*/false);
+  if (stream_reads_b(sl)) visit(sl.b, /*is_store=*/false);
+  if (sl.body != StreamLoop::Body::kReduce) visit(sl.lhs, /*is_store=*/true);
+}
+
+/// Flops one iteration of `sl` charges (run_stream_range charges them in
+/// bulk at the end of a range).
+inline std::uint64_t stream_flops_per_iter(const StreamLoop& sl) {
+  switch (sl.body) {
+    case StreamLoop::Body::kBinary:
+    case StreamLoop::Body::kReduce:
+      return ir::kBinaryFlops;
+    case StreamLoop::Body::kCallF:
+    case StreamLoop::Body::kCallG:
+      return static_cast<std::uint64_t>(sl.call_flops);
+    case StreamLoop::Body::kCopy:
+      return 0;
+  }
+  return 0;
+}
+
 /// True when disjoint chunks of the trip range may execute concurrently
 /// and still produce the serial results bit-for-bit:
 ///  - the body writes a distinct array element every iteration (array lhs
@@ -154,7 +200,6 @@ void run_stream_range(const StreamLoop& sl, std::int64_t lower,
   detail::StreamCursor a = detail::make_stream_cursor(sl.a, lower, ctx);
   detail::StreamCursor b = detail::make_stream_cursor(sl.b, lower, ctx);
 
-  std::uint64_t flops_per_iter = 0;
   if (sl.body == StreamLoop::Body::kReduce) {
     double acc = ctx.scalars[static_cast<std::size_t>(sl.lhs.slot)];
     for (std::int64_t i = lower; i <= upper; ++i) {
@@ -163,7 +208,6 @@ void run_stream_range(const StreamLoop& sl, std::int64_t lower,
       detail::stream_advance(sl.a, a);
     }
     ctx.scalars[static_cast<std::size_t>(sl.lhs.slot)] = acc;
-    flops_per_iter = ir::kBinaryFlops;
   } else {
     for (std::int64_t i = lower; i <= upper; ++i) {
       double r;
@@ -199,18 +243,8 @@ void run_stream_range(const StreamLoop& sl, std::int64_t lower,
       detail::stream_advance(sl.a, a);
       detail::stream_advance(sl.b, b);
     }
-    switch (sl.body) {
-      case StreamLoop::Body::kBinary:
-        flops_per_iter = ir::kBinaryFlops;
-        break;
-      case StreamLoop::Body::kCallF:
-      case StreamLoop::Body::kCallG:
-        flops_per_iter = static_cast<std::uint64_t>(sl.call_flops);
-        break;
-      default:
-        break;
-    }
   }
+  const std::uint64_t flops_per_iter = stream_flops_per_iter(sl);
   if (flops_per_iter != 0)
     rec.flops(flops_per_iter * static_cast<std::uint64_t>(trips));
 }

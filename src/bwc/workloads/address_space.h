@@ -37,14 +37,4 @@ class AddressSpace {
   std::uint64_t alignment_;
 };
 
-/// No-op recorder: instantiating an instrumented kernel with NullRecorder
-/// yields the plain computation for native wall-clock benchmarking.
-struct NullRecorder {
-  void load(std::uint64_t, std::uint64_t) {}
-  void store(std::uint64_t, std::uint64_t) {}
-  void load_double(std::uint64_t) {}
-  void store_double(std::uint64_t) {}
-  void flops(std::uint64_t) {}
-};
-
 }  // namespace bwc::workloads

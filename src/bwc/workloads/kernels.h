@@ -5,8 +5,8 @@
 // Each kernel performs the real computation on real buffers and reports its
 // exact access stream and flop count through a recorder. Instantiated with
 // runtime::Recorder it feeds the hierarchy simulator (program balance);
-// instantiated with NullRecorder it is the plain kernel for wall-clock
-// benchmarking.
+// instantiated with runtime::NullRecorder it is the plain kernel for
+// wall-clock benchmarking.
 #pragma once
 
 #include <cmath>

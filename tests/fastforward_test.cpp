@@ -1,12 +1,14 @@
 // Steady-state fast-forward: exactness and observability.
 //
-// Fast-forward (offline: runtime/fastforward.h, online:
-// memsim/fastforward.h) is an exact macrosimulation, not an
-// approximation: every test here holds its observables bit-identical to
-// full simulation -- checksums, flop/load/store counts, per-boundary
-// traffic bytes, and (for the memsim layer) the hierarchy's complete
-// counter and resident state. The sweeps also assert the accelerations
-// *engage* where they should and *refuse* where they must
+// Fast-forward is one fixpoint certifier (memsim::PeriodDetector) fed by
+// two period sources: lowering's uniform step for the compiled engines'
+// stream loops (runtime/fastforward.h) and online inference from raw
+// access streams (memsim::AccessFastForward). It is an exact
+// macrosimulation, not an approximation: every test here holds its
+// observables bit-identical to full simulation -- checksums, flop/load/
+// store counts, per-boundary traffic bytes, and the hierarchy's complete
+// counter and final resident state. The sweeps also assert the
+// accelerations *engage* where they should and *refuse* where they must
 // (page-randomized hierarchies, aperiodic streams, reductions).
 #include <gtest/gtest.h>
 
@@ -61,6 +63,23 @@ void expect_result_eq(const ExecResult& a, const ExecResult& b,
   EXPECT_EQ(a.stores, b.stores);
   EXPECT_EQ(a.scalars, b.scalars);
   expect_profile_eq(a.profile, b.profile, label);
+}
+
+/// Exact resident-state equality: tags, dirty bits and LRU order at every
+/// level. Unlike state_equals_shifted() it needs no modulo set indexing,
+/// so it also holds page-randomized hierarchies to full simulation.
+void expect_same_resident_state(const memsim::MemoryHierarchy& want,
+                                const memsim::MemoryHierarchy& got,
+                                const std::string& label) {
+  SCOPED_TRACE(label + " resident state");
+  memsim::MemoryHierarchy::ResidentState a, b;
+  want.snapshot_state(&a);
+  got.snapshot_state(&b);
+  ASSERT_EQ(a.levels.size(), b.levels.size());
+  for (std::size_t i = 0; i < a.levels.size(); ++i) {
+    EXPECT_EQ(a.levels[i].set_begin, b.levels[i].set_begin) << "level " << i;
+    EXPECT_EQ(a.levels[i].entries, b.levels[i].entries) << "level " << i;
+  }
 }
 
 // -- Memsim layer: state snapshots and translation ------------------------
@@ -123,6 +142,91 @@ TEST(MemsimState, ShiftStateMatchesShiftedReplay) {
   memsim::MemoryHierarchy::ResidentState s2;
   h2.snapshot_state(&s2);
   EXPECT_TRUE(h1.state_equals_shifted(s2, 0));
+}
+
+// -- The fixpoint certifier -----------------------------------------------
+
+/// Feed feed_stream() period by period through `d` until it certifies or
+/// gives up; returns the number of periods fed. Period k starts at
+/// iteration k * iters.
+std::uint64_t feed_until_certified(memsim::MemoryHierarchy& h,
+                                   memsim::PeriodDetector& d,
+                                   std::uint64_t base, std::uint64_t iters,
+                                   bool* certified) {
+  *certified = false;
+  std::uint64_t k = 0;
+  while (!*certified && !d.exhausted()) {
+    feed_stream(h, base + 8 * iters * k, iters);
+    ++k;
+    *certified = d.boundary();
+  }
+  return k;
+}
+
+TEST(PeriodDetector, CertifiesPeriodicStream) {
+  memsim::MemoryHierarchy h = bench::o2k().make_hierarchy();
+  // A stride-8 stream shifts by a whole line at every level after
+  // max_line / 8 iterations.
+  const std::uint64_t iters = memsim::line_granular_repeats(h, 8);
+  EXPECT_EQ(iters, h.max_line_bytes() / 8);
+  EXPECT_EQ(memsim::line_granular_repeats(h, -8), iters);
+  memsim::PeriodDetector d(&h, static_cast<std::int64_t>(8 * iters));
+
+  bool certified = false;
+  feed_until_certified(h, d, 1u << 20, iters, &certified);
+  EXPECT_TRUE(certified);
+  EXPECT_FALSE(d.exhausted());
+  // The certified delta is one period's traffic.
+  EXPECT_EQ(d.delta().loads, 2 * iters);
+  EXPECT_EQ(d.delta().stores, iters);
+}
+
+TEST(PeriodDetector, SkipEqualsSimulatingThePeriods) {
+  memsim::MemoryHierarchy h_ref = bench::o2k().make_hierarchy();
+  memsim::MemoryHierarchy h_ff = bench::o2k().make_hierarchy();
+  const std::uint64_t iters = memsim::line_granular_repeats(h_ff, 8);
+  const std::uint64_t base = 1u << 20;
+  memsim::PeriodDetector d(&h_ff, static_cast<std::int64_t>(8 * iters));
+  bool certified = false;
+  const std::uint64_t periods =
+      feed_until_certified(h_ff, d, base, iters, &certified);
+  ASSERT_TRUE(certified);
+  feed_stream(h_ref, base, periods * iters);
+
+  // Skipping m periods analytically lands on the counters and resident
+  // state of simulating them.
+  const std::uint64_t m = 1000;
+  d.skip(m);
+  feed_stream(h_ref, base + 8 * iters * periods, m * iters);
+  memsim::MemoryHierarchy::Counters cr, cf;
+  h_ref.snapshot_counters(&cr);
+  h_ff.snapshot_counters(&cf);
+  EXPECT_TRUE(cr == cf);
+  expect_same_resident_state(h_ref, h_ff, "skip");
+}
+
+TEST(PeriodDetector, AperiodicDeltaExhaustsAfterCapacityScaledBudget) {
+  memsim::MemoryHierarchy h = bench::o2k().make_hierarchy();
+  const auto shift = static_cast<std::int64_t>(32 * h.max_line_bytes());
+  // 2 * total capacity / |period shift| periods, plus a slack of 64.
+  const auto budget = static_cast<std::int64_t>(
+      2 * h.total_capacity_bytes() / static_cast<std::uint64_t>(shift) + 64);
+  memsim::PeriodDetector d(&h, shift);
+  // Period k issues k loads, so the per-period counter delta never
+  // repeats and the state protocol never starts.
+  const auto feed_period = [&](std::int64_t k) {
+    const auto first = static_cast<std::uint64_t>((1 << 20) + shift * k);
+    for (std::int64_t j = 0; j < k; ++j)
+      h.load(first + 8 * static_cast<std::uint64_t>(j), 8);
+  };
+  for (std::int64_t k = 1; k <= budget; ++k) {
+    feed_period(k);
+    ASSERT_FALSE(d.boundary()) << "period " << k;
+    ASSERT_FALSE(d.exhausted()) << "period " << k;
+  }
+  feed_period(budget + 1);
+  EXPECT_FALSE(d.boundary());
+  EXPECT_TRUE(d.exhausted());
 }
 
 // -- Online detector (warm-up path) ---------------------------------------
@@ -229,8 +333,8 @@ TEST(LoweringMetadata, UniformStepBytes) {
 // -- Compiled engine: differential exactness ------------------------------
 
 /// Run `p` with fast-forward off and on (serial and at 4 cores) and hold
-/// every observable identical; returns the ff-on serial result for
-/// engagement checks.
+/// every observable identical, the final resident state included; returns
+/// the ff-on serial result for engagement checks.
 ExecResult expect_fast_forward_exact(const Program& p,
                                      const machine::MachineModel& machine) {
   memsim::MemoryHierarchy h_off = machine.make_hierarchy();
@@ -245,6 +349,9 @@ ExecResult expect_fast_forward_exact(const Program& p,
   on.fast_forward = true;
   const ExecResult r_on = runtime::execute_compiled(p, on);
   expect_result_eq(r_off, r_on, p.name() + " [serial ff]");
+  // The final resident state must match too: a wrong shift_state() after
+  // a program's last loop changes no counter.
+  expect_same_resident_state(h_off, h_on, p.name() + " [serial ff]");
 
   for (const int cores : {4}) {
     memsim::MemoryHierarchy h_par = machine.make_hierarchy();
@@ -253,8 +360,10 @@ ExecResult expect_fast_forward_exact(const Program& p,
     par.fast_forward = true;
     par.cores = cores;
     const ExecResult r_par = runtime::execute_compiled(p, par);
-    expect_result_eq(r_off, r_par,
-                     p.name() + " [ff cores=" + std::to_string(cores) + "]");
+    const std::string label =
+        p.name() + " [ff cores=" + std::to_string(cores) + "]";
+    expect_result_eq(r_off, r_par, label);
+    expect_same_resident_state(h_off, h_par, label);
   }
   return r_on;
 }

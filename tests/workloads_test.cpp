@@ -17,6 +17,8 @@
 namespace bwc::workloads {
 namespace {
 
+using runtime::NullRecorder;
+
 TEST(StrideKernels, ThirteenSpecsWithPaperNames) {
   const auto& specs = figure3_kernels();
   EXPECT_EQ(specs.size(), 13u);
