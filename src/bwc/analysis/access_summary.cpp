@@ -120,6 +120,12 @@ class Collector {
   LoopSummary& summary_;
 };
 
+std::shared_ptr<const std::vector<verify::AffineRef>> shared_refs(
+    const ir::Program& program, const ir::Stmt& stmt) {
+  return std::make_shared<const std::vector<verify::AffineRef>>(
+      verify::collect_refs(program, stmt).refs);
+}
+
 }  // namespace
 
 std::int64_t LoopSummary::trip_count() const {
@@ -136,6 +142,20 @@ std::vector<ir::ArrayId> LoopSummary::touched_arrays() const {
   out.reserve(arrays.size());
   for (const auto& [id, access] : arrays) out.push_back(id);
   return out;
+}
+
+bool touch_conflict(const LoopSummary& x, const LoopSummary& y) {
+  for (const auto& [array, a] : x.arrays) {
+    const auto it = y.arrays.find(array);
+    if (it == y.arrays.end()) continue;
+    if (a.has_writes() || it->second.has_writes()) return true;
+  }
+  for (const auto& [name, a] : x.scalars) {
+    const auto it = y.scalars.find(name);
+    if (it == y.scalars.end()) continue;
+    if (a.written || it->second.written) return true;
+  }
+  return false;
 }
 
 LoopSummary summarize_loop(const ir::Program& program, int top_index) {
@@ -170,6 +190,7 @@ LoopSummary summarize_loop(const ir::Program& program, int top_index) {
     collector.collect_body(loop.body);
     break;
   }
+  summary.refs = shared_refs(program, stmt);
   return summary;
 }
 
@@ -184,6 +205,7 @@ LoopSummary summarize_statement(const ir::Program& program, int top_index) {
   summary.top_index = top_index;
   Collector collector(summary);
   collector.collect_stmt(stmt);
+  summary.refs = shared_refs(program, stmt);
   return summary;
 }
 

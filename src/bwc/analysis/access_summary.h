@@ -1,15 +1,20 @@
 // Per-loop access summaries: which arrays and scalars a top-level loop nest
 // reads and writes, and with which affine subscripts. This is the raw
 // material for fusion-graph construction, dependence testing and liveness.
+// Each summary also carries the nest's references in the exact dependence
+// engine's form (verify::AffineRef), which the legality queries of
+// analysis/dependence.h solve.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "bwc/ir/program.h"
+#include "bwc/verify/static_dependence.h"
 
 namespace bwc::analysis {
 
@@ -48,12 +53,21 @@ struct LoopSummary {
 
   std::map<ir::ArrayId, ArrayAccess> arrays;
   std::map<std::string, ScalarAccess> scalars;
+  /// Every reference of the statement with its guard-refined loop context
+  /// (verify::collect_refs); the first depth() loops of each are the spine.
+  /// Set by summarize_loop/summarize_statement and never changed after, so
+  /// copies of a summary (the fusion graph keeps its own) share one list.
+  std::shared_ptr<const std::vector<verify::AffineRef>> refs;
 
   int depth() const { return static_cast<int>(loop_vars.size()); }
   std::int64_t trip_count() const;
   /// Arrays referenced at all (read or write).
   std::vector<ir::ArrayId> touched_arrays() const;
 };
+
+/// Does one summary write an array or scalar the other touches? Pins
+/// non-loop statements (scalar inits and the like) relative to loops.
+bool touch_conflict(const LoopSummary& x, const LoopSummary& y);
 
 /// Summarize the loop at Program::top()[top_index] (must be a loop).
 LoopSummary summarize_loop(const ir::Program& program, int top_index);

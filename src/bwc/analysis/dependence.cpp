@@ -1,7 +1,6 @@
 #include "bwc/analysis/dependence.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "bwc/support/error.h"
 
@@ -9,54 +8,27 @@ namespace bwc::analysis {
 
 namespace {
 
-constexpr std::int64_t kNegInf = std::numeric_limits<std::int64_t>::min() / 4;
-constexpr std::int64_t kPosInf = std::numeric_limits<std::int64_t>::max() / 4;
+using verify::AffineRef;
+using verify::LevelPair;
+using verify::VarDomain;
+using verify::Verdict;
+using verify::kSpan;
 
-/// Closed integer interval; empty when lo > hi.
-struct Interval {
-  std::int64_t lo = kNegInf;
-  std::int64_t hi = kPosInf;
-  bool empty() const { return lo > hi; }
-  bool contains(std::int64_t v) const { return lo <= v && v <= hi; }
-  Interval intersect(const Interval& o) const {
-    return {std::max(lo, o.lo), std::min(hi, o.hi)};
-  }
-};
-
-/// How the two loops' iteration spaces are aligned level by level.
-struct Alignment {
-  FusionCompat kind = FusionCompat::kIncompatible;
-  int depth = 0;  // fused nest depth
-  /// Level variables of A and B at each fused level; empty string when the
-  /// promoted loop has no variable at that level.
-  std::vector<std::string> a_vars, b_vars;
-  /// Iteration ranges of each loop at each fused level (promoted loops get
-  /// a singleton range at level 0).
-  std::vector<Interval> a_ranges, b_ranges;
-  std::int64_t promote_value = 0;
-};
+/// How the two loops' iteration spaces are aligned: per fused level, the
+/// iteration value on each side -- a loop level of that side, or the
+/// promote value where the shallower loop has no level.
+using Alignment = std::vector<LevelPair>;
 
 /// Build the alignment for a candidate structural relationship; nullopt
 /// when the shapes do not match that relationship.
 std::optional<Alignment> try_align(const LoopSummary& a, const LoopSummary& b,
                                    FusionCompat kind,
                                    std::int64_t promote_value = 0) {
-  Alignment al;
-  al.kind = kind;
   switch (kind) {
     case FusionCompat::kIdentical: {
       if (a.depth() != b.depth() || a.depth() == 0) return std::nullopt;
       if (a.lowers != b.lowers || a.uppers != b.uppers) return std::nullopt;
-      al.depth = a.depth();
-      for (int d = 0; d < al.depth; ++d) {
-        al.a_vars.push_back(a.loop_vars[static_cast<std::size_t>(d)]);
-        al.b_vars.push_back(b.loop_vars[static_cast<std::size_t>(d)]);
-        al.a_ranges.push_back({a.lowers[static_cast<std::size_t>(d)],
-                               a.uppers[static_cast<std::size_t>(d)]});
-        al.b_ranges.push_back({b.lowers[static_cast<std::size_t>(d)],
-                               b.uppers[static_cast<std::size_t>(d)]});
-      }
-      return al;
+      return verify::same_levels(a.depth());
     }
     case FusionCompat::kOuterUnion: {
       if (a.depth() != b.depth() || a.depth() < 2) return std::nullopt;
@@ -68,16 +40,7 @@ std::optional<Alignment> try_align(const LoopSummary& a, const LoopSummary& b,
                 b.uppers[static_cast<std::size_t>(d)])
           return std::nullopt;
       }
-      al.depth = a.depth();
-      for (int d = 0; d < al.depth; ++d) {
-        al.a_vars.push_back(a.loop_vars[static_cast<std::size_t>(d)]);
-        al.b_vars.push_back(b.loop_vars[static_cast<std::size_t>(d)]);
-        al.a_ranges.push_back({a.lowers[static_cast<std::size_t>(d)],
-                               a.uppers[static_cast<std::size_t>(d)]});
-        al.b_ranges.push_back({b.lowers[static_cast<std::size_t>(d)],
-                               b.uppers[static_cast<std::size_t>(d)]});
-      }
-      return al;
+      return verify::same_levels(a.depth());
     }
     case FusionCompat::kPromoteA:
     case FusionCompat::kPromoteB: {
@@ -93,28 +56,15 @@ std::optional<Alignment> try_align(const LoopSummary& a, const LoopSummary& b,
                 deep.uppers[static_cast<std::size_t>(d + 1)])
           return std::nullopt;
       }
-      al.depth = deep.depth();
-      al.promote_value = promote_value;
-      for (int d = 0; d < al.depth; ++d) {
-        const Interval deep_range = {deep.lowers[static_cast<std::size_t>(d)],
-                                     deep.uppers[static_cast<std::size_t>(d)]};
-        std::string deep_var = deep.loop_vars[static_cast<std::size_t>(d)];
-        std::string shallow_var =
-            d == 0 ? std::string()
-                   : shallow.loop_vars[static_cast<std::size_t>(d - 1)];
-        const Interval shallow_range =
-            d == 0 ? Interval{promote_value, promote_value} : deep_range;
-        if (kind == FusionCompat::kPromoteA) {
-          al.a_vars.push_back(shallow_var);
-          al.b_vars.push_back(deep_var);
-          al.a_ranges.push_back(shallow_range);
-          al.b_ranges.push_back(deep_range);
-        } else {
-          al.a_vars.push_back(deep_var);
-          al.b_vars.push_back(shallow_var);
-          al.a_ranges.push_back(deep_range);
-          al.b_ranges.push_back(shallow_range);
-        }
+      Alignment al;
+      for (int d = 0; d < deep.depth(); ++d) {
+        // Fused level d is the shallow loop's level d - 1; at level 0 the
+        // shallow loop has none and runs at the promote value.
+        const int level = d - 1;
+        const std::int64_t shift = d == 0 ? promote_value : 0;
+        al.push_back(kind == FusionCompat::kPromoteA
+                         ? LevelPair{level, shift, d, 0}
+                         : LevelPair{d, 0, level, shift});
       }
       return al;
     }
@@ -125,146 +75,50 @@ std::optional<Alignment> try_align(const LoopSummary& a, const LoopSummary& b,
   return std::nullopt;
 }
 
-/// Classification of one subscript: constant, var-at-level+offset, or other.
-struct SubInfo {
-  enum Kind { kConst, kLevelVar, kOpaque } kind = kOpaque;
-  std::int64_t constant = 0;  // for kConst
-  int level = -1;             // for kLevelVar
-  std::int64_t offset = 0;    // for kLevelVar
-};
-
-SubInfo classify(const ir::Affine& sub, const std::vector<std::string>& vars) {
-  SubInfo info;
-  if (sub.is_constant()) {
-    info.kind = SubInfo::kConst;
-    info.constant = sub.constant_term();
-    return info;
-  }
-  const auto var = sub.single_var();
-  if (var.has_value() && sub.coeff(*var) == 1) {
-    for (int d = 0; d < static_cast<int>(vars.size()); ++d) {
-      if (vars[static_cast<std::size_t>(d)] == *var) {
-        info.kind = SubInfo::kLevelVar;
-        info.level = d;
-        info.offset = sub.constant_term();
-        return info;
-      }
+/// Calls `f(ra, rb)` on every pair of array references of A and B that
+/// name one array with at least one side writing; true as soon as `f` is.
+template <typename F>
+bool any_ref_pair(const LoopSummary& a, const LoopSummary& b, F&& f) {
+  BWC_CHECK(a.refs && b.refs, "loop summary without references");
+  for (const AffineRef& ra : *a.refs) {
+    if (ra.array.empty()) continue;
+    for (const AffineRef& rb : *b.refs) {
+      if (rb.array != ra.array || (!ra.write && !rb.write)) continue;
+      if (f(ra, rb)) return true;
     }
-  }
-  info.kind = SubInfo::kOpaque;
-  return info;
-}
-
-/// Per-level delta = I_B - I_A intervals for one reference pair; returns
-/// nullopt when the pair provably touches disjoint elements, and sets
-/// `opaque` when the subscripts defeat the analysis.
-std::optional<std::vector<Interval>> pair_deltas(
-    const std::vector<ir::Affine>& ref_a, const std::vector<ir::Affine>& ref_b,
-    const Alignment& al, bool* opaque) {
-  *opaque = false;
-  if (ref_a.size() != ref_b.size()) {
-    *opaque = true;
-    return std::vector<Interval>();
-  }
-
-  // Start from the unconstrained deltas implied by the iteration ranges.
-  std::vector<Interval> delta(static_cast<std::size_t>(al.depth));
-  std::vector<Interval> a_iter(static_cast<std::size_t>(al.depth));
-  std::vector<Interval> b_iter(static_cast<std::size_t>(al.depth));
-  for (int d = 0; d < al.depth; ++d) {
-    a_iter[static_cast<std::size_t>(d)] = al.a_ranges[static_cast<std::size_t>(d)];
-    b_iter[static_cast<std::size_t>(d)] = al.b_ranges[static_cast<std::size_t>(d)];
-  }
-
-  for (std::size_t dim = 0; dim < ref_a.size(); ++dim) {
-    const SubInfo sa = classify(ref_a[dim], al.a_vars);
-    const SubInfo sb = classify(ref_b[dim], al.b_vars);
-    if (sa.kind == SubInfo::kOpaque || sb.kind == SubInfo::kOpaque) {
-      *opaque = true;
-      return std::vector<Interval>();
-    }
-    if (sa.kind == SubInfo::kConst && sb.kind == SubInfo::kConst) {
-      if (sa.constant != sb.constant) return std::nullopt;  // disjoint
-      continue;
-    }
-    if (sa.kind == SubInfo::kLevelVar && sb.kind == SubInfo::kLevelVar) {
-      if (sa.level != sb.level) {
-        *opaque = true;  // cross-level coupling: give up
-        return std::vector<Interval>();
-      }
-      // j_a + off_a == j_b + off_b  =>  delta = off_a - off_b, exactly.
-      const std::int64_t d = sa.offset - sb.offset;
-      const std::size_t lvl = static_cast<std::size_t>(sa.level);
-      delta[lvl] = delta[lvl].intersect({d, d});
-      if (delta[lvl].empty()) return std::nullopt;
-      continue;
-    }
-    // Constant against level variable: pins one side's iteration value.
-    if (sa.kind == SubInfo::kConst) {
-      const std::size_t lvl = static_cast<std::size_t>(sb.level);
-      const std::int64_t jb = sa.constant - sb.offset;
-      b_iter[lvl] = b_iter[lvl].intersect({jb, jb});
-      if (b_iter[lvl].empty()) return std::nullopt;
-    } else {
-      const std::size_t lvl = static_cast<std::size_t>(sa.level);
-      const std::int64_t ja = sb.constant - sa.offset;
-      a_iter[lvl] = a_iter[lvl].intersect({ja, ja});
-      if (a_iter[lvl].empty()) return std::nullopt;
-    }
-  }
-
-  // Fold iteration-range knowledge into the deltas.
-  for (int d = 0; d < al.depth; ++d) {
-    const std::size_t lvl = static_cast<std::size_t>(d);
-    const Interval range_delta = {b_iter[lvl].lo - a_iter[lvl].hi,
-                                  b_iter[lvl].hi - a_iter[lvl].lo};
-    delta[lvl] = delta[lvl].intersect(range_delta);
-    if (delta[lvl].empty()) return std::nullopt;
-  }
-  return delta;
-}
-
-/// Can the delta vector be lexicographically negative?
-bool possibly_lex_negative(const std::vector<Interval>& delta) {
-  bool prefix_zero_possible = true;
-  for (const Interval& iv : delta) {
-    if (prefix_zero_possible && iv.lo < 0) return true;
-    prefix_zero_possible = prefix_zero_possible && iv.contains(0);
-    if (!prefix_zero_possible) return false;
   }
   return false;
 }
 
-/// Does fusing under this alignment reverse any cross-loop dependence?
+/// Does the reference sit in every loop of its summary's spine? The
+/// alignments address spine levels only, by index into each reference's
+/// loops.
+bool on_spine(const AffineRef& r, const LoopSummary& s) {
+  return r.loop_vars.size() >= s.loop_vars.size() &&
+         std::equal(s.loop_vars.begin(), s.loop_vars.end(),
+                    r.loop_vars.begin());
+}
+
+/// Can `ra` of A and `rb` of B touch a common element at fused iterations
+/// whose first difference (B - A) lies in `first`? Undecided and
+/// unmodellable pairs count as conflicts.
+bool may_conflict(const LoopSummary& a, const AffineRef& ra,
+                  const LoopSummary& b, const AffineRef& rb,
+                  const Alignment& al, const VarDomain& first) {
+  if (!on_spine(ra, a) || !on_spine(rb, b)) return true;
+  return verify::lex_conflict(ra, rb, al, first).verdict !=
+         Verdict::kIndependent;
+}
+
+/// Does fusing under this alignment reverse any cross-loop dependence
+/// (flow, anti or output): can B touch an element A also touches at a
+/// lexicographically earlier fused iteration?
 bool violates(const LoopSummary& a, const LoopSummary& b,
               const Alignment& al) {
-  for (const auto& [array, access_a] : a.arrays) {
-    const auto it = b.arrays.find(array);
-    if (it == b.arrays.end()) continue;
-    const ArrayAccess& access_b = it->second;
-
-    auto check_pairs = [&al](const std::vector<std::vector<ir::Affine>>& refs_a,
-                             const std::vector<std::vector<ir::Affine>>& refs_b)
-        -> bool {
-      for (const auto& ra : refs_a) {
-        for (const auto& rb : refs_b) {
-          bool opaque = false;
-          const auto delta = pair_deltas(ra, rb, al, &opaque);
-          if (opaque) return true;  // conservative
-          if (!delta.has_value()) continue;  // disjoint elements
-          if (possibly_lex_negative(*delta)) return true;
-        }
-      }
-      return false;
-    };
-
-    // Flow (A writes, B reads), anti (A reads, B writes), output (both
-    // write): all use the same lex-negative test.
-    if (check_pairs(access_a.writes, access_b.reads)) return true;
-    if (check_pairs(access_a.reads, access_b.writes)) return true;
-    if (check_pairs(access_a.writes, access_b.writes)) return true;
-  }
-  return false;
+  const VarDomain before = VarDomain::range(-kSpan, -1);
+  return any_ref_pair(a, b, [&](const AffineRef& ra, const AffineRef& rb) {
+    return may_conflict(a, ra, b, rb, al, before);
+  });
 }
 
 /// Scalar interactions: returns {dependent, preventing}.
@@ -306,66 +160,33 @@ std::optional<std::int64_t> min_fusion_shift(const LoopSummary& a,
   const auto al = try_align(a, b, FusionCompat::kIdentical);
   if (!al.has_value()) return std::nullopt;
 
-  // Shifting B later by s adds s to every delta; the minimal legal shift
-  // is the largest -delta.lo over all dependence-carrying reference pairs.
-  std::int64_t required = 0;
-  for (const auto& [array, access_a] : a.arrays) {
-    const auto it = b.arrays.find(array);
-    if (it == b.arrays.end()) continue;
-    const ArrayAccess& access_b = it->second;
-
-    auto scan_pairs = [&](const std::vector<std::vector<ir::Affine>>& refs_a,
-                          const std::vector<std::vector<ir::Affine>>& refs_b)
-        -> bool {
-      for (const auto& ra : refs_a) {
-        for (const auto& rb : refs_b) {
-          bool opaque = false;
-          const auto delta = pair_deltas(ra, rb, *al, &opaque);
-          if (opaque) return false;
-          if (!delta.has_value()) continue;  // disjoint elements
-          const Interval& iv = delta->front();
-          if (iv.lo <= kNegInf / 2) return false;  // unbounded backwards
-          required = std::max(required, -iv.lo);
+  // Shifting B later by s adds s to every fused difference: s is legal
+  // when no pair conflicts at B - A <= -(s + 1). Each pair only raises
+  // the shift the earlier pairs required.
+  std::int64_t shift = 0;
+  const bool unbounded =
+      any_ref_pair(a, b, [&](const AffineRef& ra, const AffineRef& rb) {
+        while (may_conflict(a, ra, b, rb, *al,
+                            VarDomain::range(-kSpan, -(shift + 1)))) {
+          if (++shift > max_shift) return true;
         }
-      }
-      return true;
-    };
-    if (!scan_pairs(access_a.writes, access_b.reads)) return std::nullopt;
-    if (!scan_pairs(access_a.reads, access_b.writes)) return std::nullopt;
-    if (!scan_pairs(access_a.writes, access_b.writes)) return std::nullopt;
-  }
-  if (required > max_shift) return std::nullopt;
-  return required;
+        return false;
+      });
+  if (unbounded || shift > max_shift) return std::nullopt;
+  return shift;
 }
 
 bool interchange_legal(const LoopSummary& s) {
   if (s.depth() < 2) return false;
-  const auto al = try_align(s, s, FusionCompat::kIdentical);
-  if (!al.has_value()) return false;
-
-  for (const auto& [array, access] : s.arrays) {
-    if (!access.has_writes()) continue;
-    auto check = [&](const std::vector<std::vector<ir::Affine>>& refs_a,
-                     const std::vector<std::vector<ir::Affine>>& refs_b) {
-      for (const auto& ra : refs_a) {
-        for (const auto& rb : refs_b) {
-          bool opaque = false;
-          const auto delta = pair_deltas(ra, rb, *al, &opaque);
-          if (opaque) return false;
-          if (!delta.has_value()) continue;
-          const Interval& outer = (*delta)[0];
-          const Interval& inner = (*delta)[1];
-          // A (+, -) distance vector flips lex-negative under interchange.
-          if (outer.hi > 0 && inner.lo < 0) return false;
-        }
-      }
-      return true;
-    };
-    if (!check(access.writes, access.reads)) return false;
-    if (!check(access.reads, access.writes)) return false;
-    if (!check(access.writes, access.writes)) return false;
-  }
-  return true;
+  // A (+, -) distance vector on the outer two levels flips
+  // lexicographically negative under interchange.
+  return !any_ref_pair(s, s, [&](const AffineRef& ra, const AffineRef& rb) {
+    if (!on_spine(ra, s) || !on_spine(rb, s)) return true;
+    verify::PairSystem sys(ra, rb);
+    sys.bound_difference(sys.a_var(0), 0, sys.b_var(0), 0, {1, kSpan});
+    sys.bound_difference(sys.a_var(1), 0, sys.b_var(1), 0, {-kSpan, -1});
+    return sys.solve().verdict != Verdict::kIndependent;
+  });
 }
 
 PairAnalysis analyze_pair(const LoopSummary& a, const LoopSummary& b) {
@@ -406,7 +227,7 @@ PairAnalysis analyze_pair(const LoopSummary& a, const LoopSummary& b) {
     if (scalar_prevent) break;  // scalars block fusion under any alignment
     if (violates(a, b, *al)) continue;
     result.compat = kind;
-    result.promote_value = al->promote_value;
+    result.promote_value = promote;
     break;
   }
 

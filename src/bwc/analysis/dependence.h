@@ -10,10 +10,13 @@
 // accessed by both (at least one side writing), let delta = I_B - I_A be
 // the difference of the fused iteration vectors touching that element.
 // Fusion is illegal when delta can be lexicographically negative: B would
-// touch the element *before* A does, reversing the original order. Deltas
-// are computed per nest level as integer intervals from the affine
-// subscripts; anything non-affine degrades conservatively to "possibly
-// negative".
+// touch the element *before* A does, reversing the original order. Every
+// such question -- fusion under each alignment, the minimal alignment
+// shift, interchange, and distribution (which asks analyze_pair) -- is a
+// query on the exact dependence engine of verify/static_dependence.h over
+// the summaries' references: a bounded integer system per reference pair,
+// with the fused levels paired side by side. Undecided systems and
+// references the pairing cannot place count as conflicts.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +64,9 @@ struct PairAnalysis {
 };
 
 /// Analyze the ordered pair of loop summaries (a must precede b in program
-/// order). Guarded bodies are handled conservatively (accesses assumed to
-/// always happen).
+/// order). Guarded accesses are tested over their guard-refined domains; a
+/// guard the splitter cannot refine leaves the access conservatively
+/// unconditional.
 PairAnalysis analyze_pair(const LoopSummary& a, const LoopSummary& b);
 
 /// Fusion with alignment: the minimal iteration shift s >= 0 such that
@@ -73,7 +77,7 @@ PairAnalysis analyze_pair(const LoopSummary& a, const LoopSummary& b);
 ///   - 0 when the pair already fuses unshifted,
 ///   - s > 0 when delaying B by s iterations legalizes fusion (e.g. B
 ///     reads a[i+1] produced by A: s = 1),
-///   - nullopt when no bounded shift helps (opaque subscripts, scalar
+///   - nullopt when no bounded shift helps (undecided subscripts, scalar
 ///     conflicts, depth/bounds mismatch, or s would exceed max_shift).
 std::optional<std::int64_t> min_fusion_shift(const LoopSummary& a,
                                              const LoopSummary& b,
@@ -83,7 +87,7 @@ std::optional<std::int64_t> min_fusion_shift(const LoopSummary& a,
 /// True when no dependence in the nest can have a distance vector with
 /// positive outer and negative inner component -- the only vectors that
 /// become lexicographically negative after swapping. Requires depth >= 2;
-/// conservative on unanalyzable subscripts.
+/// conservative on undecided subscripts.
 bool interchange_legal(const LoopSummary& s);
 
 }  // namespace bwc::analysis

@@ -67,18 +67,14 @@ FusionGraph build_fusion_graph(
         const auto shift = analysis::min_fusion_shift(
             g.summaries[static_cast<std::size_t>(i)],
             g.summaries[static_cast<std::size_t>(j)], options.max_shift);
+        // Without a bounded shift the pair keeps min_shift 0: it fuses
+        // unshifted or not at all.
         if (shift.has_value()) {
           pa.min_shift = *shift;
           if (pa.fusion_preventing && *shift > 0) {
             pa.fusion_preventing = false;
             pa.compat = analysis::FusionCompat::kShifted;
           }
-        } else if (!pa.fusion_preventing &&
-                   pa.compat == analysis::FusionCompat::kIdentical &&
-                   g.summaries[static_cast<std::size_t>(i)].depth() == 1) {
-          // Shift analysis unavailable on a depth-1 identical pair means
-          // some interval was unbounded; keep unshifted fusion (shift 0).
-          pa.min_shift = 0;
         }
       }
       if (pa.dependent) g.deps.add_edge(i, j);
@@ -91,20 +87,6 @@ FusionGraph build_fusion_graph(
   // reduction loops) pin the loops around them: a loop before and a loop
   // after a statement that conflicts with both may neither be fused nor
   // reordered across it.
-  auto stmt_conflicts = [](const analysis::LoopSummary& stmt,
-                           const analysis::LoopSummary& loop) {
-    for (const auto& [array, a] : stmt.arrays) {
-      const auto it = loop.arrays.find(array);
-      if (it == loop.arrays.end()) continue;
-      if (a.has_writes() || it->second.has_writes()) return true;
-    }
-    for (const auto& [name, a] : stmt.scalars) {
-      const auto it = loop.scalars.find(name);
-      if (it == loop.scalars.end()) continue;
-      if (a.written || it->second.written) return true;
-    }
-    return false;
-  };
   for (int k = 0; k < static_cast<int>(program.top().size()); ++k) {
     if (program.top()[static_cast<std::size_t>(k)]->kind ==
         ir::StmtKind::kLoop)
@@ -118,11 +100,13 @@ FusionGraph build_fusion_graph(
             : computed;
     for (int i = 0; i < n; ++i) {
       if (g.loop_tops[static_cast<std::size_t>(i)] > k) break;
-      if (!stmt_conflicts(sk, g.summaries[static_cast<std::size_t>(i)]))
+      if (!analysis::touch_conflict(sk,
+                                    g.summaries[static_cast<std::size_t>(i)]))
         continue;
       for (int j = i + 1; j < n; ++j) {
         if (g.loop_tops[static_cast<std::size_t>(j)] < k) continue;
-        if (!stmt_conflicts(sk, g.summaries[static_cast<std::size_t>(j)]))
+        if (!analysis::touch_conflict(
+                sk, g.summaries[static_cast<std::size_t>(j)]))
           continue;
         auto& pa = g.pair_info[static_cast<std::size_t>(i)]
                               [static_cast<std::size_t>(j - i - 1)];

@@ -18,27 +18,11 @@ namespace {
 /// sound without modelling which loop levels the two refs share).
 verify::Verdict revisit_verdict(const verify::AffineRef& a,
                                 const verify::AffineRef& b) {
-  if (&a != &b) {
-    verify::PairSystem sys(a, b);
-    return sys.solve().verdict;
-  }
-  constexpr std::int64_t kSpan = std::int64_t{1} << 40;
-  bool unknown = false;
-  const int levels = static_cast<int>(a.loop_vars.size());
-  for (int l = 0; l < levels; ++l) {
-    for (int sign = -1; sign <= 1; sign += 2) {
-      verify::PairSystem sys(a, b);
-      for (int m = 0; m < l; ++m)
-        sys.bound_difference(sys.a_var(m), 0, sys.b_var(m), 0, {0, 0});
-      const verify::Interval r =
-          sign < 0 ? verify::Interval{-kSpan, -1} : verify::Interval{1, kSpan};
-      sys.bound_difference(sys.a_var(l), 0, sys.b_var(l), 0, r);
-      const verify::Feasibility f = sys.solve();
-      if (f.verdict == verify::Verdict::kDependent) return f.verdict;
-      if (f.verdict == verify::Verdict::kUnknown) unknown = true;
-    }
-  }
-  return unknown ? verify::Verdict::kUnknown : verify::Verdict::kIndependent;
+  if (&a != &b) return verify::PairSystem(a, b).solve().verdict;
+  return verify::lex_conflict(
+             a, b, verify::same_levels(static_cast<int>(a.loop_vars.size())),
+             {{{-verify::kSpan, -1}, {1, verify::kSpan}}})
+      .verdict;
 }
 
 }  // namespace

@@ -17,23 +17,6 @@ using analysis::LoopSummary;
 using fusion::FusionGraph;
 using fusion::FusionPlan;
 
-/// Do a non-loop statement and a loop summary conflict (one writes data the
-/// other touches)? Used to place scalar inits and the like around fused
-/// partitions without changing semantics.
-bool conflicts(const LoopSummary& stmt, const LoopSummary& loop) {
-  for (const auto& [array, a] : stmt.arrays) {
-    const auto it = loop.arrays.find(array);
-    if (it == loop.arrays.end()) continue;
-    if (a.has_writes() || it->second.has_writes()) return true;
-  }
-  for (const auto& [name, a] : stmt.scalars) {
-    const auto it = loop.scalars.find(name);
-    if (it == loop.scalars.end()) continue;
-    if (a.written || it->second.written) return true;
-  }
-  return false;
-}
-
 /// Rename a body's loop variables to `target` (level by level, possibly
 /// shifted for promoted members) via unique temporaries so that swaps are
 /// safe.
@@ -299,7 +282,8 @@ ir::Program apply_fusion(const ir::Program& program, const FusionGraph& graph,
     for (int p = 0; p < num_partitions; ++p) {
       for (int m : groups[static_cast<std::size_t>(p)]) {
         const int top = graph.loop_tops[static_cast<std::size_t>(m)];
-        if (!conflicts(sk, graph.summaries[static_cast<std::size_t>(m)]))
+        if (!analysis::touch_conflict(
+                sk, graph.summaries[static_cast<std::size_t>(m)]))
           continue;
         if (top > k) before = std::min(before, p);
         if (top < k) after = std::max(after, p);

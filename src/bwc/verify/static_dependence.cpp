@@ -7,11 +7,7 @@
 namespace bwc::verify {
 namespace {
 
-// Saturation bound: large enough that real loop bounds never clip, small
-// enough that sums and products of clamped values cannot overflow int64.
-constexpr std::int64_t kBig = std::int64_t{1} << 60;
-
-std::int64_t clampv(std::int64_t v) { return std::clamp(v, -kBig, kBig); }
+std::int64_t clampv(std::int64_t v) { return std::clamp(v, -kSpan, kSpan); }
 
 std::int64_t sat_add(std::int64_t a, std::int64_t b) {
   return clampv(clampv(a) + clampv(b));  // |a|+|b| <= 2^61, no overflow
@@ -19,13 +15,13 @@ std::int64_t sat_add(std::int64_t a, std::int64_t b) {
 
 std::int64_t sat_mul(std::int64_t a, std::int64_t b) {
   if (a == 0 || b == 0) return 0;
-  if (a > -kBig && a < kBig && b > -kBig && b < kBig) {
+  if (a > -kSpan && a < kSpan && b > -kSpan && b < kSpan) {
     __int128 p = static_cast<__int128>(a) * b;
-    if (p > kBig) return kBig;
-    if (p < -kBig) return -kBig;
+    if (p > kSpan) return kSpan;
+    if (p < -kSpan) return -kSpan;
     return static_cast<std::int64_t>(p);
   }
-  return ((a > 0) == (b > 0)) ? kBig : -kBig;
+  return ((a > 0) == (b > 0)) ? kSpan : -kSpan;
 }
 
 /// Floor/ceil division with positive divisor.
@@ -219,7 +215,7 @@ Feasibility solve_system(std::vector<VarDomain> domains,
       // gcd(ci) divides c.
       std::int64_t g = 0;
       for (const auto& t : eq.terms)
-        g = std::gcd(g, std::llabs(std::clamp(t.coeff, -kBig, kBig)));
+        g = std::gcd(g, std::llabs(clampv(t.coeff)));
       if (g > 1 && eq.constant % g != 0) return infeasible("gcd");
       // Banerjee bounds: value range of the lhs must straddle zero.
       Interval full = term_range(s, eq);
@@ -378,6 +374,38 @@ Feasibility PairSystem::solve() const {
   if (!exact_ && f.verdict == Verdict::kDependent)
     return {Verdict::kUnknown, "inexact-domain", {}};
   return f;
+}
+
+std::vector<LevelPair> same_levels(int n) {
+  std::vector<LevelPair> levels;
+  for (int l = 0; l < n; ++l) levels.push_back({l, 0, l, 0});
+  return levels;
+}
+
+Feasibility lex_conflict(const AffineRef& a, const AffineRef& b,
+                         const std::vector<LevelPair>& levels,
+                         const VarDomain& first) {
+  const PairSystem base(a, b);
+  auto bound = [](PairSystem& sys, const LevelPair& p, Interval range) {
+    sys.bound_difference(p.a_level >= 0 ? sys.a_var(p.a_level) : -1,
+                         p.a_shift,
+                         p.b_level >= 0 ? sys.b_var(p.b_level) : -1,
+                         p.b_shift, range);
+  };
+  bool unknown = false;
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    for (const Interval& range : first.ranges) {
+      PairSystem sys = base;
+      for (std::size_t m = 0; m < l; ++m) bound(sys, levels[m], {0, 0});
+      bound(sys, levels[l], range);
+      Feasibility f = sys.solve();
+      if (f.verdict == Verdict::kDependent) return f;
+      if (f.verdict == Verdict::kUnknown) unknown = true;
+    }
+  }
+  if (unknown) return {Verdict::kUnknown, "", {}};
+  return {Verdict::kIndependent, levels.empty() ? "single-instance" : "siv",
+          {}};
 }
 
 // ---------------------------------------------------------------------------
@@ -626,32 +654,10 @@ Feasibility refs_conflict(const AffineRef& a, const AffineRef& b,
     if (a.subscripts.size() != b.subscripts.size())
       return {Verdict::kUnknown, "dim-mismatch", {}};
   }
-  bool same_stmt = same_top && a.body_pos == b.body_pos;
-  if (!same_stmt) {
-    PairSystem sys(a, b);
-    return sys.solve();
-  }
-  // Same statement: require a lexicographically distinct iteration. Split
-  // on the first differing level: delta < 0 or delta > 0.
-  int levels = static_cast<int>(a.loop_vars.size());
-  bool unknown = false;
-  std::int64_t span = kBig;
-  for (int l = 0; l < levels; ++l) {
-    for (int sign = -1; sign <= 1; sign += 2) {
-      PairSystem sys(a, b);
-      for (int m = 0; m < l; ++m)
-        sys.bound_difference(sys.a_var(m), 0, sys.b_var(m), 0, {0, 0});
-      Interval r = sign < 0 ? Interval{-span, -1} : Interval{1, span};
-      sys.bound_difference(sys.a_var(l), 0, sys.b_var(l), 0, r);
-      Feasibility f = sys.solve();
-      if (f.verdict == Verdict::kDependent) return f;
-      if (f.verdict == Verdict::kUnknown) unknown = true;
-    }
-  }
-  if (levels == 0 || !unknown)
-    return {Verdict::kIndependent, levels == 0 ? "single-instance" : "siv",
-            {}};
-  return {Verdict::kUnknown, "", {}};
+  if (!same_top || a.body_pos != b.body_pos) return PairSystem(a, b).solve();
+  return lex_conflict(a, b,
+                      same_levels(static_cast<int>(a.loop_vars.size())),
+                      {{{-kSpan, -1}, {1, kSpan}}});
 }
 
 }  // namespace

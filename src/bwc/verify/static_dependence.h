@@ -17,8 +17,9 @@
 //                 conservatively, e.g. fall back to trace validation)
 //
 // Both directions are sound; only kUnknown loses precision. The module
-// depends on support/ + ir/ only (the verify charter), so the optimizer,
-// the runtime and the lint pass can all consume it without layering cycles.
+// depends on support/ + ir/ only (the verify charter), so the optimizer's
+// legality queries (analysis/dependence), the runtime and the lint pass
+// can all consume it without layering cycles.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,11 @@
 namespace bwc::verify {
 
 enum class Verdict { kIndependent, kDependent, kUnknown };
+
+/// The solver's saturation bound, and the span of an unbounded iteration
+/// difference: large enough that real loop bounds never clip, small enough
+/// that sums and products of clamped values cannot overflow int64.
+inline constexpr std::int64_t kSpan = std::int64_t{1} << 60;
 
 const char* verdict_name(Verdict v);
 
@@ -143,6 +149,31 @@ class PairSystem {
   std::vector<VarDomain> domains_;
   std::vector<LinEq> eqs_;
 };
+
+/// One level of a reference pair's common schedule: the iteration value on
+/// each side is `level var + shift`, or just `shift` when the level is -1
+/// (that side runs at one fixed value, e.g. a loop embedded at one outer
+/// iteration of a deeper nest).
+struct LevelPair {
+  int a_level = -1;
+  std::int64_t a_shift = 0;
+  int b_level = -1;
+  std::int64_t b_shift = 0;
+};
+
+/// Each reference's first `n` loop levels paired with the other's.
+std::vector<LevelPair> same_levels(int n);
+
+/// Lexicographic-order conflict: can `a` and `b` touch a common element at
+/// iterations whose differences (b value - a value) over `levels` are zero
+/// on some prefix [0, l) and lie in `first` at level l? Each l, and each
+/// interval of `first`, is tried in turn: the first kDependent answer is
+/// returned; otherwise kUnknown when some variant was undecided (an
+/// ill-formed pair is undecided), else kIndependent -- also when `levels`
+/// is empty, since a single schedule point has no earlier instance.
+Feasibility lex_conflict(const AffineRef& a, const AffineRef& b,
+                         const std::vector<LevelPair>& levels,
+                         const VarDomain& first);
 
 // ---------------------------------------------------------------------------
 // Program-level reference collection and dependence summary.

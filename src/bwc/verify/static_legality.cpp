@@ -12,8 +12,6 @@
 namespace bwc::verify {
 namespace {
 
-constexpr std::int64_t kSpan = std::int64_t{1} << 40;
-
 // ---------------------------------------------------------------------------
 // Atoms: assignment sites annotated with their top statement index.
 
@@ -781,67 +779,26 @@ bool atoms_equal_modulo(const ir::Program& pb, const ir::Program& pa,
   return equal_modulo(pb, pa, *sb.rhs, *sa.rhs, b, spec);
 }
 
-/// Cross-iteration conflict between two refs of the same full-depth
-/// context: can distinct iterations touch a common element? Used for
-/// injectivity and write/read isolation proofs.
-Verdict distinct_iteration_conflict(const AffineRef& a, const AffineRef& b,
-                                    Interval delta_at_some_level) {
-  int levels = static_cast<int>(a.loop_vars.size());
-  bool unknown = false;
-  for (int l = 0; l < levels; ++l) {
-    for (int sign = -1; sign <= 1; sign += 2) {
-      PairSystem sys(a, b);
-      for (int m = 0; m < l; ++m)
-        sys.bound_difference(sys.a_var(m), 0, sys.b_var(m), 0, {0, 0});
-      Interval r = sign < 0 ? Interval{delta_at_some_level.lo, -1}
-                            : Interval{1, delta_at_some_level.hi};
-      sys.bound_difference(sys.a_var(l), 0, sys.b_var(l), 0, r);
-      Feasibility f = sys.solve();
-      if (f.verdict == Verdict::kDependent) return Verdict::kDependent;
-      if (f.verdict == Verdict::kUnknown) unknown = true;
-    }
-  }
-  return unknown ? Verdict::kUnknown : Verdict::kIndependent;
-}
-
 /// `w` (a write) strictly before `r` in event order, touching a common
 /// element: infeasible? Both refs belong to atoms of the same program.
-Verdict write_before_read_conflict(const ir::Program& /*program*/,
-                                   const Atom& wa, const AffineRef& w,
+Verdict write_before_read_conflict(const Atom& wa, const AffineRef& w,
                                    const Atom& ra, const AffineRef& r) {
-  if (wa.top < ra.top) {
-    PairSystem sys(w, r);
-    Feasibility f = sys.solve();
-    return f.verdict;
-  }
+  if (wa.top < ra.top) return PairSystem(w, r).solve().verdict;
   if (wa.top > ra.top) return Verdict::kIndependent;
-  // Same top statement: writer earlier in some shared level, or same
-  // iteration with an earlier body position.
-  int cl = common_levels(wa, ra);
-  bool unknown = false;
-  for (int l = 0; l < cl; ++l) {
-    for (int sign : {1}) {
-      (void)sign;
-      // delta = r_iter - w_iter > 0 at the first differing level.
-      PairSystem sys(w, r);
-      for (int m = 0; m < l; ++m)
-        sys.bound_difference(sys.a_var(m), 0, sys.b_var(m), 0, {0, 0});
-      sys.bound_difference(sys.a_var(l), 0, sys.b_var(l), 0, {1, kSpan});
-      Feasibility f = sys.solve();
-      if (f.verdict == Verdict::kDependent) return Verdict::kDependent;
-      if (f.verdict == Verdict::kUnknown) unknown = true;
-    }
-  }
-  if (path_order(wa, ra) < 0) {
-    // Same iteration, writer's statement executes first.
-    PairSystem sys(w, r);
-    for (int m = 0; m < cl; ++m)
-      sys.bound_difference(sys.a_var(m), 0, sys.b_var(m), 0, {0, 0});
-    Feasibility f = sys.solve();
-    if (f.verdict == Verdict::kDependent) return Verdict::kDependent;
-    if (f.verdict == Verdict::kUnknown) unknown = true;
-  }
-  return unknown ? Verdict::kUnknown : Verdict::kIndependent;
+  // Same top statement: writer earlier in some shared level (delta =
+  // r_iter - w_iter > 0 at the first differing level), or same iteration
+  // with an earlier body position.
+  const int cl = common_levels(wa, ra);
+  const Verdict earlier =
+      lex_conflict(w, r, same_levels(cl), VarDomain::range(1, kSpan)).verdict;
+  if (earlier == Verdict::kDependent || path_order(wa, ra) >= 0)
+    return earlier;
+  PairSystem sys(w, r);
+  for (int m = 0; m < cl; ++m)
+    sys.bound_difference(sys.a_var(m), 0, sys.b_var(m), 0, {0, 0});
+  const Verdict same = sys.solve().verdict;
+  if (same == Verdict::kDependent) return same;
+  return earlier == Verdict::kUnknown ? earlier : same;
 }
 
 }  // namespace
@@ -929,8 +886,10 @@ LegalityResult prove_store_elimination(const ir::Program& before,
     wref.domains = writer->atom->site.domains;
     // Injectivity: distinct iterations write distinct elements.
     ++res.pairs_checked;
-    if (distinct_iteration_conflict(wref, wref, {-kSpan, kSpan}) !=
-        Verdict::kIndependent) {
+    if (lex_conflict(wref, wref,
+                     same_levels(static_cast<int>(wref.loop_vars.size())),
+                     {{{-kSpan, -1}, {1, kSpan}}})
+            .verdict != Verdict::kIndependent) {
       res.reason = "write-tuple-not-injective";
       return res;
     }
@@ -974,8 +933,7 @@ LegalityResult prove_store_elimination(const ir::Program& before,
         }
         if (rewritten) continue;
         ++res.pairs_checked;
-        Verdict v = write_before_read_conflict(before, *writer->atom, wref,
-                                               at, ref);
+        Verdict v = write_before_read_conflict(*writer->atom, wref, at, ref);
         if (v != Verdict::kIndependent) {
           res.reason = "surviving-read-observes-write";
           return res;

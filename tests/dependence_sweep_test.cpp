@@ -1,7 +1,7 @@
 // Exhaustive parameterized sweeps over dependence offsets: the sign rules
 // that drive fusion, shifting and distribution, checked against ground
 // truth (the interpreter) for every (producer offset, consumer offset)
-// combination in a window.
+// combination in a window, at subscript coefficients 1 and 2.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <vector>
 
 #include "bwc/analysis/dependence.h"
 #include "bwc/core/optimizer.h"
@@ -35,103 +36,136 @@ using namespace ir::dsl;  // NOLINT
 using ir::ArrayId;
 using ir::Program;
 
-/// Producer writes a[i + w]; consumer reduction reads a[i + r].
-Program make_pair(std::int64_t w, std::int64_t r) {
+/// One sweep point: producer writes a[c*i + w], consumer reads a[c*i + r].
+struct OffsetCase {
+  int c = 1;  // subscript coefficient
+  int w = 0;  // write offset
+  int r = 0;  // read offset
+};
+
+/// Test names print the offsets; the instantiation name carries c.
+void PrintTo(const OffsetCase& oc, std::ostream* os) {
+  *os << "(" << oc.w << ", " << oc.r << ")";
+}
+
+/// Every (w, r) in the [-3, 3] window at coefficient c.
+std::vector<OffsetCase> window(int c) {
+  std::vector<OffsetCase> cases;
+  for (int w = -3; w <= 3; ++w)
+    for (int r = -3; r <= 3; ++r) cases.push_back({c, w, r});
+  return cases;
+}
+
+/// Element e is written at iteration (e - w) / c and read at (e - r) / c:
+/// the read outruns the write iff r > w and c divides r - w, and delaying
+/// the reader by (r - w) / c iterations puts it back behind the write.
+bool read_outruns_write(const OffsetCase& oc) {
+  return oc.r > oc.w && (oc.r - oc.w) % oc.c == 0;
+}
+
+std::int64_t required_delay(const OffsetCase& oc) {
+  return read_outruns_write(oc) ? (oc.r - oc.w) / oc.c : 0;
+}
+
+/// Producer writes a[c*i + w]; consumer reduction reads a[c*i + r].
+Program make_pair(const OffsetCase& oc) {
   const std::int64_t n = 48;
   Program p("pair");
-  const ArrayId a = p.add_array("a", {n + 16});
+  const ArrayId a = p.add_array("a", {oc.c * n + 16});
   const ArrayId b = p.add_array("b", {n + 16});
   p.add_scalar("s");
   p.mark_output_scalar("s");
   p.append(loop("i", 8, n,
-                assign(a, {v("i", w)}, at(b, v("i")) + lvar("i"))));
-  p.append(loop("i", 8, n, assign("s", sref("s") + at(a, v("i", r)))));
+                assign(a, {v("i") * oc.c + oc.w}, at(b, v("i")) + lvar("i"))));
+  p.append(loop("i", 8, n,
+                assign("s", sref("s") + at(a, v("i") * oc.c + oc.r))));
   return p;
 }
 
-using OffsetParam = std::tuple<int, int>;  // (write offset, read offset)
+std::string label(const OffsetCase& oc) {
+  return "c=" + std::to_string(oc.c) + " w=" + std::to_string(oc.w) +
+         " r=" + std::to_string(oc.r);
+}
 
-class OffsetSweep : public ::testing::TestWithParam<OffsetParam> {};
+class OffsetSweep : public ::testing::TestWithParam<OffsetCase> {};
 
 TEST_P(OffsetSweep, FusabilityMatchesSignRule) {
-  const auto& [w, r] = GetParam();
-  const Program p = make_pair(w, r);
+  const OffsetCase& oc = GetParam();
+  const Program p = make_pair(oc);
   const auto s = analysis::summarize_program(p);
   const auto pa = analysis::analyze_pair(s[0], s[1]);
-  // Element e written at iteration e - w, read at e - r: the read trails
-  // the write iff (e - r) >= (e - w), i.e. r <= w.
-  EXPECT_EQ(pa.fusion_preventing, r > w) << "w=" << w << " r=" << r;
+  EXPECT_EQ(pa.fusion_preventing, read_outruns_write(oc)) << label(oc);
 }
 
 TEST_P(OffsetSweep, FusedSemanticsWheneverDeclaredLegal) {
-  const auto& [w, r] = GetParam();
-  const Program p = make_pair(w, r);
+  const OffsetCase& oc = GetParam();
+  const Program p = make_pair(oc);
   const auto g = fusion::build_fusion_graph(p);
   const auto plan = fusion::best_fusion(g);
   const Program fused = transform::apply_fusion(p, g, plan);
   const double before = runtime::execute(p).checksum;
   const double after = runtime::execute(fused).checksum;
   ASSERT_NEAR(before, after, 1e-9 * (std::abs(before) + 1.0))
-      << "w=" << w << " r=" << r << " partitions=" << plan.num_partitions;
+      << label(oc) << " partitions=" << plan.num_partitions;
   // And when legal, the pair really fuses (the solver always profits).
-  if (r <= w) {
-    EXPECT_EQ(plan.num_partitions, 1);
+  if (!read_outruns_write(oc)) {
+    EXPECT_EQ(plan.num_partitions, 1) << label(oc);
   }
 }
 
 TEST_P(OffsetSweep, ShiftEqualsRequiredDelay) {
-  const auto& [w, r] = GetParam();
-  const Program p = make_pair(w, r);
+  const OffsetCase& oc = GetParam();
+  const Program p = make_pair(oc);
   const auto s = analysis::summarize_program(p);
   const auto shift = analysis::min_fusion_shift(s[0], s[1]);
-  ASSERT_TRUE(shift.has_value());
-  EXPECT_EQ(*shift, std::max(0, r - w)) << "w=" << w << " r=" << r;
+  ASSERT_TRUE(shift.has_value()) << label(oc);
+  EXPECT_EQ(*shift, required_delay(oc)) << label(oc);
 }
 
 TEST_P(OffsetSweep, ShiftedFusionSemantics) {
-  const auto& [w, r] = GetParam();
-  const Program p = make_pair(w, r);
+  const OffsetCase& oc = GetParam();
+  const Program p = make_pair(oc);
   fusion::FusionGraphOptions opts;
   opts.allow_shifted_fusion = true;
   const auto g = fusion::build_fusion_graph(p, opts);
   const auto plan = fusion::best_fusion(g);
-  EXPECT_EQ(plan.num_partitions, 1) << "w=" << w << " r=" << r;
+  EXPECT_EQ(plan.num_partitions, 1) << label(oc);
   const Program fused = transform::apply_fusion(p, g, plan);
   const double before = runtime::execute(p).checksum;
   const double after = runtime::execute(fused).checksum;
-  ASSERT_NEAR(before, after, 1e-9 * (std::abs(before) + 1.0))
-      << "w=" << w << " r=" << r;
+  ASSERT_NEAR(before, after, 1e-9 * (std::abs(before) + 1.0)) << label(oc);
 }
 
-INSTANTIATE_TEST_SUITE_P(Window, OffsetSweep,
-                         ::testing::Combine(::testing::Range(-3, 4),
-                                            ::testing::Range(-3, 4)));
+INSTANTIATE_TEST_SUITE_P(Window, OffsetSweep, ::testing::ValuesIn(window(1)));
+INSTANTIATE_TEST_SUITE_P(Stride2Window, OffsetSweep,
+                         ::testing::ValuesIn(window(2)));
 
 /// Same sweep for distribution: one loop with write-then-read statements.
-class DistributionSweep : public ::testing::TestWithParam<OffsetParam> {};
+class DistributionSweep : public ::testing::TestWithParam<OffsetCase> {};
 
 TEST_P(DistributionSweep, SplitDecisionMatchesSignRule) {
-  const auto& [w, r] = GetParam();
+  const OffsetCase& oc = GetParam();
   const std::int64_t n = 48;
   Program p("t");
-  const ArrayId a = p.add_array("a", {n + 16});
+  const ArrayId a = p.add_array("a", {oc.c * n + 16});
   p.add_scalar("s");
   p.mark_output_scalar("s");
   p.append(loop("i", 8, n,
-                assign(a, {v("i", w)}, lvar("i") * lit(0.25)),
-                assign("s", sref("s") + at(a, v("i", r)))));
+                assign(a, {v("i") * oc.c + oc.w}, lvar("i") * lit(0.25)),
+                assign("s", sref("s") + at(a, v("i") * oc.c + oc.r))));
   const auto result = transform::distribute_loops(p);
   // Sequencing the writer first is legal iff the read never outruns the
-  // write: r <= w (same rule as fusion, same derivation).
-  EXPECT_EQ(result.loops_after, r > w ? 1 : 2) << "w=" << w << " r=" << r;
+  // write (same rule as fusion, same derivation).
+  EXPECT_EQ(result.loops_after, read_outruns_write(oc) ? 1 : 2) << label(oc);
   const double before = runtime::execute(p).checksum;
   const double after = runtime::execute(result.program).checksum;
-  ASSERT_NEAR(before, after, 1e-9 * (std::abs(before) + 1.0));
+  ASSERT_NEAR(before, after, 1e-9 * (std::abs(before) + 1.0)) << label(oc);
 }
 
 INSTANTIATE_TEST_SUITE_P(Window, DistributionSweep,
-                         ::testing::Combine(::testing::Range(-3, 4),
-                                            ::testing::Range(-3, 4)));
+                         ::testing::ValuesIn(window(1)));
+INSTANTIATE_TEST_SUITE_P(Stride2Window, DistributionSweep,
+                         ::testing::ValuesIn(window(2)));
 
 /// Randomized full-pipeline sweep: every fusion solver crossed with every
 /// combination of {shifted fusion, interchange, storage reduction, store
@@ -141,7 +175,11 @@ INSTANTIATE_TEST_SUITE_P(Window, DistributionSweep,
 /// checksum of the original program, and its *merged parallel* traffic
 /// measurement is checked against the static traffic lower bound from
 /// bwc::verify -- the bound must hold no matter how many cores replayed
-/// the program.
+/// the program. Seed 2 runs with static verification off: the optimizer's
+/// legality queries and the static provers share one dependence engine,
+/// so there the trace validator, which shares no code with it, must
+/// certify every fusion, shift and interchange choice, with no check
+/// skipped.
 using PipelineParam = std::tuple<int /*solver*/, int /*option bitmask*/>;
 
 class PipelineSweep : public ::testing::TestWithParam<PipelineParam> {};
@@ -178,6 +216,16 @@ double run_parallel_with_bound_check(const Program& p, int cores,
   return runs[1].checksum;
 }
 
+/// Every verifier check of the run covered all its instances.
+void expect_no_skipped_check(const core::OptimizeResult& result,
+                             const std::string& label) {
+  for (const auto& report : result.pipeline.passes) {
+    EXPECT_FALSE(report.verify.skipped)
+        << label << ": " << report.pass << " " << report.verify.check
+        << " skipped: " << report.verify.skip_reason;
+  }
+}
+
 TEST_P(PipelineSweep, RandomProgramsVerifiedAndChecksumPreserved) {
   const auto& [solver_index, mask] = GetParam();
   const char* const solvers[] = {"best", "exact", "greedy", "bisection",
@@ -197,11 +245,14 @@ TEST_P(PipelineSweep, RandomProgramsVerifiedAndChecksumPreserved) {
         core_choices[(static_cast<std::uint64_t>(solver_index) + mask +
                       seed) %
                      4];
+    pass::PipelineOptions opts;
+    if (seed == 2) opts.static_verify = pass::StaticVerifyMode::kOff;
     Prng rng(seed);
     const Program p = workloads::random_program(rng);
     // optimize() throws if any pass fails translation / observability /
     // structural validation.
-    const core::OptimizeResult result = core::optimize(p, spec);
+    const core::OptimizeResult result = core::optimize(p, spec, opts);
+    expect_no_skipped_check(result, "1d seed=" + std::to_string(seed));
     const double before = runtime::execute(p).checksum;
     const double after = runtime::execute(result.program).checksum;
     ASSERT_NEAR(before, after, 1e-9 * (std::abs(before) + 1.0))
@@ -214,7 +265,8 @@ TEST_P(PipelineSweep, RandomProgramsVerifiedAndChecksumPreserved) {
 
     Prng rng2(seed);
     const Program p2 = workloads::random_program_2d(rng2, 10, 3);
-    const core::OptimizeResult result2 = core::optimize(p2, spec);
+    const core::OptimizeResult result2 = core::optimize(p2, spec, opts);
+    expect_no_skipped_check(result2, "2d seed=" + std::to_string(seed));
     const double before2 = runtime::execute(p2).checksum;
     const double after2 = runtime::execute(result2.program).checksum;
     ASSERT_NEAR(before2, after2, 1e-9 * (std::abs(before2) + 1.0))

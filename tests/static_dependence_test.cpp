@@ -1,6 +1,7 @@
 // Unit tests for the symbolic dependence engine (verify/static_dependence):
 // the bounded-linear-system solver and its classical refutation tests,
-// pairwise conflict systems with scheduling constraints, guard-refined
+// pairwise conflict systems with scheduling constraints, the
+// lexicographic-order conflict query, guard-refined
 // site/reference collection, the program-level dependence summary, and the
 // byte-linear parallel-safety certificate for stream loops.
 #include <gtest/gtest.h>
@@ -169,6 +170,53 @@ TEST(PairSystemTest, InexactDomainsDisableDependenceProofs) {
   const AffineRef r = array_ref("a", 1, -1, 0, 9, false);
   PairSystem sys(w, r);
   EXPECT_NE(sys.solve().verdict, Verdict::kDependent);
+}
+
+// -- lex_conflict ------------------------------------------------------------
+
+TEST(LexConflict, FirstDifferenceSelectsTheDirection) {
+  // write a[i] vs read a[i + 1]: element e is written at i = e, read at
+  // i = e - 1, so the reader's iteration is always one earlier.
+  const AffineRef w = array_ref("a", 1, 0, 0, 9, true);
+  const AffineRef r = array_ref("a", 1, 1, 0, 9, false);
+  EXPECT_EQ(lex_conflict(w, r, same_levels(1), VarDomain::range(-kSpan, -1))
+                .verdict,
+            Verdict::kDependent);
+  EXPECT_EQ(lex_conflict(w, r, same_levels(1), VarDomain::range(1, kSpan))
+                .verdict,
+            Verdict::kIndependent);
+  // A stride-2 reader of odd elements never meets an even writer.
+  const AffineRef w2 = array_ref("a", 2, 0, 0, 9, true);
+  const AffineRef r2 = array_ref("a", 2, 1, 0, 9, false);
+  EXPECT_EQ(lex_conflict(w2, r2, same_levels(1), {{{-kSpan, -1}, {1, kSpan}}})
+                .verdict,
+            Verdict::kIndependent);
+}
+
+TEST(LexConflict, ConstantSideRunsAtItsShift) {
+  // A loop-free write of a[5] placed at schedule value `at` against a
+  // reader of a[i]: they meet at i = 5, a difference of 5 - at.
+  AffineRef w;
+  w.subscripts = {ir::Affine::constant(5)};
+  w.array = "a";
+  w.write = true;
+  const AffineRef r = array_ref("a", 1, 0, 0, 9, false);
+  const VarDomain before = VarDomain::range(-kSpan, -1);
+  EXPECT_EQ(lex_conflict(w, r, {{-1, 3, 0, 0}}, before).verdict,
+            Verdict::kIndependent);
+  EXPECT_EQ(lex_conflict(w, r, {{-1, 7, 0, 0}}, before).verdict,
+            Verdict::kDependent);
+}
+
+TEST(LexConflict, EmptyScheduleAndIllFormedPairs) {
+  const AffineRef w = array_ref("a", 1, 0, 0, 9, true);
+  AffineRef r = array_ref("a", 1, 1, 0, 9, false);
+  const VarDomain before = VarDomain::range(-kSpan, -1);
+  // No levels: a single schedule point has no earlier instance.
+  EXPECT_EQ(lex_conflict(w, r, {}, before).verdict, Verdict::kIndependent);
+  r.subscripts.push_back(ir::Affine::constant(0));
+  EXPECT_EQ(lex_conflict(w, r, same_levels(1), before).verdict,
+            Verdict::kUnknown);
 }
 
 // -- collect_assign_sites / collect_refs --------------------------------------
