@@ -1,18 +1,29 @@
 // Ablation: inter-array data regrouping on a direct-mapped cache.
 //
+//   ablation_regrouping [--json]
+//
 // The Figure 3 footnote blames the Exemplar's 3w6r dip on "excessive cache
 // conflicts because it accesses 6 large arrays on a direct-mapped cache".
 // Regrouping (paper Section 4 / Ding's dissertation) interleaves arrays
 // accessed together, collapsing six conflicting streams into one: the
-// conflicts -- and the bandwidth they waste -- disappear.
+// conflicts -- and the bandwidth they waste -- disappear. Here it is the
+// regroup-arrays pass, a pure layout change: the arrays share an
+// interleave group in their ArrayLayout, no subscript is rewritten, no
+// packing copy runs, and the pipeline's verifier proves the change.
+//
+// --json emits one JSON object for the regression checker
+// (tools/check_bench_regression.py): the Exemplar memory-traffic ratio and
+// the Origin2000 predicted-time ratio, original over regrouped.
 #include "bench_common.h"
 
+#include <cstdio>
+#include <cstring>
 #include <iostream>
 
+#include "bwc/core/optimizer.h"
 #include "bwc/ir/dsl.h"
 #include "bwc/model/measure.h"
 #include "bwc/support/table.h"
-#include "bwc/transform/regrouping.h"
 
 namespace {
 
@@ -20,8 +31,7 @@ using namespace bwc;
 using namespace bwc::ir::dsl;
 
 /// The 3w6r kernel as an IR program: six arrays, three also written,
-/// swept `passes` times (regrouping's packing prologue amortizes over
-/// repeated sweeps, as in a real iterative application).
+/// swept `passes` times, as in a real iterative application.
 ir::Program three_w_six_r(std::int64_t n, std::int64_t passes) {
   ir::Program p("3w6r");
   std::vector<ir::ArrayId> arrays;
@@ -50,21 +60,39 @@ ir::Program three_w_six_r(std::int64_t n, std::int64_t passes) {
 
 }  // namespace
 
-int main() {
-  bench::print_header(
-      "Ablation: inter-array regrouping vs direct-mapped conflicts "
-      "(3w6r as a program)");
+int main(int argc, char** argv) {
+  bool json = false;
+  for (int i = 1; i < argc; ++i)
+    if (std::strcmp(argv[i], "--json") == 0) json = true;
 
   const std::int64_t n = 100000;
   const ir::Program original = three_w_six_r(n, /*passes=*/4);
-  const transform::RegroupingResult regrouped =
-      transform::regroup_all(original);
+  // Verification stays on (the PipelineOptions default).
+  const core::OptimizeResult regrouped =
+      core::optimize(original, "regroup-arrays");
 
-  TextTable t("Simulated Exemplar (direct-mapped, random page placement)");
-  t.set_header({"version", "mem traffic", "predicted ms", "checksum"});
   const machine::MachineModel exemplar = bench::exemplar();
   const auto before = model::measure(original, exemplar);
   const auto after = model::measure(regrouped.program, exemplar);
+  const machine::MachineModel o2k = bench::o2k();
+  const auto b2 = model::measure(original, o2k);
+  const auto a2 = model::measure(regrouped.program, o2k);
+
+  if (json) {
+    std::printf(
+        "{\"bench\": \"ablation_regrouping\", \"exemplar_traffic_ratio\": "
+        "%.3f, \"o2k_time_ratio\": %.3f}\n",
+        static_cast<double>(before.profile.memory_bytes()) /
+            static_cast<double>(after.profile.memory_bytes()),
+        b2.time.total_s / a2.time.total_s);
+    return 0;
+  }
+
+  bench::print_header(
+      "Ablation: inter-array regrouping vs direct-mapped conflicts "
+      "(3w6r as a program)");
+  TextTable t("Simulated Exemplar (direct-mapped, random page placement)");
+  t.set_header({"version", "mem traffic", "predicted ms", "checksum"});
   t.add_row({"six separate arrays",
              fmt_bytes(static_cast<double>(before.profile.memory_bytes())),
              fmt_fixed(before.time.total_s * 1e3, 2),
@@ -74,16 +102,15 @@ int main() {
              fmt_fixed(after.time.total_s * 1e3, 2),
              fmt_fixed(after.exec.checksum, 3)});
   std::cout << t.render();
-  for (const auto& a : regrouped.actions) std::cout << "  - " << a << "\n";
+  for (const pass::PassReport& p : regrouped.pipeline.passes)
+    for (const pass::Remark& r : p.remarks)
+      if (r.kind == pass::RemarkKind::kApplied)
+        std::cout << "  - " << r.message << "\n";
 
   std::cout << "\nregrouping collapses six page-aligned streams into two, "
                "eliminating the direct-mapped\npage collisions ("
             << fmt_fixed(before.time.total_s / after.time.total_s, 2)
             << "x) -- the fix for the Figure 3 footnote's 3w6r pathology.\n";
-
-  const machine::MachineModel o2k = bench::o2k();
-  const auto b2 = model::measure(original, o2k);
-  const auto a2 = model::measure(regrouped.program, o2k);
   std::cout << "on the 2-way Origin2000 model: "
             << fmt_fixed(b2.time.total_s * 1e3, 2) << " -> "
             << fmt_fixed(a2.time.total_s * 1e3, 2)

@@ -12,39 +12,6 @@ using ir::Stmt;
 using ir::StmtKind;
 using ir::StmtList;
 
-/// Does expression `e` reference scalar `name` anywhere?
-bool expr_uses_scalar(const Expr& e, const std::string& name) {
-  if (e.kind == ExprKind::kScalarRef && e.scalar == name) return true;
-  for (const auto& child : e.operands) {
-    if (expr_uses_scalar(*child, name)) return true;
-  }
-  return false;
-}
-
-/// Recognize s = s op rest (with s not referenced inside rest).
-bool is_reduction(const Stmt& s, ir::BinOp* op_out) {
-  BWC_ASSERT(s.kind == StmtKind::kScalarAssign, "expects scalar assign");
-  const Expr& rhs = *s.rhs;
-  if (rhs.kind != ExprKind::kBinary) return false;
-  if (rhs.op != ir::BinOp::kAdd && rhs.op != ir::BinOp::kMin &&
-      rhs.op != ir::BinOp::kMax)
-    return false;
-  const Expr& left = *rhs.operands[0];
-  const Expr& right = *rhs.operands[1];
-  if (left.kind == ExprKind::kScalarRef && left.scalar == s.lhs_scalar &&
-      !expr_uses_scalar(right, s.lhs_scalar)) {
-    *op_out = rhs.op;
-    return true;
-  }
-  // Also accept s = expr + s for additive reductions.
-  if (rhs.op == ir::BinOp::kAdd && right.kind == ExprKind::kScalarRef &&
-      right.scalar == s.lhs_scalar && !expr_uses_scalar(left, s.lhs_scalar)) {
-    *op_out = rhs.op;
-    return true;
-  }
-  return false;
-}
-
 class Collector {
  public:
   explicit Collector(LoopSummary& summary) : summary_(summary) {}
@@ -75,7 +42,7 @@ class Collector {
         break;
       case StmtKind::kScalarAssign: {
         ir::BinOp op = ir::BinOp::kAdd;
-        const bool reduction = is_reduction(s, &op);
+        const bool reduction = ir::reduction_shape(s, &op);
         if (reduction) {
           // Collect only the contributed operand; the self-reference of a
           // reduction is not an order-sensitive read.
@@ -214,6 +181,27 @@ std::vector<LoopSummary> summarize_program(const ir::Program& program) {
   for (int idx : program.top_loop_indices())
     result.push_back(summarize_loop(program, idx));
   return result;
+}
+
+std::set<std::string> order_sensitive_scalars(
+    const std::vector<LoopSummary>& statements) {
+  std::set<std::string> out;
+  std::map<std::string, ir::BinOp> op;
+  for (const LoopSummary& s : statements) {
+    for (const auto& [name, access] : s.scalars) {
+      if (!access.written) continue;
+      const auto it = op.emplace(name, access.reduction_op).first;
+      if (!access.reduction_only || it->second != access.reduction_op)
+        out.insert(name);
+    }
+  }
+  return out;
+}
+
+void clear_reductions(LoopSummary& summary,
+                      const std::set<std::string>& scalars) {
+  for (auto& [name, access] : summary.scalars)
+    if (scalars.count(name) > 0) access.reduction_only = false;
 }
 
 }  // namespace bwc::analysis

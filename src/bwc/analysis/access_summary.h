@@ -32,9 +32,10 @@ struct ArrayAccess {
 struct ScalarAccess {
   bool read = false;
   bool written = false;
-  /// Every write is of the reduction form s = s (+|min|max) expr with s not
-  /// otherwise used in expr. Additive reductions of the same scalar may be
-  /// fused without a fusion-preventing constraint.
+  /// Every write is a reduction (ir::reduction_shape) with one operator.
+  /// Matching reductions of the same scalar may be fused or split without
+  /// a fusion-preventing constraint -- unless the whole program also
+  /// writes the scalar some other way (order_sensitive_scalars).
   bool reduction_only = true;
   ir::BinOp reduction_op = ir::BinOp::kAdd;
 };
@@ -78,5 +79,18 @@ LoopSummary summarize_statement(const ir::Program& program, int top_index);
 
 /// Summaries of all top-level loops, in program order.
 std::vector<LoopSummary> summarize_program(const ir::Program& program);
+
+/// The whole-program reduction rule both verifiers apply: a scalar's
+/// updates may be reordered only when every write to it, anywhere in the
+/// program, is a reduction with one common operator. Returns the written
+/// scalars that break the rule (an initializing `s = 0`, mixed operators),
+/// given one summary per top-level statement.
+std::set<std::string> order_sensitive_scalars(
+    const std::vector<LoopSummary>& statements);
+
+/// Clear `reduction_only` on the given scalars of `summary`, so that
+/// analyze_pair orders their updates like any other write.
+void clear_reductions(LoopSummary& summary,
+                      const std::set<std::string>& scalars);
 
 }  // namespace bwc::analysis

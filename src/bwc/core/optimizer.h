@@ -7,8 +7,9 @@
 // computation to minimize total memory transfer (paper Section 3), storage
 // reduction shrinks localized arrays, store elimination removes writebacks
 // to arrays whose uses complete inside the fused loop. Interchange, scalar
-// replacement, regrouping and the layout passes are opt-in entries of the
-// same spec ("interchange,fuse(solver=exact),reduce-storage"). Per-pass
+// replacement and the layout passes -- inter-array regrouping
+// (regroup-arrays) among them -- are opt-in entries of the same spec
+// ("interchange,fuse(solver=exact),reduce-storage"). Per-pass
 // facts (timing, IR deltas, predicted traffic deltas, verifier outcomes,
 // machine-readable remarks) live in OptimizeResult::pipeline;
 // PipelineReport::to_text renders them as the human-readable pass log.

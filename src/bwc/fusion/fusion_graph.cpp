@@ -27,13 +27,23 @@ FusionGraph build_fusion_graph(
   BWC_CHECK(statement_summaries == nullptr ||
                 statement_summaries->size() == program.top().size(),
             "statement summaries must cover every top-level statement");
+  std::vector<analysis::LoopSummary> computed;
+  if (statement_summaries == nullptr) {
+    for (int k = 0; k < static_cast<int>(program.top().size()); ++k)
+      computed.push_back(analysis::summarize_statement(program, k));
+    statement_summaries = &computed;
+  }
+  const std::vector<analysis::LoopSummary>& statements = *statement_summaries;
+  // A reduction scalar the program also writes some other way keeps its
+  // update order: no pair may fuse on a relaxation the verifiers refuse.
+  const std::set<std::string> ordered =
+      analysis::order_sensitive_scalars(statements);
+
   FusionGraph g;
   g.loop_tops = program.top_loop_indices();
   for (int idx : g.loop_tops) {
-    g.summaries.push_back(
-        statement_summaries != nullptr
-            ? (*statement_summaries)[static_cast<std::size_t>(idx)]
-            : analysis::summarize_loop(program, idx));
+    g.summaries.push_back(statements[static_cast<std::size_t>(idx)]);
+    analysis::clear_reductions(g.summaries.back(), ordered);
   }
 
   const int n = g.node_count();
@@ -91,13 +101,7 @@ FusionGraph build_fusion_graph(
     if (program.top()[static_cast<std::size_t>(k)]->kind ==
         ir::StmtKind::kLoop)
       continue;
-    analysis::LoopSummary computed;
-    if (statement_summaries == nullptr)
-      computed = analysis::summarize_statement(program, k);
-    const analysis::LoopSummary& sk =
-        statement_summaries != nullptr
-            ? (*statement_summaries)[static_cast<std::size_t>(k)]
-            : computed;
+    const analysis::LoopSummary& sk = statements[static_cast<std::size_t>(k)];
     for (int i = 0; i < n; ++i) {
       if (g.loop_tops[static_cast<std::size_t>(i)] > k) break;
       if (!analysis::touch_conflict(sk,

@@ -108,6 +108,34 @@ bool equal(const StmtList& a, const StmtList& b) {
   return true;
 }
 
+namespace {
+
+bool uses_scalar(const Expr& e, const std::string& name) {
+  if (e.kind == ExprKind::kScalarRef && e.scalar == name) return true;
+  for (const auto& o : e.operands)
+    if (uses_scalar(*o, name)) return true;
+  return false;
+}
+
+}  // namespace
+
+bool reduction_shape(const Stmt& s, BinOp* op) {
+  if (s.kind != StmtKind::kScalarAssign || !s.rhs) return false;
+  const Expr& rhs = *s.rhs;
+  if (rhs.kind != ExprKind::kBinary || rhs.operands.size() != 2) return false;
+  if (rhs.op != BinOp::kAdd && rhs.op != BinOp::kMin && rhs.op != BinOp::kMax)
+    return false;
+  const auto is_self = [&](const Expr& e) {
+    return e.kind == ExprKind::kScalarRef && e.scalar == s.lhs_scalar;
+  };
+  const Expr& left = *rhs.operands[0];
+  const Expr& right = *rhs.operands[1];
+  const Expr* other = is_self(left) ? &right : is_self(right) ? &left : nullptr;
+  if (other == nullptr || uses_scalar(*other, s.lhs_scalar)) return false;
+  *op = rhs.op;
+  return true;
+}
+
 bool evaluate_cmp(CmpOp op, std::int64_t lhs, std::int64_t rhs) {
   switch (op) {
     case CmpOp::kEq:

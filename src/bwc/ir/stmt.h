@@ -77,6 +77,11 @@ StmtList clone_list(const StmtList& stmts);
 bool equal(const Stmt& a, const Stmt& b);
 bool equal(const StmtList& a, const StmtList& b);
 
+/// The one syntactic reduction recognizer: `s = s op e` or `s = e op s`,
+/// op in {+, min, max} (commutative and associative, so a reduction's
+/// updates may run in any order), with s not appearing in e. Stores op.
+bool reduction_shape(const Stmt& s, BinOp* op);
+
 bool evaluate_cmp(CmpOp op, std::int64_t lhs, std::int64_t rhs);
 const char* cmp_name(CmpOp op);  // "==", "!=", "<", "<=", ">", ">="
 

@@ -11,7 +11,6 @@
 #include "bwc/transform/fuse.h"
 #include "bwc/transform/interchange.h"
 #include "bwc/transform/layout.h"
-#include "bwc/transform/regrouping.h"
 #include "bwc/transform/scalar_replacement.h"
 #include "bwc/transform/storage_reduction.h"
 #include "bwc/transform/store_elimination.h"
@@ -260,26 +259,6 @@ PassResult ScalarReplacePass::run(ir::Program& program, AnalysisManager& am,
 }
 
 // ---------------------------------------------------------------------------
-// regroup
-
-PassResult RegroupPass::run(ir::Program& program, AnalysisManager& am,
-                            PassReport& report) {
-  (void)am;  // candidate detection does its own co-access scan
-  transform::RegroupingResult result = transform::regroup_all(program);
-  PassResult pr;
-  if (result.actions.empty()) {
-    report.note("regroup-no-candidates",
-                "no arrays are always accessed together");
-    return pr;
-  }
-  for (const auto& action : result.actions)
-    report.applied("regrouped", "regrouping: " + action);
-  program = std::move(result.program);
-  pr.changed = true;
-  return pr;
-}
-
-// ---------------------------------------------------------------------------
 // distribute
 
 PassResult DistributePass::run(ir::Program& program, AnalysisManager& am,
@@ -468,10 +447,6 @@ std::unique_ptr<Pass> create_pass(const PassSpec& spec) {
   if (spec.name == "scalar-replace") {
     expect_no_params(spec);
     return std::make_unique<ScalarReplacePass>();
-  }
-  if (spec.name == "regroup") {
-    expect_no_params(spec);
-    return std::make_unique<RegroupPass>();
   }
   if (spec.name == "distribute") {
     expect_no_params(spec);

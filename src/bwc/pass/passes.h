@@ -9,10 +9,10 @@
 //   reduce-storage    array contraction/shrinking/peeling
 //   eliminate-stores  writeback elimination
 //   scalar-replace    rotating-scalar register reuse
-//   regroup           inter-array data regrouping
 //   distribute        maximal loop distribution (fusion's inverse)
 //   transpose-layout  storage-order permutation toward innermost access
-//   regroup-arrays    SoA -> AoS interleave groups (layout-level regroup)
+//   regroup-arrays    inter-array data regrouping: SoA -> AoS interleave
+//                     groups, a pure layout change
 //   pad-arrays        conflict-breaking inter-dimension / base padding
 //   lint              diagnostics only: bwc-lint findings (pass/lint.h)
 #pragma once
@@ -89,14 +89,6 @@ class ScalarReplacePass : public Pass {
  public:
   std::string name() const override { return "scalar-replace"; }
   std::string label() const override { return "scalar replacement"; }
-  PassResult run(ir::Program& program, AnalysisManager& am,
-                 PassReport& report) override;
-};
-
-class RegroupPass : public Pass {
- public:
-  std::string name() const override { return "regroup"; }
-  std::string label() const override { return "regrouping"; }
   PassResult run(ir::Program& program, AnalysisManager& am,
                  PassReport& report) override;
 };

@@ -1,5 +1,7 @@
 #include "bwc/transform/distribute.h"
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "bwc/analysis/access_summary.h"
@@ -37,9 +39,10 @@ StmtList* innermost(Stmt& loop_stmt, int* depth,
 
 /// Can statement groups split between positions a (earlier stmt) and b
 /// (later stmt)? Uses analyze_pair on two synthetic single-statement loops
-/// that share the program's declarations.
-bool may_sequence(const Program& program, const Stmt& loop_stmt, int a,
-                  int b) {
+/// that share the program's declarations; `ordered` are the program's
+/// order-sensitive scalars (analysis::order_sensitive_scalars).
+bool may_sequence(const Program& program, const Stmt& loop_stmt, int a, int b,
+                  const std::set<std::string>& ordered) {
   // Build a scratch program containing the loop twice, each copy holding a
   // single statement of the pair.
   Program scratch = program.clone();
@@ -58,7 +61,9 @@ bool may_sequence(const Program& program, const Stmt& loop_stmt, int a,
     cursor->loop->body = std::move(kept);
     scratch.append(std::move(copy));
   }
-  const auto summaries = analysis::summarize_program(scratch);
+  auto summaries = analysis::summarize_program(scratch);
+  for (analysis::LoopSummary& s : summaries)
+    analysis::clear_reductions(s, ordered);
   const analysis::PairAnalysis pa =
       analysis::analyze_pair(summaries[0], summaries[1]);
   return !pa.fusion_preventing;
@@ -66,7 +71,8 @@ bool may_sequence(const Program& program, const Stmt& loop_stmt, int a,
 
 /// Distribute one top-level loop in place; returns the replacement loops.
 std::vector<ir::StmtPtr> distribute_one(const Program& program,
-                                        const Stmt& loop_stmt) {
+                                        const Stmt& loop_stmt,
+                                        const std::set<std::string>& ordered) {
   std::vector<ir::StmtPtr> out;
   // Work on a clone so the shells can be replicated per group.
   ir::StmtPtr base = loop_stmt.clone();
@@ -85,7 +91,7 @@ std::vector<ir::StmtPtr> distribute_one(const Program& program,
   std::vector<bool> splittable(static_cast<std::size_t>(k - 1), true);
   for (int i = 0; i < k; ++i) {
     for (int j = i + 1; j < k; ++j) {
-      if (!may_sequence(program, loop_stmt, i, j)) {
+      if (!may_sequence(program, loop_stmt, i, j, ordered)) {
         for (int boundary = i; boundary < j; ++boundary)
           splittable[static_cast<std::size_t>(boundary)] = false;
       }
@@ -129,22 +135,24 @@ DistributionResult distribute_loops(const Program& program) {
   result.loops_before =
       static_cast<int>(program.top_loop_indices().size());
 
-  Program out(program.name() + " (distributed)");
-  for (const auto& a : program.arrays())
-    out.add_array(a.name, a.extents, a.elem_bytes);
-  for (const auto& s : program.scalars()) out.add_scalar(s);
+  std::vector<analysis::LoopSummary> statements;
+  for (int k = 0; k < static_cast<int>(program.top().size()); ++k)
+    statements.push_back(analysis::summarize_statement(program, k));
+  const std::set<std::string> ordered =
+      analysis::order_sensitive_scalars(statements);
+
+  Program out = program.clone();
+  out.set_name(program.name() + " (distributed)");
+  out.top().clear();
 
   for (const auto& stmt : program.top()) {
     if (stmt->kind != StmtKind::kLoop) {
       out.append(stmt->clone());
       continue;
     }
-    for (auto& piece : distribute_one(program, *stmt))
+    for (auto& piece : distribute_one(program, *stmt, ordered))
       out.append(std::move(piece));
   }
-  for (const auto& s : program.output_scalars()) out.mark_output_scalar(s);
-  for (ir::ArrayId a : program.output_arrays()) out.mark_output_array(a);
-
   result.loops_after = static_cast<int>(out.top_loop_indices().size());
   result.program = std::move(out);
   return result;

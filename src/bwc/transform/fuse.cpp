@@ -310,11 +310,11 @@ ir::Program apply_fusion(const ir::Program& program, const FusionGraph& graph,
     stray.emplace_back(k, slot);
   }
 
-  // Assemble the output program.
-  ir::Program out(program.name() + " (fused)");
-  for (const auto& a : program.arrays())
-    out.add_array(a.name, a.extents, a.elem_bytes);
-  for (const auto& s : program.scalars()) out.add_scalar(s);
+  // Assemble the output program: the input's declarations (layouts and
+  // outputs included), new statements.
+  ir::Program out = program.clone();
+  out.set_name(program.name() + " (fused)");
+  out.top().clear();
 
   for (int p = 0; p <= num_partitions; ++p) {
     for (const auto& [k, slot] : stray) {
@@ -324,9 +324,6 @@ ir::Program apply_fusion(const ir::Program& program, const FusionGraph& graph,
     if (p < num_partitions)
       out.append(std::move(fused[static_cast<std::size_t>(p)]));
   }
-
-  for (const auto& s : program.output_scalars()) out.mark_output_scalar(s);
-  for (ir::ArrayId a : program.output_arrays()) out.mark_output_array(a);
   return out;
 }
 

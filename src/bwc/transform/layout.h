@@ -1,9 +1,9 @@
 // Layout transforms: rewrite ArrayLayout declarations, never statements.
 //
-// The fourth transform family. Where fusion, regrouping and storage
-// reduction rewrite the computation, these transforms change only where
-// elements sit in the simulated address space (ir::ArrayLayout), leaving
-// every statement -- and therefore every computed value -- untouched.
+// The fourth transform family. Where fusion and storage reduction rewrite
+// the computation, these transforms change only where elements sit in the
+// simulated address space (ir::ArrayLayout), leaving every statement --
+// and therefore every computed value -- untouched.
 // Legality is structural (verify::prove_layout_change); profitability is
 // judged against the layout-aware line-traffic estimator
 // (analysis/layout_traffic.h) for the configured cache geometry.
@@ -15,7 +15,10 @@
 //   regroup_layouts    interleave always-co-accessed same-shape 1-D
 //                      arrays into one allocation (SoA -> AoS) by
 //                      assigning them a shared interleave group: k
-//                      conflicting streams collapse into one.
+//                      conflicting streams collapse into one. This is
+//                      the inter-array data regrouping of the paper's
+//                      Section 4, with no subscript rewrite and no
+//                      packing copy.
 //
 //   pad_layouts        add dead element slots: inter-dimension padding
 //                      breaks power-of-two strides that collapse onto few

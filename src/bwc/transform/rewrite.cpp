@@ -216,24 +216,6 @@ void substitute_loop_var(ir::StmtList& body, const std::string& var,
   substitute_in_list(body, var, replacement);
 }
 
-void collect_loop_vars(const ir::StmtList& body,
-                       std::vector<std::string>& out) {
-  for (const auto& s : body) {
-    switch (s->kind) {
-      case ir::StmtKind::kLoop:
-        out.push_back(s->loop->var);
-        collect_loop_vars(s->loop->body, out);
-        break;
-      case ir::StmtKind::kIf:
-        collect_loop_vars(s->then_body, out);
-        collect_loop_vars(s->else_body, out);
-        break;
-      default:
-        break;
-    }
-  }
-}
-
 std::string fresh_name(const std::string& base,
                        const std::vector<std::string>& taken) {
   if (std::find(taken.begin(), taken.end(), base) == taken.end()) return base;

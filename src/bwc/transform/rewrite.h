@@ -36,10 +36,6 @@ void replace_exprs(ir::StmtList& body,
 void substitute_loop_var(ir::StmtList& body, const std::string& var,
                          const ir::Affine& replacement);
 
-/// Collect the set of loop-variable names declared anywhere in a body.
-void collect_loop_vars(const ir::StmtList& body,
-                       std::vector<std::string>& out);
-
 /// A fresh name not colliding with any name in `taken`; base is used as a
 /// prefix ("t" -> "t", "t_1", "t_2", ...).
 std::string fresh_name(const std::string& base,

@@ -248,14 +248,19 @@ TuneResult tune(const ir::Program& program, const TuneOptions& options) {
   };
 
   // Starting population: the do-nothing pipeline, the default pipeline,
-  // and any caller-provided seeds (sorted + deduped so the population is
-  // independent of the seeds' arrival order).
+  // any caller-provided seeds (sorted + deduped so the population is
+  // independent of the seeds' arrival order), then every gene in front of
+  // the default pipeline. The gene seeds score each enabling transform
+  // composed with the paper's pipeline whatever the PRNG draws: the bound
+  // often ties such a pipeline with its bare gene, and the tie-break
+  // toward shorter pipelines would then never reach it.
   push("");
   push(out.default_spec);
   std::vector<std::string> seeds = options.seed_specs;
   std::sort(seeds.begin(), seeds.end());
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
   for (const std::string& s : seeds) push(s);
+  for (const std::string& g : gene_pool()) push(g + "," + out.default_spec);
 
   std::vector<Scored> all;
   while (true) {

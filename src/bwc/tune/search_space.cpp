@@ -29,7 +29,6 @@ std::vector<PassSpec> parse_genes() {
       "reduce-storage",
       "eliminate-stores",
       "scalar-replace",
-      "regroup",
       "distribute",
       "transpose-layout",
       "regroup-arrays",

@@ -277,7 +277,10 @@ class Tracer {
     return 0;
   }
 
-  /// `s = s op expr` with s not otherwise in expr?
+  /// `s = s op expr` (either operand order) with s not otherwise in expr?
+  /// Deliberately a private copy of ir::reduction_shape: the trace
+  /// validator is the oracle for the optimizer and the static engine, so
+  /// a recognizer bug must not reach all three (docs/VERIFY.md).
   bool reduction_shape(const ir::Stmt& s, ir::BinOp* op) const {
     if (s.kind != ir::StmtKind::kScalarAssign || !s.rhs) return false;
     const ir::Expr& rhs = *s.rhs;

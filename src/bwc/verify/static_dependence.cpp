@@ -36,18 +36,6 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
 
 }  // namespace
 
-const char* verdict_name(Verdict v) {
-  switch (v) {
-    case Verdict::kIndependent:
-      return "independent";
-    case Verdict::kDependent:
-      return "dependent";
-    case Verdict::kUnknown:
-      return "unknown";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // VarDomain
 
@@ -522,13 +510,6 @@ struct SiteWalker {
   }
 };
 
-bool uses_scalar(const ir::Expr& e, const std::string& name) {
-  if (e.kind == ir::ExprKind::kScalarRef && e.scalar == name) return true;
-  for (const auto& o : e.operands)
-    if (uses_scalar(*o, name)) return true;
-  return false;
-}
-
 }  // namespace
 
 SiteWalk collect_assign_sites(const ir::Stmt& top) {
@@ -536,32 +517,6 @@ SiteWalk collect_assign_sites(const ir::Stmt& top) {
   SiteWalker w{&out, {}, {}, {}, true};
   w.walk(top, {});
   return out;
-}
-
-bool reduction_shape(const ir::Stmt& s, ir::BinOp* op) {
-  // `s = s op expr` with s not otherwise in expr; op commutative. Mirrors
-  // the trace validator's reduction_shape in verify/events.cpp.
-  if (s.kind != ir::StmtKind::kScalarAssign || !s.rhs) return false;
-  const ir::Expr& rhs = *s.rhs;
-  if (rhs.kind != ir::ExprKind::kBinary || rhs.operands.size() != 2)
-    return false;
-  if (rhs.op != ir::BinOp::kAdd && rhs.op != ir::BinOp::kMin &&
-      rhs.op != ir::BinOp::kMax)
-    return false;
-  const ir::Expr* self = nullptr;
-  const ir::Expr* other = nullptr;
-  for (const auto& o : rhs.operands) {
-    if (o->kind == ir::ExprKind::kScalarRef && o->scalar == s.lhs_scalar &&
-        self == nullptr) {
-      self = o.get();
-    } else {
-      other = o.get();
-    }
-  }
-  if (!self || !other) return false;
-  if (uses_scalar(*other, s.lhs_scalar)) return false;
-  *op = rhs.op;
-  return true;
 }
 
 namespace {
@@ -610,7 +565,7 @@ std::vector<AffineRef> site_refs(const ir::Program& program,
     w.subscripts = s.lhs_subscripts;
   } else {
     w.scalar = s.lhs_scalar;
-    w.reduction = reduction_shape(s, &w.reduction_op);
+    w.reduction = ir::reduction_shape(s, &w.reduction_op);
   }
   w.write = true;
   w.loop_vars = site.loop_vars;

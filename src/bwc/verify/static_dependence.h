@@ -38,8 +38,6 @@ enum class Verdict { kIndependent, kDependent, kUnknown };
 /// that sums and products of clamped values cannot overflow int64.
 inline constexpr std::int64_t kSpan = std::int64_t{1} << 60;
 
-const char* verdict_name(Verdict v);
-
 // ---------------------------------------------------------------------------
 // Bounded integer linear systems.
 
@@ -206,10 +204,6 @@ struct SiteWalk {
 /// Walk one top-level statement, refining loop domains through guards with
 /// the interval.h splitter, and return every assignment site.
 SiteWalk collect_assign_sites(const ir::Stmt& top);
-
-/// Detect the commutative-reduction statement shape `s = s op expr` (op in
-/// {+, min, max}, s not otherwise in expr); mirrors the trace validator.
-bool reduction_shape(const ir::Stmt& s, ir::BinOp* op);
 
 /// The references of one assignment site: rhs reads (pre-order), then the
 /// lhs write, all carrying the site's loop context.

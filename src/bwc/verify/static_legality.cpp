@@ -32,7 +32,7 @@ std::vector<Atom> collect_atoms(const ir::Program& program, bool* exact) {
       Atom a;
       a.top = static_cast<int>(t);
       a.site = std::move(site);
-      a.reduction = reduction_shape(*a.site.stmt, &a.reduction_op);
+      a.reduction = ir::reduction_shape(*a.site.stmt, &a.reduction_op);
       atoms.push_back(std::move(a));
     }
   }
@@ -521,18 +521,6 @@ bool reduction_scalar(const std::vector<Atom>& atoms, const std::string& s,
 }
 
 }  // namespace
-
-const char* legality_verdict_name(LegalityVerdict v) {
-  switch (v) {
-    case LegalityVerdict::kProven:
-      return "proven";
-    case LegalityVerdict::kRefuted:
-      return "refuted";
-    case LegalityVerdict::kUnknown:
-      return "unknown";
-  }
-  return "?";
-}
 
 Report LegalityResult::to_report(const std::string& check,
                                  const std::string& code) const {

@@ -44,8 +44,6 @@ namespace bwc::verify {
 
 enum class LegalityVerdict { kProven, kRefuted, kUnknown };
 
-const char* legality_verdict_name(LegalityVerdict v);
-
 struct LegalityResult {
   LegalityVerdict verdict = LegalityVerdict::kUnknown;
   /// Short machine-usable reason when not proven (e.g. "atom-match-failed",

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bwc/core/optimizer.h"
 #include "bwc/machine/machine_model.h"
 #include "bwc/model/measure.h"
 #include "bwc/pass/pipeline_spec.h"
@@ -188,6 +189,31 @@ TEST(AutotuneSearch, WinnerBeatsOrMatchesDefaultWithCertificates) {
   }
   EXPECT_GE(strictly_better, 1);
   EXPECT_GE(certificates, 2);
+}
+
+// Every gene is seeded in front of the default pipeline, so the stride
+// win no longer depends on what the PRNG draws: each tune seed finds the
+// best pipeline, which the static bound ties with bare interchange.
+TEST(AutotuneSearch, StrideWinnerIsSeedIndependent) {
+  const ir::Program program = workloads::transposed_sweep(256);
+  const machine::MachineModel machine = test_machine(512);
+  const std::uint64_t best = measured_bytes(
+      core::optimize(program,
+                     "interchange,fuse(solver=best),reduce-storage,"
+                     "eliminate-stores")
+          .program,
+      machine);
+  for (const char* budget : {"small", "medium"}) {
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      TuneOptions o = small_options(512);
+      o.budget = parse_budget(budget);
+      o.seed = seed;
+      const TuneResult result = tune(program, o);
+      EXPECT_EQ(static_cast<std::uint64_t>(result.winner_measured_bytes), best)
+          << "budget " << budget << ", seed " << seed << ": "
+          << result.winner_spec;
+    }
+  }
 }
 
 // The winner's report renders as bwc-remarks-v1 records: the synthetic

@@ -15,7 +15,8 @@
 #include "bwc/runtime/interpreter.h"
 #include "bwc/support/error.h"
 #include "bwc/support/prng.h"
-#include "bwc/transform/regrouping.h"
+#include "bwc/transform/layout.h"
+#include "bwc/verify/static_legality.h"
 #include "bwc/workloads/paper_programs.h"
 #include "bwc/workloads/random_programs.h"
 
@@ -136,82 +137,92 @@ ir::Program coaccessed_program(std::int64_t n) {
   return p;
 }
 
+// regroup-arrays changes only ArrayLayout: co-accessed same-shape arrays
+// share an interleave group.
 TEST(Regrouping, CandidatesGroupCoaccessedSameShapeArrays) {
   const ir::Program p = coaccessed_program(64);
-  const auto groups = transform::regrouping_candidates(p);
-  // a and b are read-only co-accessed; c is written (different bucket).
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0].size(), 2u);
+  const auto r = transform::regroup_layouts(p);
+  ASSERT_EQ(r.actions.size(), 1u);
+  // a and b are read-only co-accessed; the written c has no partner.
+  const int group = r.program.array(r.program.array_id("a")).layout.group;
+  EXPECT_GE(group, 0);
+  EXPECT_EQ(r.program.array(r.program.array_id("b")).layout.group, group);
+  EXPECT_LT(r.program.array(r.program.array_id("c")).layout.group, 0);
 }
 
+// A layout never moves a value, so the checksum is unchanged.
 TEST(Regrouping, PreservesSemantics) {
   const ir::Program p = coaccessed_program(64);
-  const auto r = transform::regroup_all(p);
+  const auto r = transform::regroup_layouts(p);
   ASSERT_EQ(r.actions.size(), 1u);
   EXPECT_NEAR(runtime::execute(p).checksum,
               runtime::execute(r.program).checksum, 1e-9);
 }
 
+// The group is one allocation of 16 elements with a(i) and b(i) adjacent:
+// subscripts interleave through the addressing, not through a rewrite.
 TEST(Regrouping, InterleavesSubscripts) {
   const ir::Program p = coaccessed_program(8);
-  const auto r = transform::regroup_all(p);
-  // A grouped array of extent 16 exists and a/b are no longer referenced.
-  bool found = false;
-  for (const auto& decl : r.program.arrays()) {
-    if (decl.name.rfind("grp_", 0) == 0) {
-      EXPECT_EQ(decl.extents[0], 16);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
+  const auto r = transform::regroup_layouts(p);
+  const ir::ArrayId a = r.program.array_id("a");
+  const ir::ArrayId b = r.program.array_id("b");
+  const ir::ArrayAddressing ra = ir::resolve_addressing(r.program, a);
+  const ir::ArrayAddressing rb = ir::resolve_addressing(r.program, b);
+  EXPECT_EQ(ra.owner, a);
+  EXPECT_EQ(rb.owner, a);
+  EXPECT_TRUE(ra.owns_allocation);
+  EXPECT_FALSE(rb.owns_allocation);
+  EXPECT_EQ(ra.alloc_bytes, 16u * 8u);
+  EXPECT_EQ(ra.addr_scale, 2u * 8u);
+  EXPECT_EQ(rb.addr_scale, 2u * 8u);
+  EXPECT_EQ(ra.member_offset, 0u);
+  EXPECT_EQ(rb.member_offset, 8u);
+  // Statements are untouched: a and b are still the arrays referenced.
+  EXPECT_TRUE(ir::equal(r.program.top(), p.top()));
 }
 
+// Outputs may be grouped (a layout never changes a value); an array with
+// no same-shape partner may not.
 TEST(Regrouping, SkipsOutputsAndSingletons) {
   ir::Program p("t");
   const ir::ArrayId a = p.add_array("a", {16});
-  const ir::ArrayId b = p.add_array("b", {16});
-  p.mark_output_array(b);
+  const ir::ArrayId b = p.add_array("b", {32});  // same statement, other shape
   p.add_scalar("s");
   p.mark_output_scalar("s");
   p.append(loop("i", 1, 16,
                 assign("s", sref("s") + at(a, v("i")) + at(b, v("i")))));
-  EXPECT_TRUE(transform::regrouping_candidates(p).empty());
+  EXPECT_TRUE(transform::regroup_layouts(p).actions.empty());
 }
 
+// Group members must agree on shape and element size: the addressing
+// refuses a malformed group, and so does the layout-change prover.
 TEST(Regrouping, RejectsMalformedGroups) {
   ir::Program p("t");
   const ir::ArrayId a = p.add_array("a", {16});
-  const ir::ArrayId b = p.add_array("b", {32});  // different shape
-  EXPECT_THROW(transform::regroup_arrays(p, {{a, b}}), Error);
-  EXPECT_THROW(transform::regroup_arrays(p, {{a}}), Error);
+  const ir::ArrayId b = p.add_array("b", {32});     // different shape
+  const ir::ArrayId c = p.add_array("c", {16}, 4);  // different element size
+  for (const ir::ArrayId partner : {b, c}) {
+    ir::Program grouped = p.clone();
+    grouped.mutable_array(a).layout.group = 0;
+    grouped.mutable_array(partner).layout.group = 0;
+    EXPECT_THROW(ir::resolve_addressing(grouped, a), Error);
+    EXPECT_THROW(ir::resolve_addressing(grouped, partner), Error);
+    const verify::LegalityResult res = verify::prove_layout_change(p, grouped);
+    EXPECT_EQ(res.verdict, verify::LegalityVerdict::kRefuted);
+    EXPECT_EQ(res.reason.rfind("invalid-layout", 0), 0u) << res.reason;
+  }
 }
 
 TEST(Regrouping, RandomProgramsPreserveSemantics) {
   Prng rng(31415);
   for (int trial = 0; trial < 15; ++trial) {
     const ir::Program p = workloads::random_program(rng);
-    const auto r = transform::regroup_all(p);
+    const auto r = transform::regroup_layouts(p);
     const double before = runtime::execute(p).checksum;
     const double after = runtime::execute(r.program).checksum;
     EXPECT_NEAR(before, after, 1e-9 * (std::abs(before) + 1.0))
         << "trial " << trial;
   }
-}
-
-TEST(Regrouping, TwoDimensionalArrays) {
-  ir::Program p("t2d");
-  const ir::ArrayId a = p.add_array("a", {8, 8});
-  const ir::ArrayId b = p.add_array("b", {8, 8});
-  p.add_scalar("s");
-  p.mark_output_scalar("s");
-  p.append(loop("j", 1, 8,
-                loop("i", 1, 8,
-                     assign("s", sref("s") + (at(a, v("i"), v("j")) +
-                                              at(b, v("i"), v("j")))))));
-  const auto r = transform::regroup_all(p);
-  ASSERT_EQ(r.actions.size(), 1u);
-  EXPECT_NEAR(runtime::execute(p).checksum,
-              runtime::execute(r.program).checksum, 1e-9);
 }
 
 // -- k-way cut reduction (paper Section 3.1.3) ------------------------------------

@@ -107,6 +107,23 @@ TEST(Stmt, CloneAndEquality) {
   EXPECT_FALSE(equal(*s, *c));
 }
 
+TEST(Stmt, ReductionShapeAcceptsEitherOperandOrder) {
+  BinOp op = BinOp::kMul;
+  EXPECT_TRUE(reduction_shape(*assign("s", sref("s") + at(0, v("i"))), &op));
+  EXPECT_EQ(op, BinOp::kAdd);
+  const StmtPtr mirrored =
+      assign("s", make_binary(BinOp::kMin, at(0, v("i")) * lit(2.0),
+                              sref("s")));
+  EXPECT_TRUE(reduction_shape(*mirrored, &op));
+  EXPECT_EQ(op, BinOp::kMin);
+  // Not a reduction: a non-commutative op, the scalar inside the other
+  // operand, another scalar's update, an array write.
+  EXPECT_FALSE(reduction_shape(*assign("s", sref("s") - lit(1.0)), &op));
+  EXPECT_FALSE(reduction_shape(*assign("s", sref("s") + sref("s")), &op));
+  EXPECT_FALSE(reduction_shape(*assign("t", sref("s") + lit(1.0)), &op));
+  EXPECT_FALSE(reduction_shape(*assign(0, {v("i")}, lit(1.0)), &op));
+}
+
 TEST(Stmt, CmpEvaluation) {
   EXPECT_TRUE(evaluate_cmp(CmpOp::kLe, 3, 3));
   EXPECT_FALSE(evaluate_cmp(CmpOp::kLt, 3, 3));

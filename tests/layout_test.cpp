@@ -15,6 +15,7 @@
 
 #include "bwc/analysis/layout_traffic.h"
 #include "bwc/core/optimizer.h"
+#include "bwc/ir/dsl.h"
 #include "bwc/ir/parser.h"
 #include "bwc/ir/printer.h"
 #include "bwc/ir/program.h"
@@ -331,6 +332,41 @@ TEST(LayoutTransforms, TransposeSkipsBalancedAndGroupedArrays) {
   p.mutable_array(1).layout.group = 0;
   const transform::LayoutResult g = transform::transpose_layouts(p);
   EXPECT_TRUE(g.program.array(0).layout.order.empty());
+}
+
+// The classic passes rewrite statements, never declarations: every
+// ArrayLayout survives fusion and distribution when they fire.
+TEST(LayoutTransforms, FuseAndDistributeKeepLayouts) {
+  using namespace ir::dsl;  // NOLINT
+  const auto program = [](bool one_loop) {
+    Program p("laid-out");
+    const ArrayId x = p.add_array("x", {256});
+    const ArrayId a = p.add_array("a", {256});
+    const ArrayId b = p.add_array("b", {256});
+    p.mutable_array(x).layout.pad = {8};
+    p.mutable_array(a).layout.group = 0;
+    p.mutable_array(b).layout.group = 0;
+    p.mark_output_array(a);
+    p.mark_output_array(b);
+    ir::StmtPtr sa = assign(a, {v("i")}, at(x, v("i")) * lit(2.0));
+    ir::StmtPtr sb = assign(b, {v("i")}, at(x, v("i")) + lit(1.0));
+    if (one_loop) {
+      p.append(loop("i", 1, 256, std::move(sa), std::move(sb)));
+    } else {
+      p.append(loop("i", 1, 256, std::move(sa)));
+      p.append(loop("i", 1, 256, std::move(sb)));
+    }
+    return p;
+  };
+  for (const bool one_loop : {false, true}) {
+    const Program p = program(one_loop);
+    const core::OptimizeResult r =
+        core::optimize(p, one_loop ? "distribute" : "fuse");
+    ASSERT_TRUE(r.pipeline.passes.at(0).changed) << p.name();
+    for (int k = 0; k < p.array_count(); ++k)
+      EXPECT_EQ(r.program.array(k).layout, p.array(k).layout)
+          << p.array(k).name << " after " << r.pipeline.passes.at(0).pass;
+  }
 }
 
 // --------------------------------------------------------------------

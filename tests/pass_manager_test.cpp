@@ -23,7 +23,7 @@
 #include "bwc/transform/distribute.h"
 #include "bwc/transform/fuse.h"
 #include "bwc/transform/interchange.h"
-#include "bwc/transform/regrouping.h"
+#include "bwc/transform/layout.h"
 #include "bwc/transform/scalar_replacement.h"
 #include "bwc/transform/storage_reduction.h"
 #include "bwc/transform/store_elimination.h"
@@ -89,7 +89,7 @@ TEST(PassRegistry, RejectsUnknownPassesAndParams) {
 TEST(PassRegistry, BuildsEveryKnownPass) {
   const PipelineSpec spec = parse_pipeline_spec(
       "interchange,fuse(solver=greedy,shift=1,max-shift=4),reduce-storage,"
-      "eliminate-stores,scalar-replace,regroup,distribute");
+      "eliminate-stores,scalar-replace,regroup-arrays,distribute");
   const auto passes = build_pipeline(spec);
   ASSERT_EQ(passes.size(), 7u);
   for (std::size_t i = 0; i < passes.size(); ++i)
@@ -134,8 +134,8 @@ void hand_apply(Program& p, const PassSpec& spec) {
   } else if (spec.name == "scalar-replace") {
     transform::ScalarReplacementResult r = transform::replace_scalars(p);
     if (!r.actions.empty()) p = std::move(r.program);
-  } else if (spec.name == "regroup") {
-    transform::RegroupingResult r = transform::regroup_all(p);
+  } else if (spec.name == "regroup-arrays") {
+    transform::LayoutResult r = transform::regroup_layouts(p);
     if (!r.actions.empty()) p = std::move(r.program);
   } else if (spec.name == "distribute") {
     transform::DistributionResult r = transform::distribute_loops(p);
@@ -187,7 +187,7 @@ TEST(PassOrdering, NonDefaultOrderings) {
   expect_matches_hand_calls(workloads::fig6_original(24),
                             "reduce-storage,fuse(solver=exact),scalar-replace");
   expect_matches_hand_calls(workloads::blur_sharpen(64),
-                            "distribute,fuse(solver=best),regroup");
+                            "distribute,fuse(solver=best),regroup-arrays");
 }
 
 TEST(PassOrdering, RandomizedSweep) {
@@ -197,7 +197,7 @@ TEST(PassOrdering, RandomizedSweep) {
   const std::vector<std::string> pool = {
       "interchange",       "fuse(solver=best)", "fuse(solver=greedy)",
       "fuse(solver=edge-weighted)", "reduce-storage",
-      "eliminate-stores",  "scalar-replace",    "regroup",
+      "eliminate-stores",  "scalar-replace",    "regroup-arrays",
       "distribute"};
   Prng rng(20260807);
   for (int trial = 0; trial < 25; ++trial) {

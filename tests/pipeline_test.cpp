@@ -1,6 +1,7 @@
 // Pipeline tests over realistic multi-loop programs (Jacobi chains, ADI
-// sweeps, image chains): fusion legality in the presence of stencil
-// offsets, full-pipeline semantics, and profitability.
+// sweeps, image chains, scalar reductions split across loops): fusion
+// legality in the presence of stencil offsets and reductions,
+// full-pipeline semantics, and profitability.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,7 @@
 #include "bwc/analysis/liveness.h"
 #include "bwc/core/optimizer.h"
 #include "bwc/fusion/solvers.h"
+#include "bwc/ir/dsl.h"
 #include "bwc/ir/printer.h"
 #include "bwc/model/measure.h"
 #include "bwc/runtime/interpreter.h"
@@ -152,6 +154,77 @@ TEST(ReductionCascade, TrafficScalesDownByKernelCount) {
   const double after = static_cast<double>(
       model::measure(r.program, machine).profile.memory_bytes());
   EXPECT_NEAR(before / after, kernels, 0.5);
+}
+
+// -- Scalar reductions across loops -------------------------------------------
+
+using namespace ir::dsl;  // NOLINT
+
+/// Two loops updating `m` from x and y: `m = m op e` (or `m = e op m` when
+/// `self_last`), optionally after `m = 0`. With `one_loop` both updates
+/// share one loop instead (a distribution candidate).
+ir::Program two_reductions(ir::BinOp op, bool self_last, bool init,
+                           bool one_loop = false) {
+  const std::int64_t n = 4096;
+  ir::Program p("reductions");
+  const ir::ArrayId x = p.add_array("x", {n});
+  const ir::ArrayId y = p.add_array("y", {n});
+  p.add_scalar("m");
+  p.mark_output_scalar("m");
+  const auto update = [&](ir::ExprPtr e) {
+    return assign("m", self_last
+                           ? ir::make_binary(op, std::move(e), sref("m"))
+                           : ir::make_binary(op, sref("m"), std::move(e)));
+  };
+  if (init) p.append(assign("m", lit(0.0)));
+  if (one_loop) {
+    p.append(loop("i", 1, n, update(at(x, v("i")) * lit(2.0)),
+                  update(at(y, v("i")) + lit(1.0))));
+  } else {
+    p.append(loop("i", 1, n, update(at(x, v("i")) * lit(2.0))));
+    p.append(loop("i", 1, n, update(at(y, v("i")) + lit(1.0))));
+  }
+  return p;
+}
+
+// `m = e min m` is the same reduction as `m = m min e`: the loops fuse
+// either way, and both the static prover and the trace validator certify.
+TEST(ScalarReductions, MirroredMinFusesLikeSelfFirst) {
+  for (const bool self_last : {false, true}) {
+    const ir::Program p = two_reductions(ir::BinOp::kMin, self_last, false);
+    for (const auto mode : {pass::StaticVerifyMode::kOn,
+                            pass::StaticVerifyMode::kOff}) {
+      pass::PipelineOptions opts;
+      opts.static_verify = mode;
+      const auto r = core::optimize(p, core::kDefaultPipeline, opts);
+      const pass::PassReport& fuse = r.pipeline.passes.at(0);
+      EXPECT_TRUE(fuse.changed) << "self_last " << self_last;
+      EXPECT_EQ(r.program.top_loop_indices().size(), 1u);
+      EXPECT_EQ(fuse.verify.check, mode == pass::StaticVerifyMode::kOn
+                                       ? "static-reschedule"
+                                       : "translation");
+      EXPECT_FALSE(fuse.verify.skipped);
+      expect_preserved(p, r.program);
+    }
+  }
+}
+
+// An initializing `m = 0` makes m's update order observable to both
+// verifiers, so neither fusion nor distribution may reorder the updates.
+// Without it the reductions commute and the loops fuse (or split).
+TEST(ScalarReductions, InitializedReductionsKeepTheirOrder) {
+  for (const bool init : {true, false}) {
+    const ir::Program p = two_reductions(ir::BinOp::kAdd, false, init);
+    const auto fused = core::optimize(p);
+    EXPECT_EQ(fused.program.top_loop_indices().size(), init ? 2u : 1u);
+    expect_preserved(p, fused.program);
+
+    const ir::Program q =
+        two_reductions(ir::BinOp::kAdd, false, init, /*one_loop=*/true);
+    const auto split = core::optimize(q, "distribute");
+    EXPECT_EQ(split.program.top_loop_indices().size(), init ? 1u : 2u);
+    expect_preserved(q, split.program);
+  }
 }
 
 }  // namespace
