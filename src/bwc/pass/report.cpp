@@ -3,40 +3,15 @@
 #include <cstdio>
 #include <sstream>
 
+#include "bwc/support/json_escape.h"
+
 namespace bwc::pass {
 
 namespace {
 
-/// JSON string escaping (control characters, quotes, backslashes).
-std::string json_escape(const std::string& s) {
-  std::ostringstream os;
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  return os.str();
-}
-
-std::string json_str(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
-}
-
 void append_ir_stats(std::ostringstream& os, const char* key,
                      const IrStats& s) {
-  os << json_str(key) << ": {\"loops\": " << s.loops
+  os << json_quote(key) << ": {\"loops\": " << s.loops
      << ", \"statements\": " << s.statements
      << ", \"arrays_referenced\": " << s.arrays_referenced
      << ", \"referenced_bytes\": " << s.referenced_bytes << "}";
@@ -145,8 +120,8 @@ std::string PipelineReport::to_json(const std::string& program,
                                     const std::string& pipeline) const {
   std::ostringstream os;
   os << "{\"schema\": \"bwc-remarks-v1\"";
-  os << ", \"program\": " << json_str(program);
-  os << ", \"pipeline\": " << json_str(pipeline);
+  os << ", \"program\": " << json_quote(program);
+  os << ", \"pipeline\": " << json_quote(pipeline);
   os << ", \"analysis_cache\": {\"hits\": " << analysis.hits
      << ", \"misses\": " << analysis.misses
      << ", \"invalidations\": " << analysis.invalidations << "}";
@@ -154,8 +129,8 @@ std::string PipelineReport::to_json(const std::string& program,
   for (std::size_t i = 0; i < passes.size(); ++i) {
     const PassReport& p = passes[i];
     if (i > 0) os << ", ";
-    os << "{\"pass\": " << json_str(p.pass)
-       << ", \"label\": " << json_str(p.label)
+    os << "{\"pass\": " << json_quote(p.pass)
+       << ", \"label\": " << json_quote(p.label)
        << ", \"changed\": " << (p.changed ? "true" : "false");
     char ms[64];
     std::snprintf(ms, sizeof(ms), "%.6f", p.wall_ms);
@@ -170,9 +145,9 @@ std::string PipelineReport::to_json(const std::string& program,
        << ", \"traffic_bound_after_bytes\": " << p.traffic_bound_after
        << ", \"traffic_bound_delta_bytes\": " << p.traffic_bound_delta();
     if (p.verify.ran) {
-      os << ", \"verify\": {\"check\": " << json_str(p.verify.check)
+      os << ", \"verify\": {\"check\": " << json_quote(p.verify.check)
          << ", \"skipped\": " << (p.verify.skipped ? "true" : "false")
-         << ", \"skip_reason\": " << json_str(p.verify.skip_reason)
+         << ", \"skip_reason\": " << json_quote(p.verify.skip_reason)
          << ", \"instances_checked\": " << p.verify.instances_checked << "}";
     } else {
       os << ", \"verify\": null";
@@ -181,7 +156,7 @@ std::string PipelineReport::to_json(const std::string& program,
     for (std::size_t a = 0; a < p.per_array.size(); ++a) {
       const ArrayTraffic& t = p.per_array[a];
       if (a > 0) os << ", ";
-      os << "{\"name\": " << json_str(t.name)
+      os << "{\"name\": " << json_quote(t.name)
          << ", \"bytes_before\": " << t.bytes_before
          << ", \"bytes_after\": " << t.bytes_after << "}";
     }
@@ -190,14 +165,14 @@ std::string PipelineReport::to_json(const std::string& program,
     for (std::size_t r = 0; r < p.remarks.size(); ++r) {
       const Remark& rem = p.remarks[r];
       if (r > 0) os << ", ";
-      os << "{\"kind\": " << json_str(remark_kind_name(rem.kind))
-         << ", \"severity\": " << json_str(remark_severity_name(rem.severity))
-         << ", \"code\": " << json_str(rem.code)
-         << ", \"message\": " << json_str(rem.message) << ", \"args\": {";
+      os << "{\"kind\": " << json_quote(remark_kind_name(rem.kind))
+         << ", \"severity\": " << json_quote(remark_severity_name(rem.severity))
+         << ", \"code\": " << json_quote(rem.code)
+         << ", \"message\": " << json_quote(rem.message) << ", \"args\": {";
       for (std::size_t a = 0; a < rem.args.size(); ++a) {
         if (a > 0) os << ", ";
-        os << json_str(rem.args[a].first) << ": "
-           << json_str(rem.args[a].second);
+        os << json_quote(rem.args[a].first) << ": "
+           << json_quote(rem.args[a].second);
       }
       os << "}}";
     }

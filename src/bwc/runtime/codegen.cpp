@@ -1,20 +1,18 @@
-// Host side of the native backend (runtime/codegen.h): fingerprinting,
-// the content-addressed object cache, out-of-process compilation, dlopen
-// plumbing, and the StreamRangeExec adapter that plugs the dlopen'ed
-// kernels into the fast-forward protocol and the parallel scheduler.
+// Host side of the native backend (runtime/codegen.h): the
+// content-addressed object cache (support/files.h), out-of-process
+// compilation, dlopen plumbing, and the StreamRangeExec adapter that plugs
+// the dlopen'ed kernels into the fast-forward protocol and the parallel
+// scheduler.
 #include "bwc/runtime/codegen.h"
 
 #include <dlfcn.h>
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -27,7 +25,7 @@
 #include "bwc/runtime/recorder.h"
 #include "bwc/runtime/stream_exec.h"
 #include "bwc/support/error.h"
-#include "bwc/support/prng.h"
+#include "bwc/support/files.h"
 
 namespace fs = std::filesystem;
 
@@ -63,10 +61,8 @@ using RangeFn = void (*)(BwcNativeCtx*, long long, long long);
 
 // -- Hook trampolines ------------------------------------------------------
 // The generated code records through plain function pointers; these
-// adapt them to the two recorder types. Which set a context carries
-// decides where the access stream lands, so one compiled kernel serves
-// the live recorder, parallel worker traces, and (hook-free) the bare
-// values path.
+// adapt them to the live Recorder. The bare values kernels carry no hooks
+// at all.
 
 void recorder_load(void* sink, std::uint64_t addr, std::uint64_t bytes) {
   static_cast<Recorder*>(sink)->load(addr, bytes);
@@ -77,22 +73,13 @@ void recorder_store(void* sink, std::uint64_t addr, std::uint64_t bytes) {
 void recorder_flops(void* sink, std::uint64_t n) {
   static_cast<Recorder*>(sink)->flops(n);
 }
-void trace_load(void* sink, std::uint64_t addr, std::uint64_t bytes) {
-  static_cast<TraceRecorder*>(sink)->load(addr, bytes);
-}
-void trace_store(void* sink, std::uint64_t addr, std::uint64_t bytes) {
-  static_cast<TraceRecorder*>(sink)->store(addr, bytes);
-}
-void trace_flops(void* sink, std::uint64_t n) {
-  static_cast<TraceRecorder*>(sink)->flops(n);
-}
 double input_tramp(int key, long long linear) {
   return ir::input_value(key, linear);
 }
 double call_f_tramp(double x, double y) { return intrinsic_f(x, y); }
 double call_g_tramp(double x, double y) { return intrinsic_g(x, y); }
 
-// -- Small file/process helpers --------------------------------------------
+// -- Process helpers ---------------------------------------------------------
 
 std::string shell_quote(const std::string& s) {
   std::string r = "'";
@@ -105,32 +92,6 @@ std::string shell_quote(const std::string& s) {
   }
   r += "'";
   return r;
-}
-
-std::string read_file_or_empty(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-void write_file_atomic(const fs::path& path, const std::string& content) {
-  const fs::path tmp =
-      path.string() + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << content;
-    if (!out) {
-      throw Error("[compile-failed] cannot write " + tmp.string());
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    throw Error("[compile-failed] cannot rename into " + path.string());
-  }
 }
 
 bool command_exists(const std::string& name) {
@@ -154,23 +115,6 @@ std::string resolve_compiler(const NativeOptions& opts) {
   throw Error(
       "[compiler-unavailable] no host C compiler found "
       "(tried $BWC_CC, $CC, cc, gcc, clang)");
-}
-
-/// Per-iteration access totals of one stream loop, for bulk accounting
-/// when the values kernel runs without hooks.
-struct StreamIterCounts {
-  std::uint64_t loads = 0;
-  std::uint64_t stores = 0;
-  std::uint64_t reg_bytes = 0;
-};
-
-StreamIterCounts stream_iter_counts(const StreamLoop& sl) {
-  StreamIterCounts c;
-  for_each_stream_access(sl, [&](const StreamOperand& o, bool is_store) {
-    ++(is_store ? c.stores : c.loads);
-    c.reg_bytes += o.elem_bytes;
-  });
-  return c;
 }
 
 }  // namespace
@@ -213,25 +157,7 @@ const std::string& CompiledWorkload::fingerprint() const {
   return impl_->fingerprint;
 }
 
-// -- Fingerprint / cache / compile ------------------------------------------
-
-std::string native_fingerprint(const std::string& source) {
-  std::uint64_t s0 = 0x243f6a8885a308d3ULL ^ source.size();
-  std::uint64_t s1 = 0x13198a2e03707344ULL + source.size();
-  std::uint64_t h0 = 0;
-  std::uint64_t h1 = 0;
-  for (unsigned char ch : source) {
-    s0 ^= ch;
-    h0 ^= splitmix64(s0);
-    s1 ^= static_cast<std::uint64_t>(ch) << 8;
-    h1 ^= splitmix64(s1);
-  }
-  char buf[33];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(h0),
-                static_cast<unsigned long long>(h1));
-  return buf;
-}
+// -- Cache / compile ---------------------------------------------------------
 
 std::string default_codegen_cache_dir() {
   if (const char* e = std::getenv("BWC_CODEGEN_CACHE_DIR");
@@ -254,7 +180,7 @@ bool host_compiler_available(const NativeOptions& opts) {
 CompiledWorkload compile_workload(const LoweredProgram& lowered,
                                   const NativeOptions& opts) {
   const std::string source = emit_c_source(lowered);
-  const std::string fp = native_fingerprint(source);
+  const std::string fp = content_fingerprint(source);
   const fs::path dir =
       opts.cache_dir.empty() ? fs::path(default_codegen_cache_dir())
                              : fs::path(opts.cache_dir);
@@ -283,7 +209,8 @@ CompiledWorkload compile_workload(const LoweredProgram& lowered,
     fs::remove(so_path, ec);
     fs::remove(c_path, ec);
     const std::string compiler = resolve_compiler(opts);
-    write_file_atomic(c_path, source);
+    if (!write_file_atomic(c_path, source))
+      throw Error("[compile-failed] cannot write " + c_path.string());
     const fs::path so_tmp =
         so_path.string() + ".tmp." + std::to_string(::getpid());
     const fs::path log_path =
@@ -362,10 +289,11 @@ BwcNativeCtx make_base_ctx(const StreamContext& ctx) {
 
 /// StreamRangeExec over the dlopen'ed kernels: the fast-forward protocol
 /// and the parallel scheduler drive this exactly as they drive the VM's
-/// run_stream_range/run_stream_values. Counter-only sinks (no hierarchy,
-/// or a non-run-recording trace) take the fast path -- the bare values
-/// kernel plus one bulk counter charge -- which is where the native
-/// engine's throughput win on non-periodic loops comes from.
+/// run_stream_range/run_stream_values. Without a hierarchy a range takes
+/// the fast path -- the bare values kernel, the flops in one charge and
+/// the accesses counted in bulk by replay_stream_accesses -- which is
+/// where the native engine's throughput win on non-periodic loops comes
+/// from.
 class NativeRangeExec final : public StreamRangeExec {
  public:
   NativeRangeExec(const LoweredProgram& lp, const CompiledWorkload::Impl& impl)
@@ -373,9 +301,13 @@ class NativeRangeExec final : public StreamRangeExec {
 
   void range(const StreamLoop& sl, std::int64_t lower, std::int64_t upper,
              const StreamContext& ctx, Recorder& rec) override {
-    const std::size_t k = loop_index(sl);
     if (rec.hierarchy() == nullptr) {
-      run_values_counted(sl, k, lower, upper, ctx, rec);
+      if (upper < lower) return;
+      values(sl, lower, upper, ctx);
+      rec.flops(stream_flops_per_iter(sl) *
+                static_cast<std::uint64_t>(upper - lower + 1));
+      replay_stream_accesses(sl, lower, upper, ctx.bases, rec,
+                             /*fast_forward=*/false);
       return;
     }
     BwcNativeCtx c = make_base_ctx(ctx);
@@ -383,23 +315,7 @@ class NativeRangeExec final : public StreamRangeExec {
     c.rec_load = recorder_load;
     c.rec_store = recorder_store;
     c.rec_flops = recorder_flops;
-    impl_.range_fns[k](&c, lower, upper);
-  }
-
-  void range_trace(const StreamLoop& sl, std::int64_t lower,
-                   std::int64_t upper, const StreamContext& ctx,
-                   TraceRecorder& trace) override {
-    const std::size_t k = loop_index(sl);
-    if (!trace.recording_runs()) {
-      run_values_counted(sl, k, lower, upper, ctx, trace);
-      return;
-    }
-    BwcNativeCtx c = make_base_ctx(ctx);
-    c.sink = &trace;
-    c.rec_load = trace_load;
-    c.rec_store = trace_store;
-    c.rec_flops = trace_flops;
-    impl_.range_fns[k](&c, lower, upper);
+    impl_.range_fns[loop_index(sl)](&c, lower, upper);
   }
 
   void values(const StreamLoop& sl, std::int64_t lower, std::int64_t upper,
@@ -411,23 +327,6 @@ class NativeRangeExec final : public StreamRangeExec {
  private:
   std::size_t loop_index(const StreamLoop& sl) const {
     return static_cast<std::size_t>(&sl - lp_.stream_loops.data());
-  }
-
-  /// Bare values kernel plus bulk accounting: totals identical to the
-  /// hooked kernel, with zero per-access work.
-  template <typename Rec>
-  void run_values_counted(const StreamLoop& sl, std::size_t k,
-                          std::int64_t lower, std::int64_t upper,
-                          const StreamContext& ctx, Rec& rec) {
-    const std::int64_t trips = upper - lower + 1;
-    if (trips <= 0) return;
-    BwcNativeCtx c = make_base_ctx(ctx);
-    impl_.values_fns[k](&c, lower, upper);
-    const auto n = static_cast<std::uint64_t>(trips);
-    const StreamIterCounts per = stream_iter_counts(sl);
-    rec.count_accesses(per.loads * n, per.stores * n, per.reg_bytes * n);
-    const std::uint64_t fpi = stream_flops_per_iter(sl);
-    if (fpi != 0) rec.flops(fpi * n);
   }
 
   const LoweredProgram& lp_;
@@ -473,15 +372,11 @@ int stream_callback(void* host, int loop_id) {
 ExecResult execute_lowered_native(const LoweredProgram& lowered,
                                   const ExecOptions& opts,
                                   const CompiledWorkload& workload) {
-  BWC_CHECK(opts.cores >= 1, "core count must be at least 1");
   ExecState st(lowered, opts);
   Recorder rec(opts.hierarchy, opts.coalesce_accesses);
   std::unique_ptr<ParallelScheduler> sched;
-  if (opts.cores > 1) {
-    sched = std::make_unique<ParallelScheduler>(
-        opts.cores, /*record_runs=*/opts.hierarchy != nullptr,
-        opts.coalesce_accesses, opts.min_parallel_trips, opts.fast_forward);
-  }
+  if (opts.cores > 1)
+    sched = std::make_unique<ParallelScheduler>(opts.cores, opts.fast_forward);
   NativeRangeExec exec(lowered, workload.impl());
   if (sched != nullptr) sched->set_range_exec(&exec);
 

@@ -5,20 +5,21 @@
 // emits one self-contained C translation unit per workload: the generic
 // op sequence becomes labeled straight-line C driven by gotos, and every
 // fused stream loop becomes a pair of plain `for` loops over raw slot
-// arrays -- one with the TraceRecorder/Recorder hooks compiled in as
+// arrays -- a `range` kernel with the Recorder hooks compiled in as
 // direct calls through the context struct (the instrumented access
-// stream, byte-for-byte the VM's), one bare values-only kernel that the
+// stream, byte-for-byte the VM's), and a bare `values` kernel that the
 // host C compiler can vectorize. The TU is compiled out of process with
 // the host C compiler, dlopen'ed, and cached in a content-addressed
-// on-disk cache keyed by a fingerprint of the generated source (which
-// embeds the ABI version and compile flags), so the second execution of
-// the same lowered program is a pure dlopen.
+// on-disk cache keyed by bwc::content_fingerprint (support/files.h) of
+// the generated source (which embeds the ABI version and compile flags),
+// so the second execution of the same lowered program is a pure dlopen.
 //
 // The native engine composes with every existing tier: it plugs into the
 // serial fast-forward protocol and the parallel scheduler as a
 // StreamRangeExec (fastforward.h), so `--engine=native` still
 // fast-forwards periodic loops and still chunks parallelizable loops
-// across the thread pool -- with the dlopen'ed kernels doing the work.
+// across the thread pool -- the `values` kernels compute the chunks, and
+// the accesses replay through the same replay_stream_accesses as the VM.
 // Observables are bit-identical to the VM by the StreamRangeExec
 // contract; tests/codegen_test.cpp enforces this differentially across
 // every bundled workload, core count, and coalesce/fast-forward setting.
@@ -97,12 +98,6 @@ class CompiledWorkload {
 /// the content-addressed cache keys on. (codegen_emit.cpp)
 std::string emit_c_source(const LoweredProgram& lowered);
 
-/// Content fingerprint of a generated source text: 32 hex digits from
-/// two lanes of splitmix64 chained over the bytes. Used as the cache
-/// file stem; a hit still verifies the full source, so a collision can
-/// only cost a recompile, never a wrong object.
-std::string native_fingerprint(const std::string& source);
-
 /// $BWC_CODEGEN_CACHE_DIR, or `.bwc-codegen-cache` under the current
 /// working directory (so builds keep their scratch under the build
 /// tree; the directory is created on demand and is gitignored).
@@ -122,8 +117,9 @@ CompiledWorkload compile_workload(const LoweredProgram& lowered,
 
 /// Execute `lowered` through an already-compiled workload. Bit-identical
 /// to execute_lowered() under the same options, including parallel
-/// execution (opts.cores), access coalescing, steady-state fast-forward
-/// and out-of-bounds errors. Throws exactly what the VM would.
+/// execution (opts.cores), access coalescing, steady-state fast-forward,
+/// out-of-bounds errors and rejected options (both build the same
+/// ExecState). Throws exactly what the VM would.
 ExecResult execute_lowered_native(const LoweredProgram& lowered,
                                   const ExecOptions& opts,
                                   const CompiledWorkload& workload);

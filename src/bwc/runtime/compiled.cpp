@@ -22,7 +22,7 @@ namespace {
 class Vm {
  public:
   Vm(const LoweredProgram& lp, const ExecOptions& opts,
-     StreamScheduler* scheduler)
+     ParallelScheduler* scheduler)
       : lp_(lp),
         st_(lp, opts),
         recorder_(opts.hierarchy, opts.coalesce_accesses),
@@ -94,7 +94,7 @@ class Vm {
   const LoweredProgram& lp_;
   ExecState st_;
   Recorder recorder_;
-  StreamScheduler* scheduler_;
+  ParallelScheduler* scheduler_;
   bool fast_forward_;
   std::vector<std::int64_t> iters_;
   std::vector<double> stack_;
@@ -260,7 +260,7 @@ void Vm::run() {
 
 ExecResult execute_lowered_with_scheduler(const LoweredProgram& lowered,
                                           const ExecOptions& opts,
-                                          StreamScheduler* scheduler) {
+                                          ParallelScheduler* scheduler) {
   Vm vm(lowered, opts, scheduler);
   vm.run();
   return vm.result();
@@ -268,8 +268,10 @@ ExecResult execute_lowered_with_scheduler(const LoweredProgram& lowered,
 
 ExecResult execute_lowered(const LoweredProgram& lowered,
                            const ExecOptions& opts) {
-  if (opts.cores > 1) return execute_parallel(lowered, opts);
-  return execute_lowered_with_scheduler(lowered, opts, nullptr);
+  if (opts.cores <= 1)
+    return execute_lowered_with_scheduler(lowered, opts, nullptr);
+  ParallelScheduler scheduler(opts.cores, opts.fast_forward);
+  return execute_lowered_with_scheduler(lowered, opts, &scheduler);
 }
 
 ExecResult execute_compiled(const ir::Program& program,

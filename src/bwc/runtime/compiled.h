@@ -22,11 +22,11 @@
 
 namespace bwc::runtime {
 
-class StreamScheduler;
+class ParallelScheduler;
 
 /// Lower and execute in one call. Semantically identical to execute(),
 /// faster; honors ExecOptions::coalesce_accesses and ExecOptions::cores
-/// (cores > 1 routes through the parallel executor, see parallel.h).
+/// (cores > 1 hands stream loops to a ParallelScheduler, see parallel.h).
 ExecResult execute_compiled(const ir::Program& program,
                             const ExecOptions& opts = {});
 
@@ -36,12 +36,11 @@ ExecResult execute_compiled(const ir::Program& program,
 ExecResult execute_lowered(const LoweredProgram& lowered,
                            const ExecOptions& opts = {});
 
-/// Execute with an explicit stream-loop scheduler (the extension point
-/// the parallel engine plugs into; null runs every fused loop inline).
-/// Most callers want execute_lowered(), which picks the scheduler from
-/// ExecOptions::cores.
+/// Execute with an explicit parallel scheduler (null runs every fused
+/// loop inline on the calling thread). Most callers want
+/// execute_lowered(), which builds the scheduler from ExecOptions::cores.
 ExecResult execute_lowered_with_scheduler(const LoweredProgram& lowered,
                                           const ExecOptions& opts,
-                                          StreamScheduler* scheduler);
+                                          ParallelScheduler* scheduler);
 
 }  // namespace bwc::runtime

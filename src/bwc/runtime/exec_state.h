@@ -4,9 +4,9 @@
 //
 // Both executors of lowered bytecode -- the VM (compiled.cpp) and the
 // native dlopen backend (codegen.cpp) -- build this identical state, so
-// base addresses, deterministic initial array contents and checksum
-// composition can never drift between them. It mirrors the reference
-// interpreter's Machine exactly for the same reason.
+// option validation, base addresses, deterministic initial array contents
+// and checksum composition can never drift between them. It mirrors the
+// reference interpreter's Machine exactly for the same reason.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +21,7 @@ namespace bwc::runtime {
 
 struct ExecState {
   ExecState(const LoweredProgram& lp, const ExecOptions& opts) : lp(lp) {
+    BWC_CHECK(opts.cores >= 1, "core count must be at least 1");
     const std::uint64_t align = opts.array_alignment;
     BWC_CHECK(align > 0 && (align & (align - 1)) == 0,
               "array alignment must be a power of two");

@@ -124,11 +124,6 @@ class DefaultRangeExec final : public StreamRangeExec {
              const StreamContext& ctx, Recorder& rec) override {
     run_stream_range(sl, lower, upper, ctx, rec);
   }
-  void range_trace(const StreamLoop& sl, std::int64_t lower,
-                   std::int64_t upper, const StreamContext& ctx,
-                   TraceRecorder& trace) override {
-    run_stream_range(sl, lower, upper, ctx, trace);
-  }
   void values(const StreamLoop& sl, std::int64_t lower, std::int64_t upper,
               const StreamContext& ctx) override {
     run_stream_values(sl, lower, upper, ctx);
@@ -170,14 +165,26 @@ void run_stream_serial(const StreamLoop& sl, const StreamContext& ctx,
   const std::uint64_t fpi = stream_flops_per_iter(sl);
   if (fpi != 0)
     rec.flops(fpi * static_cast<std::uint64_t>(sl.upper - sl.lower + 1));
-  replay_stream_accesses(sl, sl.lower, sl.upper, ctx.bases, rec);
+  replay_stream_accesses(sl, sl.lower, sl.upper, ctx.bases, rec,
+                         /*fast_forward=*/true);
 }
 
 void replay_stream_accesses(const StreamLoop& sl, std::int64_t lower,
                             std::int64_t upper, const std::uint64_t* bases,
-                            Recorder& rec) {
+                            Recorder& rec, bool fast_forward) {
   const std::int64_t trips = upper - lower + 1;
   if (trips <= 0) return;
+  if (rec.hierarchy() == nullptr) {
+    // Nothing to simulate: only the totals are observable.
+    std::uint64_t loads = 0, stores = 0, reg_bytes = 0;
+    for_each_stream_access(sl, [&](const StreamOperand& o, bool is_store) {
+      ++(is_store ? stores : loads);
+      reg_bytes += o.elem_bytes;
+    });
+    const auto n = static_cast<std::uint64_t>(trips);
+    rec.count_accesses(loads * n, stores * n, reg_bytes * n);
+    return;
+  }
 
   // The per-iteration access tuple in stream order, exactly as
   // run_stream_range issues it.
@@ -211,7 +218,7 @@ void replay_stream_accesses(const StreamLoop& sl, std::int64_t lower,
     }
   };
 
-  if (!stream_fast_forwardable(sl, rec)) {
+  if (!fast_forward || !stream_fast_forwardable(sl, rec)) {
     emit(trips);
     return;
   }

@@ -16,11 +16,12 @@
 // loop's access stream from the loop metadata, period by period, until
 // the certifier accepts, skips, and replays the tail. Both engines reach
 // it the same way -- the values of the iterations run first as a bare
-// in-order loop (exec.values), then the accesses replay -- whether the
-// loop runs serially (run_stream_serial) or in parallel chunks, whose
-// merge replays each chunk (parallel.h). That split is exact because a
-// stream loop's addresses are affine in the loop variable and never depend
-// on values, and its flops per iteration are constant.
+// loop (exec.values), then the accesses replay -- whether the loop runs
+// serially (run_stream_serial) or in parallel chunks, whose values the
+// workers compute and whose accesses replay in chunk order (parallel.h).
+// That split is exact because a stream loop's addresses are affine in the
+// loop variable and never depend on values, and its flops per iteration
+// are constant.
 //
 // Every observable is bit-identical to full simulation by construction:
 // the certified delta *is* what one more period does, induction extends
@@ -39,13 +40,13 @@ namespace bwc::runtime {
 
 /// Execute only the *values* of iterations [lower, upper] of `sl` -- no
 /// recorder, no flop accounting. The common shapes (copy / binary bodies
-/// over unit-stride arrays and hoisted invariants, order-free by
-/// stream_loop_parallelizable) run as tight specialized loops the
+/// over unit-stride arrays and hoisted invariants, certified order-free
+/// by stream_loop_parallel_safe) run as tight specialized loops the
 /// compiler vectorizes; everything else falls back to run_stream_range
 /// over a NullRecorder, which preserves iteration order for dependent
-/// loops. This is the values-first pass of a fast-forwardable loop: its
-/// arithmetic runs at native speed, and only the access replay that
-/// follows is left for fast-forward to shorten.
+/// loops. This is the values-first pass of a fast-forwardable loop and
+/// of every parallel chunk: the arithmetic runs at native speed, and the
+/// access replay that follows is all that touches the recorder.
 void run_stream_values(const StreamLoop& sl, std::int64_t lower,
                        std::int64_t upper, const StreamContext& ctx);
 
@@ -64,6 +65,8 @@ bool stream_fast_forwardable(const StreamLoop& sl, const Recorder& rec);
 /// same bulk flop charge at the end of a range. That contract is what
 /// lets the fast-forward protocol below and the parallel scheduler
 /// (parallel.h) drive either engine without knowing which one runs.
+/// `values` must be safe to call concurrently on disjoint chunks of a
+/// loop stream_loop_parallel_safe() accepts.
 class StreamRangeExec {
  public:
   virtual ~StreamRangeExec() = default;
@@ -71,10 +74,6 @@ class StreamRangeExec {
   virtual void range(const StreamLoop& sl, std::int64_t lower,
                      std::int64_t upper, const StreamContext& ctx,
                      Recorder& rec) = 0;
-  /// run_stream_range() semantics into a parallel worker's private trace.
-  virtual void range_trace(const StreamLoop& sl, std::int64_t lower,
-                           std::int64_t upper, const StreamContext& ctx,
-                           TraceRecorder& trace) = 0;
   /// run_stream_values() semantics: values only, no accesses, no flops.
   virtual void values(const StreamLoop& sl, std::int64_t lower,
                       std::int64_t upper, const StreamContext& ctx) = 0;
@@ -99,16 +98,17 @@ void run_stream_serial(const StreamLoop& sl, const StreamContext& ctx,
                        StreamRangeExec& exec = default_range_exec());
 
 /// Replay only the *access stream* of iterations [lower, upper] of `sl`
-/// into `rec` -- no values, no flops -- with steady-state fast-forward:
-/// when the preconditions hold (stream_fast_forwardable) and the range
-/// spans at least a few periods, it replays period by period until
-/// memsim::PeriodDetector certifies the fixpoint, skips the remaining
-/// full periods analytically (bulk-counted in `rec`) and replays the
-/// tail. The serial driver calls it for a whole loop, the parallel merge
-/// once per compute-only chunk, in chunk order. `bases` is the per-array
-/// simulated base table.
+/// into `rec` -- no values, no flops. With no hierarchy attached the
+/// accesses are only counted, in bulk. Otherwise they issue one by one,
+/// except that with `fast_forward` set, the preconditions met
+/// (stream_fast_forwardable) and a range spanning at least a few periods,
+/// it replays period by period until memsim::PeriodDetector certifies the
+/// fixpoint, skips the remaining full periods analytically (bulk-counted
+/// in `rec`) and replays the tail. The serial driver calls it for a whole
+/// loop, the parallel scheduler once per chunk, in chunk order. `bases`
+/// is the per-array simulated base table.
 void replay_stream_accesses(const StreamLoop& sl, std::int64_t lower,
                             std::int64_t upper, const std::uint64_t* bases,
-                            Recorder& rec);
+                            Recorder& rec, bool fast_forward);
 
 }  // namespace bwc::runtime

@@ -40,17 +40,14 @@ struct ExecOptions {
   /// simulation. The reference interpreter ignores this flag.
   bool coalesce_accesses = true;
   /// Compiled engine only: worker threads for the parallel executor
-  /// (parallel.h). With cores > 1, fused stream loops free of
-  /// cross-iteration dependences are chunked across a thread pool, each
-  /// chunk recording into a private trace that is merged into the shared
-  /// hierarchy in chunk-index order -- results (checksums, scalars,
-  /// counters, per-boundary traffic) are bit-identical to serial
-  /// execution at any core count. The reference interpreter ignores this.
+  /// (parallel.h); must be at least 1. With cores > 1, fused stream loops
+  /// certified free of cross-iteration dependences are chunked across a
+  /// thread pool that computes their values, and the chunks' accesses
+  /// replay into the shared hierarchy in chunk-index order -- results
+  /// (checksums, scalars, counters, per-boundary traffic) are
+  /// bit-identical to serial execution at any core count. The reference
+  /// interpreter ignores this.
   int cores = 1;
-  /// Minimum trip count before a stream loop is worth chunking; shorter
-  /// loops run inline on the calling thread (results are identical either
-  /// way -- this is purely a fork/join overhead knob).
-  std::int64_t min_parallel_trips = 2;
   /// Compiled engine only: steady-state fast-forward for fused stream
   /// loops (runtime/fastforward.h). A loop's values run first, then its
   /// access stream replays period by period until memsim::PeriodDetector

@@ -125,8 +125,9 @@ struct StreamLoop {
   /// accesses): kIndependent proves no two distinct iterations touch
   /// overlapping bytes with a write involved, so *any* chunking of the
   /// trip range is race-free and order-preserving; kDependent carries a
-  /// concrete cross-iteration conflict; kUnknown defers to the syntactic
-  /// stream_loop_parallelizable() test (stream_exec.h).
+  /// concrete cross-iteration conflict. Only kIndependent loops are
+  /// chunked (stream_loop_parallel_safe, stream_exec.h); kDependent and
+  /// kUnknown loops run serially.
   verify::Verdict parallel_safety = verify::Verdict::kUnknown;
 };
 

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "bwc/machine/timing.h"
 #include "bwc/memsim/fastforward.h"
@@ -28,13 +27,10 @@
 
 namespace bwc::runtime {
 
-class TraceRecorder;
-struct StreamLoop;
-
 /// One coalesced access run: `count` same-kind accesses, contiguous in
 /// stream order, covering [addr, addr + bytes) in ascending address order
 /// (or descending when flagged -- a stride -1 stream). Recorder holds its
-/// pending run as one; a TraceRecorder captures a sequence of them.
+/// pending run as one.
 struct AccessRun {
   std::uint64_t addr = 0;
   std::uint64_t bytes = 0;
@@ -147,12 +143,11 @@ class Recorder {
     run_.bytes = 0;
   }
 
-  /// Bulk-account accesses that were executed without per-access hooks --
-  /// the native backend's hierarchy-less stream kernels (runtime/codegen.h)
-  /// run bare value loops and charge their load/store/register totals in
-  /// one call. Only legal when no hierarchy is attached: nothing is
-  /// simulated here, so with a hierarchy the caller must issue real
-  /// load()/store() calls (or a trace merge) instead.
+  /// Bulk-account accesses that were never issued one by one: with no
+  /// hierarchy attached, the stream-loop replay (runtime/fastforward.h)
+  /// charges a range's load/store/register totals in one call. Only legal
+  /// when no hierarchy is attached: nothing is simulated here, so with a
+  /// hierarchy the caller must issue real load()/store() calls instead.
   void count_accesses(std::uint64_t loads, std::uint64_t stores,
                       std::uint64_t reg_bytes) {
     loads_ += loads;
@@ -193,16 +188,6 @@ class Recorder {
   /// flushes any pending coalesced run first.
   machine::ExecutionProfile profile() const;
 
-  /// Splice a captured trace into this recorder's stream at the current
-  /// point: the trace's runs are issued to the hierarchy in their recorded
-  /// order and its counters fold into this recorder's totals. Any pending
-  /// coalesced run here is flushed first so stream order is preserved.
-  /// The parallel executor merges per-chunk traces in chunk-index order
-  /// (never completion order), which -- by the run-splitting equivalence
-  /// the hierarchy guarantees (see hierarchy.h load_run/store_run) --
-  /// reproduces the serial engine's boundary traffic byte-for-byte.
-  void merge(const TraceRecorder& trace);
-
  private:
   void extend_run(std::uint64_t addr, std::uint64_t size, bool is_store) {
     if (run_.bytes != 0 && run_.extend(addr, size, is_store)) return;
@@ -232,95 +217,6 @@ class Recorder {
   // hierarchy. Mutable so that profile() (const) can flush before
   // snapshotting.
   mutable AccessRun run_;
-};
-
-/// A Recorder that captures the access stream into a buffer instead of a
-/// live hierarchy. Parallel workers each own one: chunks of a stream loop
-/// execute concurrently against private traces, and the main thread
-/// replays the traces into the shared hierarchy in chunk order via
-/// Recorder::merge() -- turning a nondeterministic execution order into
-/// the exact serial access stream.
-///
-/// Same access surface as Recorder (load/store/flops), so
-/// run_stream_range() is generic over the two.
-class TraceRecorder {
- public:
-  /// `record_runs` false skips buffering entirely (counter-only mode, for
-  /// executions with no hierarchy attached). `coalesce` batches adjacent
-  /// same-kind accesses into one run, exactly like Recorder.
-  explicit TraceRecorder(bool record_runs, bool coalesce)
-      : record_runs_(record_runs), coalesce_(coalesce) {}
-
-  void load(std::uint64_t addr, std::uint64_t size) {
-    ++loads_;
-    reg_bytes_ += size;
-    if (record_runs_) append(addr, size, /*is_store=*/false);
-  }
-  void store(std::uint64_t addr, std::uint64_t size) {
-    ++stores_;
-    reg_bytes_ += size;
-    if (record_runs_) append(addr, size, /*is_store=*/true);
-  }
-  void flops(std::uint64_t n) { flops_ += n; }
-
-  /// Counter-only bulk accounting, mirroring Recorder::count_accesses():
-  /// legal only in counter-only mode (record_runs false), where no run
-  /// buffer exists to keep in step.
-  void count_accesses(std::uint64_t loads, std::uint64_t stores,
-                      std::uint64_t reg_bytes) {
-    loads_ += loads;
-    stores_ += stores;
-    reg_bytes_ += reg_bytes;
-  }
-
-  /// True when this trace buffers access runs (a hierarchy is attached to
-  /// the merging recorder); false means counter-only mode.
-  bool recording_runs() const { return record_runs_; }
-
-  std::uint64_t flop_count() const { return flops_; }
-  std::uint64_t load_count() const { return loads_; }
-  std::uint64_t store_count() const { return stores_; }
-  std::uint64_t register_bytes() const { return reg_bytes_; }
-  const std::vector<AccessRun>& runs() const { return runs_; }
-
-  /// Describe this trace as a compute-only stream-loop chunk instead of a
-  /// run buffer: the workers did the arithmetic (and counted the flops
-  /// here), and Recorder::merge() regenerates the chunk's access stream
-  /// from the loop metadata -- fast-forwarding within the chunk -- rather
-  /// than replaying captured runs. `sl` and `bases` must outlive the
-  /// merge (both belong to the executing VM).
-  void set_stream_segment(const StreamLoop* sl, std::int64_t lower,
-                          std::int64_t upper, const std::uint64_t* bases) {
-    segment_loop_ = sl;
-    segment_lower_ = lower;
-    segment_upper_ = upper;
-    segment_bases_ = bases;
-  }
-  bool has_segment() const { return segment_loop_ != nullptr; }
-  const StreamLoop* segment_loop() const { return segment_loop_; }
-  std::int64_t segment_lower() const { return segment_lower_; }
-  std::int64_t segment_upper() const { return segment_upper_; }
-  const std::uint64_t* segment_bases() const { return segment_bases_; }
-
- private:
-  void append(std::uint64_t addr, std::uint64_t size, bool is_store) {
-    if (coalesce_ && !runs_.empty() &&
-        runs_.back().extend(addr, size, is_store))
-      return;
-    runs_.push_back({addr, size, 1, is_store, false});
-  }
-
-  bool record_runs_;
-  bool coalesce_;
-  std::uint64_t flops_ = 0;
-  std::uint64_t loads_ = 0;
-  std::uint64_t stores_ = 0;
-  std::uint64_t reg_bytes_ = 0;
-  std::vector<AccessRun> runs_;
-  const StreamLoop* segment_loop_ = nullptr;
-  std::int64_t segment_lower_ = 0;
-  std::int64_t segment_upper_ = 0;
-  const std::uint64_t* segment_bases_ = nullptr;
 };
 
 }  // namespace bwc::runtime

@@ -3,12 +3,13 @@
 //
 // A StreamLoop (lowering.h) is an innermost loop whose accesses are all
 // 1-D affine in the loop variable and provably in bounds, so any
-// contiguous sub-range [lower, upper] of its trip space can be replayed
+// contiguous sub-range [lower, upper] of its trip space can be run
 // independently given the program state (array storage, bases, scalars)
 // and a recorder. The serial engine runs the full range inline; the
 // parallel engine (parallel.h) splits the range into per-core chunks --
-// legality established by stream_loop_parallelizable() -- and runs each
-// chunk on a worker with a private trace recorder.
+// legality established by stream_loop_parallel_safe() -- computes each
+// chunk's values on a worker, and replays the chunks' access streams
+// into the shared recorder in chunk order.
 #pragma once
 
 #include <algorithm>
@@ -19,8 +20,6 @@
 #include "bwc/runtime/lowering.h"
 
 namespace bwc::runtime {
-
-class Recorder;
 
 /// The mutable program state a stream loop touches: flat per-array
 /// storage, simulated base addresses, and the scalar file.
@@ -88,38 +87,11 @@ inline std::uint64_t stream_flops_per_iter(const StreamLoop& sl) {
   return 0;
 }
 
-/// True when disjoint chunks of the trip range may execute concurrently
-/// and still produce the serial results bit-for-bit:
-///  - the body writes a distinct array element every iteration (array lhs
-///    with nonzero slope), never a scalar accumulation (kReduce carries
-///    the accumulator serially and its fold order is not associative in
-///    floating point);
-///  - any read of the *written* array uses the identical subscript, so
-///    every dependence stays within one iteration. Reads of other arrays
-///    and hoisted scalars/constants are trivially safe.
-inline bool stream_loop_parallelizable(const StreamLoop& sl) {
-  if (sl.body == StreamLoop::Body::kReduce) return false;
-  if (!sl.lhs_is_array || sl.lhs.kind != StreamOperand::Kind::kArray)
-    return false;
-  if (sl.lhs.lin_coeff == 0) return false;
-  for (const StreamOperand* o : {&sl.a, &sl.b}) {
-    if (o->kind != StreamOperand::Kind::kArray) continue;
-    if (o->slot != sl.lhs.slot) continue;
-    if (o->lin_base != sl.lhs.lin_base || o->lin_coeff != sl.lhs.lin_coeff)
-      return false;
-  }
-  return true;
-}
-
 /// The chunk-safety decision the executors consult: the static certificate
-/// computed at lowering time rules when it proved something (it covers
-/// loops the syntactic test cannot, e.g. a write to 2i alongside a read of
-/// 2i+1, which never collide by a GCD argument); the syntactic test only
-/// decides the kUnknown remainder.
+/// computed at lowering time (StreamLoop::parallel_safety). Only a proof
+/// of independence chunks a loop; kDependent and kUnknown run serially.
 inline bool stream_loop_parallel_safe(const StreamLoop& sl) {
-  if (sl.parallel_safety == verify::Verdict::kIndependent) return true;
-  if (sl.parallel_safety == verify::Verdict::kDependent) return false;
-  return stream_loop_parallelizable(sl);
+  return sl.parallel_safety == verify::Verdict::kIndependent;
 }
 
 namespace detail {
@@ -189,7 +161,8 @@ inline void stream_advance(const StreamOperand& o, StreamCursor& c) {
 /// access and flop to `rec`. The per-element access stream (rhs loads left
 /// to right, then the store) is byte-for-byte the one the generic op
 /// sequence would produce. `Rec` is any type with the Recorder access
-/// surface (load/store/flops) -- the live Recorder or a TraceRecorder.
+/// surface (load/store/flops) -- the live Recorder, or a NullRecorder for
+/// values only.
 template <typename Rec>
 void run_stream_range(const StreamLoop& sl, std::int64_t lower,
                       std::int64_t upper, const StreamContext& ctx,
@@ -248,16 +221,5 @@ void run_stream_range(const StreamLoop& sl, std::int64_t lower,
   if (flops_per_iter != 0)
     rec.flops(flops_per_iter * static_cast<std::uint64_t>(trips));
 }
-
-/// Strategy hook for kStreamLoop dispatch: the VM hands every fused loop
-/// to its scheduler; the default runs the full range inline on the shared
-/// recorder, the parallel scheduler (parallel.h) chunks it across a
-/// thread pool and merges the traces deterministically.
-class StreamScheduler {
- public:
-  virtual ~StreamScheduler() = default;
-  virtual void run(const StreamLoop& sl, const StreamContext& ctx,
-                   Recorder& rec) = 0;
-};
 
 }  // namespace bwc::runtime

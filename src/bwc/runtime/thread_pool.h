@@ -3,7 +3,7 @@
 // One pool lives for the duration of one parallel execution; every fused
 // stream loop becomes one parallel_for batch (fork), and the caller's
 // return from parallel_for is the join barrier that makes the workers'
-// array writes visible to the main thread before trace merging begins.
+// array writes visible to the main thread before the access replay begins.
 #pragma once
 
 #include <condition_variable>

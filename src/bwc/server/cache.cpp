@@ -1,15 +1,10 @@
 #include "bwc/server/cache.h"
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 #include <utility>
 
-#include "bwc/support/prng.h"
+#include "bwc/support/files.h"
 
 namespace fs = std::filesystem;
 
@@ -19,60 +14,9 @@ namespace {
 
 constexpr char kValueHeaderTag[] = "bwcd-cache-v1";
 
-std::string read_file_or_empty(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-/// Write-to-temp + atomic rename; false on any failure. The temp name
-/// carries the pid so concurrent publishers on a shared directory never
-/// collide on it.
-bool write_file_atomic(const fs::path& path, const std::string& content) {
-  const fs::path tmp = path.string() + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << content;
-    if (!out) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 CompileCache::CompileCache(std::string dir) : dir_(std::move(dir)) {}
-
-std::string CompileCache::fingerprint(const std::string& text) {
-  // Same construction as runtime::native_fingerprint: two independent
-  // splitmix64 streams over the bytes, 128 bits hex.
-  std::uint64_t s0 = 0x9e3779b97f4a7c15ULL ^ text.size();
-  std::uint64_t s1 = 0xbf58476d1ce4e5b9ULL + text.size();
-  std::uint64_t h0 = 0;
-  std::uint64_t h1 = 0;
-  for (unsigned char ch : text) {
-    s0 ^= ch;
-    h0 ^= splitmix64(s0);
-    s1 ^= static_cast<std::uint64_t>(ch) << 8;
-    h1 ^= splitmix64(s1);
-  }
-  char buf[33];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(h0),
-                static_cast<unsigned long long>(h1));
-  return buf;
-}
 
 CompileCache::Lookup CompileCache::get(const std::string& key_text) {
   Lookup result;
@@ -80,7 +24,7 @@ CompileCache::Lookup CompileCache::get(const std::string& key_text) {
     ++misses_;
     return result;
   }
-  const std::string fp = fingerprint(key_text);
+  const std::string fp = content_fingerprint(key_text);
   const fs::path key_path = fs::path(dir_) / (fp + ".key");
   const fs::path val_path = fs::path(dir_) / (fp + ".val");
   const std::string stored_key = read_file_or_empty(key_path);
@@ -113,7 +57,7 @@ CompileCache::Lookup CompileCache::get(const std::string& key_text) {
   const std::string header = stored_val.substr(0, nl);
   const std::string value = stored_val.substr(nl + 1);
   const std::string expect =
-      std::string(kValueHeaderTag) + " " + fingerprint(value);
+      std::string(kValueHeaderTag) + " " + content_fingerprint(value);
   if (header != expect) {
     evict();
     return result;
@@ -132,11 +76,11 @@ void CompileCache::put(const std::string& key_text, const std::string& value) {
     ++store_failures_;
     return;
   }
-  const std::string fp = fingerprint(key_text);
+  const std::string fp = content_fingerprint(key_text);
   const fs::path key_path = fs::path(dir_) / (fp + ".key");
   const fs::path val_path = fs::path(dir_) / (fp + ".val");
-  const std::string framed_val =
-      std::string(kValueHeaderTag) + " " + fingerprint(value) + "\n" + value;
+  const std::string framed_val = std::string(kValueHeaderTag) + " " +
+                                 content_fingerprint(value) + "\n" + value;
   // Value first, key last: the key file's presence-and-match is what
   // get() trusts, so a reader can never match a key whose value has not
   // been published yet.

@@ -5,12 +5,12 @@
 // canonical pipeline spec, machine preset, cores, scale, measure flag);
 // the value is the deterministic `result` JSON. Layout under the cache
 // directory, following the codegen object cache's discipline
-// (runtime/codegen.cpp):
+// (runtime/codegen.cpp) and sharing its file helpers (support/files.h):
 //
 //   <fp>.key   the full canonical key text
 //   <fp>.val   header line "bwcd-cache-v1 <value-fp>\n" + the value
 //
-// where <fp> is the 128-bit hex fingerprint of the key text. A hit
+// where <fp> is bwc::content_fingerprint of the key text. A hit
 // requires the stored key text to equal the probe byte-for-byte (the
 // fingerprint only names the files; the content check decides, so a
 // collision can never serve a wrong answer) AND the value to match its
@@ -57,10 +57,6 @@ class CompileCache {
   std::uint64_t misses() const { return misses_.load(); }
   std::uint64_t evictions() const { return evictions_.load(); }
   std::uint64_t store_failures() const { return store_failures_.load(); }
-
-  /// 128-bit hex fingerprint of arbitrary text (the key naming scheme;
-  /// also used for the value-integrity header).
-  static std::string fingerprint(const std::string& text);
 
  private:
   std::string dir_;

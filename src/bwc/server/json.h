@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "bwc/support/json_escape.h"
+
 namespace bwc::server {
 
 /// One JSON value; a tagged union over the six JSON kinds.
@@ -77,11 +79,5 @@ class JsonValue {
 /// Parse one JSON document. The whole input must be consumed (trailing
 /// garbage is an error). Throws bwc::Error prefixed "[bad-json]".
 JsonValue parse_json(const std::string& text);
-
-/// Escape a string for embedding in a JSON document (no quotes added).
-std::string json_escape(const std::string& s);
-
-/// `"escaped"` -- the quoted JSON rendering of a string.
-std::string json_quote(const std::string& s);
 
 }  // namespace bwc::server

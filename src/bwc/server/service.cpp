@@ -11,6 +11,7 @@
 #include "bwc/model/measure.h"
 #include "bwc/pass/pipeline_spec.h"
 #include "bwc/support/error.h"
+#include "bwc/support/files.h"
 #include "bwc/tune/autotune.h"
 #include "bwc/verify/traffic_bound.h"
 
@@ -387,7 +388,7 @@ Response Service::handle(const Request& request) {
       }
       try {
         const std::string key = cache_key_text(request);
-        key_fp = CompileCache::fingerprint(key);
+        key_fp = content_fingerprint(key);
         const InflightGuard guard(*this, key_fp);
         CompileCache::Lookup lookup = cache_.get(key);
         if (lookup.hit) {
@@ -412,7 +413,7 @@ Response Service::handle(const Request& request) {
       try {
         const std::vector<std::string> seeds = tune_seed_specs();
         const std::string key = tune_cache_key_text(request, seeds);
-        key_fp = CompileCache::fingerprint(key);
+        key_fp = content_fingerprint(key);
         const InflightGuard guard(*this, key_fp);
         CompileCache::Lookup lookup = cache_.get(key);
         if (lookup.hit) {

@@ -16,6 +16,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "bwc/runtime/compiled.h"
 #include "bwc/runtime/interpreter.h"
 #include "bwc/support/error.h"
+#include "bwc/support/files.h"
 #include "bwc/support/prng.h"
 #include "bwc/workloads/extra_programs.h"
 #include "bwc/workloads/paper_programs.h"
@@ -248,8 +250,8 @@ TEST(NativeEngine, FastForwardEngagesIdentically) {
 }
 
 // Named Parallel* so the CI thread-sanitizer job's test filter picks it
-// up: dlopen'ed kernels running concurrently on the pool's workers with
-// private traces must be race-free and chunk-order deterministic.
+// up: dlopen'ed values kernels running concurrently on the pool's workers
+// must be race-free, and the chunk-order replay deterministic.
 TEST(ParallelNativeEngine, ChunkedKernelsMatchSerial) {
   if (!compiler_available()) GTEST_SKIP() << "no host C compiler";
   const machine::MachineModel m = machine::origin2000_r10k().scaled(16);
@@ -357,6 +359,41 @@ TEST(NativeFallback, OutOfBoundsThrowsVmErrorNoFallback) {
   }
 }
 
+TEST(NativeEngine, CoreCountBelowOneThrowsLikeTheVm) {
+  // Option validation lives in the state both executors build, so every
+  // entry point refuses a core count below one with the same message.
+  const Program p = workloads::sec21_both_loops(256);
+  const LoweredProgram lowered = lower(p);
+  std::unique_ptr<CompiledWorkload> workload;
+  if (compiler_available()) {
+    workload = std::make_unique<CompiledWorkload>(
+        compile_workload(lowered, test_native_opts()));
+  }
+  const auto error_of = [](const auto& run) {
+    try {
+      run();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const int cores : {0, -1}) {
+    SCOPED_TRACE("cores=" + std::to_string(cores));
+    ExecOptions opts;
+    opts.cores = cores;
+    const std::string vm = error_of([&] { execute_compiled(p, opts); });
+    EXPECT_NE(vm.find("core count must be at least 1"), std::string::npos)
+        << vm;
+    EXPECT_EQ(error_of([&] { execute_lowered(lowered, opts); }), vm);
+    if (workload != nullptr) {
+      EXPECT_EQ(error_of([&] {
+                  execute_lowered_native(lowered, opts, *workload);
+                }),
+                vm);
+    }
+  }
+}
+
 TEST(NativeCache, SecondRunIsPureDlopen) {
   if (!compiler_available()) GTEST_SKIP() << "no host C compiler";
   const Program p = workloads::sec21_both_loops(2048);
@@ -425,13 +462,13 @@ TEST(NativeCache, EmissionAndFingerprintDeterministic) {
   const std::string s1 = emit_c_source(lowered);
   const std::string s2 = emit_c_source(lowered);
   EXPECT_EQ(s1, s2);
-  EXPECT_EQ(native_fingerprint(s1), native_fingerprint(s2));
-  EXPECT_EQ(native_fingerprint(s1).size(), 32u);
+  EXPECT_EQ(content_fingerprint(s1), content_fingerprint(s2));
+  EXPECT_EQ(content_fingerprint(s1).size(), 32u);
   // The fingerprint covers the ABI version and compile flags through the
   // emitted header, so either changing invalidates every cached object.
   EXPECT_NE(s1.find("abi: "), std::string::npos);
   EXPECT_NE(s1.find("cflags: "), std::string::npos);
-  EXPECT_NE(native_fingerprint(s1), native_fingerprint(s1 + " "));
+  EXPECT_NE(content_fingerprint(s1), content_fingerprint(s1 + " "));
 }
 
 TEST(NativeEngine, MeasureEngineNativeMatchesCompiled) {

@@ -332,9 +332,10 @@ TEST(LoweringMetadata, UniformStepBytes) {
 
 // -- Compiled engine: differential exactness ------------------------------
 
-/// Run `p` with fast-forward off and on (serial and at 4 cores) and hold
-/// every observable identical, the final resident state included; returns
-/// the ff-on serial result for engagement checks.
+/// Run `p` with fast-forward off and on, serially and at 4 cores, and hold
+/// every observable identical to the serial full simulation, the final
+/// resident state included; returns the ff-on serial result for
+/// engagement checks.
 ExecResult expect_fast_forward_exact(const Program& p,
                                      const machine::MachineModel& machine) {
   memsim::MemoryHierarchy h_off = machine.make_hierarchy();
@@ -353,15 +354,17 @@ ExecResult expect_fast_forward_exact(const Program& p,
   // a program's last loop changes no counter.
   expect_same_resident_state(h_off, h_on, p.name() + " [serial ff]");
 
-  for (const int cores : {4}) {
+  // Both 4-core runs take the chunked path: values on the workers, each
+  // chunk's accesses replayed in chunk order, fast-forwarded or not.
+  for (const bool fast_forward : {true, false}) {
     memsim::MemoryHierarchy h_par = machine.make_hierarchy();
     ExecOptions par;
     par.hierarchy = &h_par;
-    par.fast_forward = true;
-    par.cores = cores;
+    par.fast_forward = fast_forward;
+    par.cores = 4;
     const ExecResult r_par = runtime::execute_compiled(p, par);
     const std::string label =
-        p.name() + " [ff cores=" + std::to_string(cores) + "]";
+        p.name() + (fast_forward ? " [ff cores=4]" : " [no ff cores=4]");
     expect_result_eq(r_off, r_par, label);
     expect_same_resident_state(h_off, h_par, label);
   }

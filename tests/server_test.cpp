@@ -26,6 +26,7 @@
 #include "bwc/server/record_log.h"
 #include "bwc/server/service.h"
 #include "bwc/support/error.h"
+#include "bwc/support/files.h"
 #include "bwc/workloads/paper_programs.h"
 
 namespace bwc::server {
@@ -207,7 +208,7 @@ TEST(ServerCache, EvictsTamperedValue) {
   TempDir dir("evict");
   CompileCache cache(dir.path());
   cache.put("key", "value");
-  const std::string fp = CompileCache::fingerprint("key");
+  const std::string fp = content_fingerprint("key");
   {
     std::ofstream out(dir.path() + "/" + fp + ".val",
                       std::ios::binary | std::ios::trunc);
@@ -226,8 +227,8 @@ TEST(ServerCache, FingerprintCollisionCannotServeWrongValue) {
   cache.put("key-a", "value-a");
   // Simulate a fingerprint collision: key-b's files already exist but
   // hold key-a's text. The content check must refuse the hit.
-  const std::string fp_a = CompileCache::fingerprint("key-a");
-  const std::string fp_b = CompileCache::fingerprint("key-b");
+  const std::string fp_a = content_fingerprint("key-a");
+  const std::string fp_b = content_fingerprint("key-b");
   std::system(("cp " + dir.path() + "/" + fp_a + ".key " + dir.path() + "/" +
                fp_b + ".key")
                   .c_str());
