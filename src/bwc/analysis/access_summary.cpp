@@ -6,91 +6,47 @@ namespace bwc::analysis {
 
 namespace {
 
-using ir::Expr;
-using ir::ExprKind;
-using ir::Stmt;
-using ir::StmtKind;
-using ir::StmtList;
-
-class Collector {
- public:
-  explicit Collector(LoopSummary& summary) : summary_(summary) {}
-
-  void collect_expr(const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::kArrayRef:
-        summary_.arrays[e.array].array = e.array;
-        summary_.arrays[e.array].reads.push_back(e.subscripts);
-        break;
-      case ExprKind::kScalarRef: {
-        auto& sc = summary_.scalars[e.scalar];
-        sc.read = true;
-        break;
-      }
-      default:
-        break;
+/// Collect the statement's references and tally the read/write maps from
+/// them. collect_refs lists each assignment's reads before its write, so a
+/// write closes the reads since the previous one. A reduction's self-read
+/// (`s` in `s = s + e`; e cannot use s) is not an order-sensitive read.
+void summarize_refs(const ir::Program& program, const ir::Stmt& stmt,
+                    LoopSummary& summary) {
+  summary.refs = std::make_shared<const verify::RefSet>(
+      verify::collect_refs(program, stmt));
+  const std::vector<verify::AffineRef>& refs = summary.refs->refs;
+  const auto array_access = [&](const verify::AffineRef& r) -> ArrayAccess& {
+    const ir::ArrayId id = program.array_id(r.array);
+    ArrayAccess& access = summary.arrays[id];
+    access.array = id;
+    return access;
+  };
+  std::size_t first_read = 0;
+  for (std::size_t k = 0; k < refs.size(); ++k) {
+    const verify::AffineRef& w = refs[k];
+    if (!w.write) continue;
+    for (std::size_t q = first_read; q < k; ++q) {
+      const verify::AffineRef& r = refs[q];
+      if (!r.array.empty())
+        array_access(r).read = true;
+      else if (!w.reduction || r.scalar != w.scalar)
+        summary.scalars[r.scalar].read = true;
     }
-    for (const auto& child : e.operands) collect_expr(*child);
-  }
-
-  void collect_stmt(const Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::kArrayAssign:
-        collect_expr(*s.rhs);
-        summary_.arrays[s.lhs_array].array = s.lhs_array;
-        summary_.arrays[s.lhs_array].writes.push_back(s.lhs_subscripts);
-        break;
-      case StmtKind::kScalarAssign: {
-        ir::BinOp op = ir::BinOp::kAdd;
-        const bool reduction = ir::reduction_shape(s, &op);
-        if (reduction) {
-          // Collect only the contributed operand; the self-reference of a
-          // reduction is not an order-sensitive read.
-          const Expr& rhs = *s.rhs;
-          const Expr& left = *rhs.operands[0];
-          const bool self_on_left =
-              left.kind == ExprKind::kScalarRef && left.scalar == s.lhs_scalar;
-          collect_expr(self_on_left ? *rhs.operands[1] : *rhs.operands[0]);
-        } else {
-          collect_expr(*s.rhs);
-        }
-        auto& sc = summary_.scalars[s.lhs_scalar];
-        if (reduction) {
-          if (sc.written && sc.reduction_only && sc.reduction_op != op) {
-            sc.reduction_only = false;  // mixed reduction operators
-          } else if (!sc.written) {
-            sc.reduction_op = op;
-          }
-        } else {
-          sc.reduction_only = false;
-        }
-        sc.written = true;
-        break;
-      }
-      case StmtKind::kIf:
-        summary_.has_guards = true;
-        collect_body(s.then_body);
-        collect_body(s.else_body);
-        break;
-      case StmtKind::kLoop:
-        // Nested (non-spine) loop inside a body: still collect accesses.
-        collect_body(s.loop->body);
-        break;
+    first_read = k + 1;
+    if (!w.array.empty()) {
+      array_access(w).written = true;
+      continue;
     }
+    ScalarAccess& sc = summary.scalars[w.scalar];
+    if (!w.reduction) {
+      sc.reduction_only = false;
+    } else if (!sc.written) {
+      sc.reduction_op = w.reduction_op;
+    } else if (sc.reduction_only && sc.reduction_op != w.reduction_op) {
+      sc.reduction_only = false;  // mixed reduction operators
+    }
+    sc.written = true;
   }
-
-  void collect_body(const StmtList& body) {
-    for (const auto& s : body) collect_stmt(*s);
-  }
-
- private:
-  LoopSummary& summary_;
-};
-
-std::shared_ptr<const std::vector<verify::AffineRef>> shared_refs(
-    const ir::Program& program, const ir::Stmt& stmt) {
-  return std::make_shared<const std::vector<verify::AffineRef>>(
-      verify::collect_refs(program, stmt).refs);
 }
 
 }  // namespace
@@ -115,7 +71,7 @@ bool touch_conflict(const LoopSummary& x, const LoopSummary& y) {
   for (const auto& [array, a] : x.arrays) {
     const auto it = y.arrays.find(array);
     if (it == y.arrays.end()) continue;
-    if (a.has_writes() || it->second.has_writes()) return true;
+    if (a.written || it->second.written) return true;
   }
   for (const auto& [name, a] : x.scalars) {
     const auto it = y.scalars.find(name);
@@ -136,28 +92,20 @@ LoopSummary summarize_loop(const ir::Program& program, int top_index) {
   LoopSummary summary;
   summary.top_index = top_index;
 
-  // Walk the leftmost spine of nested loops to record the nest structure.
+  // Walk the leftmost spine of nested loops to record the nest structure:
+  // descend while a body is exactly one nested loop.
   const ir::Stmt* cursor = &stmt;
   while (true) {
     const ir::Loop& loop = *cursor->loop;
     summary.loop_vars.push_back(loop.var);
     summary.lowers.push_back(loop.lower);
     summary.uppers.push_back(loop.upper);
-    // Descend when the body is exactly one nested loop.
-    if (loop.body.size() == 1 &&
-        loop.body.front()->kind == ir::StmtKind::kLoop) {
-      cursor = loop.body.front().get();
-      continue;
-    }
-    // A body mixing loops and statements is not a simple nest.
-    for (const auto& s : loop.body) {
-      if (s->kind == ir::StmtKind::kLoop) summary.simple_nest = false;
-    }
-    Collector collector(summary);
-    collector.collect_body(loop.body);
-    break;
+    if (loop.body.size() != 1 ||
+        loop.body.front()->kind != ir::StmtKind::kLoop)
+      break;
+    cursor = loop.body.front().get();
   }
-  summary.refs = shared_refs(program, stmt);
+  summarize_refs(program, stmt, summary);
   return summary;
 }
 
@@ -170,9 +118,7 @@ LoopSummary summarize_statement(const ir::Program& program, int top_index) {
     return summarize_loop(program, top_index);
   LoopSummary summary;
   summary.top_index = top_index;
-  Collector collector(summary);
-  collector.collect_stmt(stmt);
-  summary.refs = shared_refs(program, stmt);
+  summarize_refs(program, stmt, summary);
   return summary;
 }
 

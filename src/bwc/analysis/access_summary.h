@@ -1,9 +1,10 @@
 // Per-loop access summaries: which arrays and scalars a top-level loop nest
-// reads and writes, and with which affine subscripts. This is the raw
-// material for fusion-graph construction, dependence testing and liveness.
-// Each summary also carries the nest's references in the exact dependence
-// engine's form (verify::AffineRef), which the legality queries of
-// analysis/dependence.h solve.
+// reads and writes. This is the raw material for fusion-graph
+// construction, dependence testing and liveness. Each summary carries the
+// nest's references in the exact dependence engine's form
+// (verify::collect_refs, the one walk from a statement to its references):
+// the read/write maps are tallied from them, and the legality queries of
+// analysis/dependence.h and the storage-reduction pass consume them.
 #pragma once
 
 #include <cstdint>
@@ -18,14 +19,11 @@
 
 namespace bwc::analysis {
 
-/// All subscript tuples with which one loop references one array.
+/// How a loop touches one array (the subscripts are in LoopSummary::refs).
 struct ArrayAccess {
   ir::ArrayId array = ir::kInvalidArray;
-  std::vector<std::vector<ir::Affine>> reads;
-  std::vector<std::vector<ir::Affine>> writes;
-
-  bool has_reads() const { return !reads.empty(); }
-  bool has_writes() const { return !writes.empty(); }
+  bool read = false;
+  bool written = false;
 };
 
 /// How a loop touches one scalar.
@@ -47,18 +45,15 @@ struct LoopSummary {
   std::vector<std::string> loop_vars;
   std::vector<std::int64_t> lowers;  // per nest level
   std::vector<std::int64_t> uppers;
-  /// True when the nest is "perfect enough": every loop level holds either
-  /// exactly one inner loop or only non-loop statements.
-  bool simple_nest = true;
-  bool has_guards = false;
 
   std::map<ir::ArrayId, ArrayAccess> arrays;
   std::map<std::string, ScalarAccess> scalars;
   /// Every reference of the statement with its guard-refined loop context
-  /// (verify::collect_refs); the first depth() loops of each are the spine.
-  /// Set by summarize_loop/summarize_statement and never changed after, so
-  /// copies of a summary (the fusion graph keeps its own) share one list.
-  std::shared_ptr<const std::vector<verify::AffineRef>> refs;
+  /// (verify::collect_refs), in execution order within one iteration; the
+  /// first depth() loops of each are the spine. Set by
+  /// summarize_loop/summarize_statement and never changed after, so copies
+  /// of a summary (the fusion graph keeps its own) share one set.
+  std::shared_ptr<const verify::RefSet> refs;
 
   int depth() const { return static_cast<int>(loop_vars.size()); }
   std::int64_t trip_count() const;

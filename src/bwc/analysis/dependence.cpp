@@ -80,9 +80,9 @@ std::optional<Alignment> try_align(const LoopSummary& a, const LoopSummary& b,
 template <typename F>
 bool any_ref_pair(const LoopSummary& a, const LoopSummary& b, F&& f) {
   BWC_CHECK(a.refs && b.refs, "loop summary without references");
-  for (const AffineRef& ra : *a.refs) {
+  for (const AffineRef& ra : a.refs->refs) {
     if (ra.array.empty()) continue;
-    for (const AffineRef& rb : *b.refs) {
+    for (const AffineRef& rb : b.refs->refs) {
       if (rb.array != ra.array || (!ra.write && !rb.write)) continue;
       if (f(ra, rb)) return true;
     }
@@ -197,7 +197,7 @@ PairAnalysis analyze_pair(const LoopSummary& a, const LoopSummary& b) {
     const auto it = b.arrays.find(array);
     if (it == b.arrays.end()) continue;
     result.shared_arrays.push_back(array);
-    if (access_a.has_writes() || it->second.has_writes())
+    if (access_a.written || it->second.written)
       result.dependent = true;
   }
 

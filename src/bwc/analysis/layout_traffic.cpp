@@ -106,35 +106,31 @@ LayoutTrafficEstimate estimate_layout_traffic(const ir::Program& program,
     }
     if (trip_inner <= 0) continue;
 
-    // Reduce every reference tuple to its innermost byte stride.
+    // Reduce every array reference to its innermost byte stride.
     std::vector<TupleStride> tuples;
-    for (const auto& [id, access] : summary.arrays) {
+    for (const verify::AffineRef& r : summary.refs->refs) {
+      if (r.array.empty()) continue;
+      const ir::ArrayId id = program.array_id(r.array);
       const auto idx = static_cast<std::size_t>(id);
-      const ir::ArrayDecl& decl = program.array(id);
-      const std::vector<std::int64_t> strides = decl.layout_strides();
-      const auto reduce =
-          [&](const std::vector<std::vector<ir::Affine>>& refs) {
-            for (const auto& subs : refs) {
-              TupleStride ts;
-              ts.array = id;
-              ts.stream_key = owner[idx];
-              ts.trips_total = trips_total;
-              ts.trip_inner = trip_inner;
-              ts.depth = depth;
-              if (!inner_var.empty() && subs.size() == strides.size()) {
-                std::int64_t slots = 0;
-                for (std::size_t d = 0; d < subs.size(); ++d)
-                  slots += coeff_of(subs[d], inner_var) * strides[d];
-                ts.stride_bytes = slots * addr_scale[idx];
-              }
-              tuples.push_back(ts);
-              est.arrays[idx].accesses += trips_total;
-              if (ts.stride_bytes != 0)
-                stride_weight[idx][std::llabs(ts.stride_bytes)] += trips_total;
-            }
-          };
-      reduce(access.reads);
-      reduce(access.writes);
+      const std::vector<std::int64_t> strides =
+          program.array(id).layout_strides();
+      const std::vector<ir::Affine>& subs = r.subscripts;
+      TupleStride ts;
+      ts.array = id;
+      ts.stream_key = owner[idx];
+      ts.trips_total = trips_total;
+      ts.trip_inner = trip_inner;
+      ts.depth = depth;
+      if (!inner_var.empty() && subs.size() == strides.size()) {
+        std::int64_t slots = 0;
+        for (std::size_t d = 0; d < subs.size(); ++d)
+          slots += coeff_of(subs[d], inner_var) * strides[d];
+        ts.stride_bytes = slots * addr_scale[idx];
+      }
+      tuples.push_back(ts);
+      est.arrays[idx].accesses += trips_total;
+      if (ts.stride_bytes != 0)
+        stride_weight[idx][std::llabs(ts.stride_bytes)] += trips_total;
     }
 
     // Thrash rule 1 -- set collapse: a large power-of-two stride cycles

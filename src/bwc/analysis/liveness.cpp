@@ -63,8 +63,8 @@ std::vector<ArrayLiveness> analyze_liveness(
             : computed;
     for (const auto& [array, access] : summary.arrays) {
       auto& live = result[static_cast<std::size_t>(array)];
-      if (access.has_reads()) live.reading_stmts.push_back(i);
-      if (access.has_writes()) live.writing_stmts.push_back(i);
+      if (access.read) live.reading_stmts.push_back(i);
+      if (access.written) live.writing_stmts.push_back(i);
     }
   }
   return result;

@@ -33,12 +33,11 @@ PassResult LintPass::run(ir::Program& program, AnalysisManager& am,
   // program outputs -- their computation is unobservable. The optimizer's
   // store-elimination pass removes these when it runs; surviving ones are
   // graded as errors.
+  const std::vector<analysis::LoopSummary>& summaries =
+      am.statement_summaries(program);
   std::set<std::string> written, read;
-  std::vector<verify::RefSet> per_top;
-  per_top.reserve(program.top().size());
-  for (const auto& top : program.top()) {
-    per_top.push_back(verify::collect_refs(program, *top));
-    for (const auto& ref : per_top.back().refs) {
+  for (const analysis::LoopSummary& s : summaries) {
+    for (const auto& ref : s.refs->refs) {
       if (ref.array.empty()) continue;
       (ref.write ? written : read).insert(ref.array);
     }
@@ -56,8 +55,8 @@ PassResult LintPass::run(ir::Program& program, AnalysisManager& am,
   }
 
   // Unreachable guard arms and analysis-opaque contexts, per statement.
-  for (std::size_t t = 0; t < per_top.size(); ++t) {
-    const verify::RefSet& refs = per_top[t];
+  for (std::size_t t = 0; t < summaries.size(); ++t) {
+    const verify::RefSet& refs = *summaries[t].refs;
     if (refs.unreachable_guards > 0) {
       report.finding(RemarkSeverity::kWarning, "lint-unreachable-guard",
                      "statement " + std::to_string(t) + " has " +
@@ -82,9 +81,9 @@ PassResult LintPass::run(ir::Program& program, AnalysisManager& am,
   // element is provably revisited in a distinct event, so every byte the
   // nest touches crosses the memory boundary exactly once (cold cache) --
   // no intra-loop scheduling change can reduce its traffic.
-  for (std::size_t t = 0; t < per_top.size(); ++t) {
+  for (std::size_t t = 0; t < summaries.size(); ++t) {
     if (program.top()[t]->kind != ir::StmtKind::kLoop) continue;
-    const std::vector<verify::AffineRef>& refs = per_top[t].refs;
+    const std::vector<verify::AffineRef>& refs = summaries[t].refs->refs;
     bool any_array = false;
     bool at_bound = true;
     std::set<std::string> arrays;

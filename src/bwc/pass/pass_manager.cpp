@@ -51,8 +51,7 @@ PipelineReport PassManager::run(ir::Program& program) {
     report.label = pass->label();
     report.ir_before =
         compute_ir_stats(program, am.statement_summaries(program));
-    if (options_.traffic_deltas)
-      report.traffic_bound_before = am.traffic_bound(program).lower_bound_bytes;
+    report.traffic_bound_before = am.traffic_bound(program).lower_bound_bytes;
 
     // Snapshot for the pass-pair checks; maintained only when verifying.
     ir::Program before;
@@ -67,10 +66,7 @@ PipelineReport PassManager::run(ir::Program& program) {
       am.invalidate(result.preserved);
       report.ir_after =
           compute_ir_stats(program, am.statement_summaries(program));
-      if (options_.traffic_deltas) {
-        report.traffic_bound_after =
-            am.traffic_bound(program).lower_bound_bytes;
-      }
+      report.traffic_bound_after = am.traffic_bound(program).lower_bound_bytes;
     } else {
       report.ir_after = report.ir_before;
       report.traffic_bound_after = report.traffic_bound_before;

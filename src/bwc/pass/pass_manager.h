@@ -33,9 +33,6 @@ struct PipelineOptions {
   /// Fingerprint the IR on every cache hit and throw on a stale entry
   /// (AnalysisManager::Options::audit). Expensive; for tests.
   bool audit_analyses = false;
-  /// Record verify::traffic_bound of the program before/after every pass
-  /// in its PassReport (the predicted memory-traffic delta).
-  bool traffic_deltas = true;
   /// When set, called with each pass and the program state after it ran
   /// (bwcopt --print-after-all).
   std::function<void(const Pass&, const ir::Program&)> print_after;

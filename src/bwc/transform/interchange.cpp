@@ -88,19 +88,13 @@ InterchangeResult auto_interchange(
     const std::string& outer_var = s.loop_vars[0];
     const std::string& inner_var = s.loop_vars[1];
     int bad = 0, good = 0;
-    for (const auto& [array, access] : s.arrays) {
-      auto tally = [&](const std::vector<std::vector<ir::Affine>>& refs) {
-        for (const auto& ref : refs) {
-          if (ref.empty()) continue;
-          if (ref[0].uses(inner_var)) {
-            ++good;
-          } else if (ref[0].uses(outer_var)) {
-            ++bad;
-          }
-        }
-      };
-      tally(access.reads);
-      tally(access.writes);
+    for (const verify::AffineRef& r : s.refs->refs) {
+      if (r.subscripts.empty()) continue;
+      if (r.subscripts[0].uses(inner_var)) {
+        ++good;
+      } else if (r.subscripts[0].uses(outer_var)) {
+        ++bad;
+      }
     }
     if (bad <= good) continue;  // already (mostly) stride-1
     if (!analysis::interchange_legal(s)) continue;

@@ -38,15 +38,12 @@ std::vector<std::map<int, std::int64_t>> innermost_dim_votes(
     const std::string& inner = s.loop_vars.back();
     const std::int64_t trips = std::max<std::int64_t>(0, s.trip_count());
     if (trips == 0) continue;
-    for (const auto& [id, access] : s.arrays) {
-      auto& w = votes[static_cast<std::size_t>(id)];
-      for (const auto* refs : {&access.reads, &access.writes}) {
-        for (const auto& subs : *refs) {
-          for (std::size_t d = 0; d < subs.size(); ++d)
-            if (coeff_of(subs[d], inner) != 0)
-              w[static_cast<int>(d)] += trips;
-        }
-      }
+    for (const verify::AffineRef& r : s.refs->refs) {
+      if (r.array.empty()) continue;
+      auto& w = votes[static_cast<std::size_t>(program.array_id(r.array))];
+      for (std::size_t d = 0; d < r.subscripts.size(); ++d)
+        if (coeff_of(r.subscripts[d], inner) != 0)
+          w[static_cast<int>(d)] += trips;
     }
   }
   return votes;
@@ -124,7 +121,7 @@ LayoutResult regroup_layouts(const Program& program) {
     const analysis::LoopSummary s = analysis::summarize_statement(p, t);
     for (const auto& [id, access] : s.arrays) {
       accessed_by[static_cast<std::size_t>(id)].push_back(t);
-      if (access.has_writes()) written[static_cast<std::size_t>(id)] = true;
+      if (access.written) written[static_cast<std::size_t>(id)] = true;
     }
   }
 

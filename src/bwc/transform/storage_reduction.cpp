@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 
 #include "bwc/analysis/access_summary.h"
 #include "bwc/support/error.h"
 #include "bwc/transform/rewrite.h"
+#include "bwc/verify/static_dependence.h"
 
 namespace bwc::transform {
 
@@ -23,166 +24,124 @@ using ir::Program;
 using ir::Stmt;
 using ir::StmtKind;
 using ir::StmtList;
+using verify::AffineRef;
+using verify::VarDomain;
 
-constexpr std::int64_t kLo = std::numeric_limits<std::int64_t>::min() / 4;
-constexpr std::int64_t kHi = std::numeric_limits<std::int64_t>::max() / 4;
+/// The references of every top-level statement (verify::collect_refs): the
+/// pass manager's summaries hand them in, and the pass recollects each
+/// statement it rewrites.
+using RefSets = std::vector<std::shared_ptr<const verify::RefSet>>;
 
-/// Known range of a loop variable at some program point (loop bounds
-/// refined by enclosing guards).
-struct VarRange {
-  std::int64_t lo = kLo;
-  std::int64_t hi = kHi;
-  bool pinned() const { return lo == hi; }
+std::shared_ptr<const verify::RefSet> collect(const Program& p, int top) {
+  return std::make_shared<const verify::RefSet>(
+      verify::collect_refs(p, *p.top()[static_cast<std::size_t>(top)]));
+}
+
+RefSets ref_sets(const Program& program,
+                 const std::vector<analysis::LoopSummary>* summaries) {
+  BWC_CHECK(summaries == nullptr || summaries->size() == program.top().size(),
+            "statement summaries must cover every top-level statement");
+  RefSets sets;
+  for (int t = 0; t < static_cast<int>(program.top().size()); ++t)
+    sets.push_back(summaries != nullptr
+                       ? (*summaries)[static_cast<std::size_t>(t)].refs
+                       : collect(program, t));
+  return sets;
+}
+
+std::uint64_t referenced_bytes(const Program& program, const RefSets& sets) {
+  std::set<std::string> referenced;
+  for (const auto& set : sets)
+    for (const AffineRef& r : set->refs)
+      if (!r.array.empty()) referenced.insert(r.array);
+  std::uint64_t bytes = 0;
+  for (const ir::ArrayDecl& decl : program.arrays())
+    if (referenced.count(decl.name) > 0) bytes += decl.byte_size();
+  return bytes;
+}
+
+/// Recollect the references of every statement that referenced `array`.
+void recollect_users(const Program& p, const std::string& array,
+                     RefSets& sets) {
+  for (int t = 0; t < static_cast<int>(sets.size()); ++t) {
+    const std::vector<AffineRef>& refs =
+        sets[static_cast<std::size_t>(t)]->refs;
+    if (std::any_of(refs.begin(), refs.end(),
+                    [&](const AffineRef& r) { return r.array == array; }))
+      sets[static_cast<std::size_t>(t)] = collect(p, t);
+  }
+}
+
+/// One reference to a candidate array, with its top-level statement.
+struct TopRef {
+  int top = -1;
+  const AffineRef* ref = nullptr;
 };
 
-using Env = std::map<std::string, VarRange>;
-
-Env refine_env(const Env& env, ir::CmpOp cmp, const Affine& lhs,
-               const Affine& rhs, bool then_branch) {
-  Env out = env;
-  // Only refine single-variable-vs-constant comparisons.
-  const auto var = lhs.single_var();
-  if (!var.has_value() || lhs.coeff(*var) != 1 || !rhs.is_constant())
-    return out;
-  const std::int64_t k = rhs.constant_term() - lhs.constant_term();
-  VarRange& r = out[*var];
-  if (then_branch) {
-    switch (cmp) {
-      case ir::CmpOp::kEq:
-        r.lo = std::max(r.lo, k);
-        r.hi = std::min(r.hi, k);
-        break;
-      case ir::CmpOp::kLe:
-        r.hi = std::min(r.hi, k);
-        break;
-      case ir::CmpOp::kLt:
-        r.hi = std::min(r.hi, k - 1);
-        break;
-      case ir::CmpOp::kGe:
-        r.lo = std::max(r.lo, k);
-        break;
-      case ir::CmpOp::kGt:
-        r.lo = std::max(r.lo, k + 1);
-        break;
-      case ir::CmpOp::kNe:
-        break;
-    }
-  } else {
-    switch (cmp) {
-      case ir::CmpOp::kLe:
-        r.lo = std::max(r.lo, k + 1);
-        break;
-      case ir::CmpOp::kLt:
-        r.lo = std::max(r.lo, k);
-        break;
-      case ir::CmpOp::kGe:
-        r.hi = std::min(r.hi, k - 1);
-        break;
-      case ir::CmpOp::kGt:
-        r.hi = std::min(r.hi, k);
-        break;
-      case ir::CmpOp::kNe:
-        r.lo = std::max(r.lo, k);
-        r.hi = std::min(r.hi, k);
-        break;
-      case ir::CmpOp::kEq:
-        break;
-    }
-  }
+/// Every reference to array `name`, in static order: statement by
+/// statement, each in collect_refs order (execution order within one
+/// iteration). Unreachable statements have no references.
+std::vector<TopRef> refs_to(const RefSets& sets, const std::string& name) {
+  std::vector<TopRef> out;
+  for (int t = 0; t < static_cast<int>(sets.size()); ++t)
+    for (const AffineRef& r : sets[static_cast<std::size_t>(t)]->refs)
+      if (r.array == name) out.push_back({t, &r});
   return out;
 }
 
-/// Evaluate an affine to a constant under the env (nullopt when some
-/// variable is not pinned).
-std::optional<std::int64_t> eval_under(const Affine& a, const Env& env) {
+/// The one value `a` takes wherever a loop context runs, when its domains
+/// pin every variable `a` uses; nullopt otherwise. An over-approximated
+/// domain still pins soundly: the context runs inside it.
+std::optional<std::int64_t> pinned_value(
+    const Affine& a, const std::vector<std::string>& vars,
+    const std::vector<VarDomain>& domains) {
   std::int64_t value = a.constant_term();
   for (const auto& [name, coeff] : a.terms()) {
-    const auto it = env.find(name);
-    if (it == env.end() || !it->second.pinned()) return std::nullopt;
-    value += coeff * it->second.lo;
+    const auto it = std::find(vars.begin(), vars.end(), name);
+    if (it == vars.end()) return std::nullopt;
+    const VarDomain& d = domains[static_cast<std::size_t>(it - vars.begin())];
+    if (d.size() != 1) return std::nullopt;
+    value += coeff * d.ranges.front().lo;
   }
   return value;
 }
 
-/// One reference to the candidate array, with its context.
-struct Ref {
-  bool is_write = false;
-  std::vector<Affine> subscripts;
-  int top_index = -1;
-  int order = 0;       // global static visitation order
-  bool guarded = false;
-  Env env;
-};
-
-/// Collect all references to `array`, program-wide, with contexts.
-class RefCollector {
- public:
-  RefCollector(const Program& program, ArrayId array)
-      : program_(program), array_(array) {}
-
-  std::vector<Ref> collect() {
-    for (int k = 0; k < static_cast<int>(program_.top().size()); ++k) {
-      top_ = k;
-      walk_stmt(*program_.top()[static_cast<std::size_t>(k)], Env{}, 0);
-    }
-    return std::move(refs_);
+/// Is every value of `inner` also a value of `outer`?
+bool within(const VarDomain& inner, const VarDomain& outer) {
+  for (const verify::Interval& piece : inner.ranges) {
+    std::int64_t covered = 0;
+    for (const verify::Interval& o : outer.ranges)
+      covered += verify::Interval{std::max(piece.lo, o.lo),
+                                  std::min(piece.hi, o.hi)}
+                     .size();
+    if (covered != piece.size()) return false;
   }
+  return true;
+}
 
- private:
-  void walk_expr(const Expr& e, const Env& env, int guard_depth) {
-    if (e.kind == ExprKind::kArrayRef && e.array == array_) {
-      refs_.push_back({false, e.subscripts, top_, order_++,
-                       guard_depth > 0, env});
-    }
-    for (const auto& child : e.operands) walk_expr(*child, env, guard_depth);
+/// Does `r` run only at iterations where `w` runs? Each of w's loop
+/// variables must bound one of r's, whose domain lies inside w's. A
+/// domain that over-approximates (a guard the splitter cannot refine)
+/// vouches for nothing.
+bool runs_within(const AffineRef& r, const AffineRef& w) {
+  if (!w.exact_domain) return false;
+  for (std::size_t l = 0; l < w.loop_vars.size(); ++l) {
+    const auto it =
+        std::find(r.loop_vars.begin(), r.loop_vars.end(), w.loop_vars[l]);
+    if (it == r.loop_vars.end() ||
+        !within(r.domains[static_cast<std::size_t>(it - r.loop_vars.begin())],
+                w.domains[l]))
+      return false;
   }
+  return true;
+}
 
-  void walk_stmt(const Stmt& s, const Env& env, int guard_depth) {
-    switch (s.kind) {
-      case StmtKind::kArrayAssign:
-        walk_expr(*s.rhs, env, guard_depth);
-        if (s.lhs_array == array_) {
-          refs_.push_back({true, s.lhs_subscripts, top_, order_++,
-                           guard_depth > 0, env});
-        }
-        break;
-      case StmtKind::kScalarAssign:
-        walk_expr(*s.rhs, env, guard_depth);
-        break;
-      case StmtKind::kIf: {
-        const Env then_env =
-            refine_env(env, s.cmp, s.cmp_lhs, s.cmp_rhs, true);
-        for (const auto& t : s.then_body)
-          walk_stmt(*t, then_env, guard_depth + 1);
-        const Env else_env =
-            refine_env(env, s.cmp, s.cmp_lhs, s.cmp_rhs, false);
-        for (const auto& t : s.else_body)
-          walk_stmt(*t, else_env, guard_depth + 1);
-        break;
-      }
-      case StmtKind::kLoop: {
-        Env inner = env;
-        inner[s.loop->var] = {s.loop->lower, s.loop->upper};
-        for (const auto& t : s.loop->body) walk_stmt(*t, inner, guard_depth);
-        break;
-      }
-    }
-  }
-
-  const Program& program_;
-  ArrayId array_;
-  int top_ = -1;
-  int order_ = 0;
-  std::vector<Ref> refs_;
-};
-
-/// Are two subscript tuples provably equal under the env of the second?
-bool tuples_equal_under(const std::vector<Affine>& canonical,
-                        const Ref& ref) {
-  if (canonical.size() != ref.subscripts.size()) return false;
+/// Does `r` name the element `canonical` wherever it runs?
+bool names_element(const AffineRef& r, const std::vector<Affine>& canonical) {
+  if (canonical.size() != r.subscripts.size()) return false;
   for (std::size_t d = 0; d < canonical.size(); ++d) {
-    const Affine diff = ref.subscripts[d] - canonical[d];
-    const auto v = eval_under(diff, ref.env);
+    const auto v =
+        pinned_value(r.subscripts[d] - canonical[d], r.loop_vars, r.domains);
     if (!v.has_value() || *v != 0) return false;
   }
   return true;
@@ -204,70 +163,54 @@ std::vector<std::string> spine_vars(const Stmt& loop_stmt) {
   return vars;
 }
 
-/// Injective tuple: each dim a distinct unit-coefficient loop var, covering
-/// all given loop levels.
+/// Injective tuple: each dim a distinct unit-coefficient spine variable,
+/// covering every spine level. A variable of a loop below the spine does
+/// not qualify: two sibling loops over it would each touch every element
+/// once per spine iteration, which one scalar cannot hold.
 bool injective_over(const std::vector<Affine>& tuple,
-                    const std::vector<std::string>& loop_vars) {
+                    const std::vector<std::string>& spine) {
   std::set<std::string> used;
   for (const auto& sub : tuple) {
     const auto var = sub.single_var();
     if (!var.has_value() || sub.coeff(*var) != 1) return false;
     if (!used.insert(*var).second) return false;
   }
-  for (const auto& v : loop_vars) {
-    if (used.count(v) == 0) return false;
-  }
-  return true;
+  return used == std::set<std::string>(spine.begin(), spine.end());
 }
 
 // ---------------------------------------------------------------------------
 // Contraction: array -> scalar.
 // ---------------------------------------------------------------------------
 
-bool try_scalarize(Program& p, ArrayId array,
+bool try_scalarize(Program& p, ArrayId array, const RefSets& sets,
                    std::vector<std::string>& scalar_names,
                    std::vector<std::string>& actions) {
   if (p.is_output_array(array)) return false;
-  const std::vector<Ref> refs = RefCollector(p, array).collect();
+  const std::vector<TopRef> refs = refs_to(sets, p.array(array).name);
   if (refs.empty()) return false;
 
   // All refs in one top-level loop.
-  const int top = refs.front().top_index;
+  const int top = refs.front().top;
   for (const auto& r : refs) {
-    if (r.top_index != top) return false;
+    if (r.top != top) return false;
   }
   Stmt& loop_stmt = *p.top()[static_cast<std::size_t>(top)];
   if (loop_stmt.kind != StmtKind::kLoop) return false;
 
-  // First reference (static order == per-iteration order) must be a write,
-  // and every other reference may only execute in iterations where that
-  // write executes too: guard conditions are affine constraints on loop
-  // variables, so "executes iff iteration satisfies env" is exact, and
-  // env containment is the right implication test. This guarantees no
-  // read ever sees the array's initial values.
-  const Ref* first = &refs.front();
+  // The first reference (static order == per-iteration order) must be a
+  // write, and every reference may run only at iterations where that
+  // write runs, decided on their exact guard-refined domains. This
+  // guarantees no read ever sees the array's initial values.
+  const AffineRef& first = *refs.front().ref;
+  if (!first.write) return false;
   for (const auto& r : refs) {
-    if (r.order < first->order) first = &r;
-  }
-  if (!first->is_write) return false;
-  auto env_contains = [](const Env& outer, const Env& inner) {
-    for (const auto& [var, range] : outer) {
-      VarRange inner_range;  // unconstrained by default
-      const auto it = inner.find(var);
-      if (it != inner.end()) inner_range = it->second;
-      if (inner_range.lo < range.lo || inner_range.hi > range.hi)
-        return false;
-    }
-    return true;
-  };
-  for (const auto& r : refs) {
-    if (!env_contains(first->env, r.env)) return false;
+    if (!runs_within(*r.ref, first)) return false;
   }
 
-  // All refs name the same element (under their guard envs), injectively.
-  const std::vector<Affine>& canonical = first->subscripts;
+  // All refs name the same element wherever they run, injectively.
+  const std::vector<Affine>& canonical = first.subscripts;
   for (const auto& r : refs) {
-    if (!tuples_equal_under(canonical, r)) return false;
+    if (!names_element(*r.ref, canonical)) return false;
   }
   if (!injective_over(canonical, spine_vars(loop_stmt))) return false;
 
@@ -339,32 +282,37 @@ struct ShrinkPlan {
   bool boundary_dispatch = false;  // offset -1 reads can reach j == lo
 };
 
-/// Offset of a dim-1 subscript relative to the outer var, evaluated under
-/// the ref's env (e.g. "N" under a j==N guard has offset 0).
-std::optional<std::int64_t> column_offset(const Affine& sub,
-                                          const std::string& outer_var,
-                                          const Env& env) {
-  const Affine diff = sub - Affine::var(outer_var);
-  // Fast path: pure constant difference.
-  if (diff.is_constant()) return diff.constant_term();
-  return eval_under(diff, env);
+/// Offset of a dim-1 subscript relative to the outer var wherever its
+/// context runs (e.g. "N" under a j == N guard has offset 0).
+std::optional<std::int64_t> column_offset(
+    const Affine& sub, const std::string& outer_var,
+    const std::vector<std::string>& vars,
+    const std::vector<VarDomain>& domains) {
+  return pinned_value(sub - Affine::var(outer_var), vars, domains);
 }
 
-std::optional<ShrinkPlan> plan_shrink(const Program& p, ArrayId array) {
+/// The first sweep iteration at which a context of the sweep loop runs
+/// (level 0 is the sweep's outer loop).
+std::int64_t first_outer(const std::vector<VarDomain>& domains) {
+  return domains.front().hull().lo;
+}
+
+std::optional<ShrinkPlan> plan_shrink(const Program& p, ArrayId array,
+                                      const RefSets& sets) {
   if (p.is_output_array(array)) return std::nullopt;
   const auto& decl = p.array(array);
   if (decl.extents.size() != 2) return std::nullopt;
 
-  const std::vector<Ref> refs = RefCollector(p, array).collect();
+  const std::vector<TopRef> refs = refs_to(sets, decl.name);
   if (refs.empty()) return std::nullopt;
 
   // Partition refs into constant-column refs and variable-column refs.
   // Variable-column refs must all live in one two-deep loop.
   ShrinkPlan plan;
-  for (const auto& r : refs) {
-    if (r.subscripts.size() != 2) return std::nullopt;
-    if (r.subscripts[1].is_constant()) continue;  // constant column: peel
-    const int top = r.top_index;
+  std::int64_t inner_trips = 0;
+  for (const auto& [top, r] : refs) {
+    if (r->subscripts.size() != 2) return std::nullopt;
+    if (r->subscripts[1].is_constant()) continue;  // constant column: peel
     if (plan.loop_top < 0) {
       plan.loop_top = top;
       const Stmt& loop_stmt = *p.top()[static_cast<std::size_t>(top)];
@@ -375,6 +323,8 @@ std::optional<ShrinkPlan> plan_shrink(const Program& p, ArrayId array) {
       plan.inner_var = vars[1];
       plan.outer_lo = loop_stmt.loop->lower;
       plan.outer_hi = loop_stmt.loop->upper;
+      const ir::Loop& inner = *loop_stmt.loop->body.front()->loop;
+      inner_trips = inner.upper - inner.lower + 1;
     } else if (plan.loop_top != top) {
       return std::nullopt;
     }
@@ -382,28 +332,34 @@ std::optional<ShrinkPlan> plan_shrink(const Program& p, ArrayId array) {
   if (plan.loop_top < 0) return std::nullopt;  // only constant columns
 
   // Validate every reference.
-  int first_write_order = -1;
-  int first_read0_order = -1;
-  for (const auto& r : refs) {
+  int first_write = -1;
+  int first_read0 = -1;
+  for (std::size_t k = 0; k < refs.size(); ++k) {
+    const int top = refs[k].top;
+    const AffineRef& r = *refs[k].ref;
+    const auto offset = [&] {
+      return column_offset(r.subscripts[1], plan.outer_var, r.loop_vars,
+                           r.domains);
+    };
     if (r.subscripts[1].is_constant()) {
       const std::int64_t c = r.subscripts[1].constant_term();
       if (c >= plan.outer_lo && c <= plan.outer_hi) {
         // Inside the sweep range. Acceptable as a plain offset-0/-1 access
-        // when the env pins the outer var (e.g. a[i,N] under j == N)...
-        const auto off = column_offset(r.subscripts[1], plan.outer_var, r.env);
+        // in the sweep loop when the domain pins the outer var (e.g. a[i,N]
+        // under j == N)...
+        const auto off = top == plan.loop_top
+                             ? offset()
+                             : std::optional<std::int64_t>();
         if (!off.has_value() || (*off != 0 && *off != -1)) {
           // ...otherwise the column outlives the cur/prev rotation and
           // must be peeled, with the sweep's write at j == c duplicated
           // into the peel array. Safe only for reads that execute after
           // the column was written: in the sweep loop at iterations > c,
           // or in a later top-level statement.
-          if (r.is_write) return std::nullopt;
-          if (r.top_index == plan.loop_top) {
-            const auto it = r.env.find(plan.outer_var);
-            const std::int64_t env_lo =
-                it == r.env.end() ? kLo : it->second.lo;
-            if (env_lo <= c) return std::nullopt;
-          } else if (r.top_index < plan.loop_top) {
+          if (r.write) return std::nullopt;
+          if (top == plan.loop_top) {
+            if (first_outer(r.domains) <= c) return std::nullopt;
+          } else if (top < plan.loop_top) {
             return std::nullopt;
           }
           plan.peel_columns.insert(c);
@@ -416,34 +372,37 @@ std::optional<ShrinkPlan> plan_shrink(const Program& p, ArrayId array) {
       }
     }
     // Variable-column (or pinned-equivalent) reference.
-    const auto off = column_offset(r.subscripts[1], plan.outer_var, r.env);
+    const auto off = offset();
     if (!off.has_value()) return std::nullopt;
     // Row subscript must be exactly the inner variable.
     const Affine row_diff = r.subscripts[0] - Affine::var(plan.inner_var);
     if (!(row_diff.is_constant() && row_diff.constant_term() == 0))
       return std::nullopt;
-    if (r.is_write) {
+    if (r.write) {
       if (*off != 0) return std::nullopt;  // writes only at current column
-      if (first_write_order < 0 || r.order < first_write_order)
-        first_write_order = r.order;
-      if (r.guarded) return std::nullopt;  // write must define every iteration
+      if (first_write < 0) first_write = static_cast<int>(k);
+      // The write must define every iteration: its exact domain is the
+      // whole two-deep nest.
+      const bool everywhere =
+          r.exact_domain && r.loop_vars.size() == 2 &&
+          r.domains[0].size() == plan.outer_hi - plan.outer_lo + 1 &&
+          r.domains[1].size() == inner_trips;
+      if (!everywhere) return std::nullopt;
     } else if (*off == 0) {
-      if (first_read0_order < 0 || r.order < first_read0_order)
-        first_read0_order = r.order;
+      if (first_read0 < 0) first_read0 = static_cast<int>(k);
     } else if (*off == -1) {
       plan.reads_prev = true;
       // Can this read execute at the first outer iteration? Then it needs
       // the peeled previous column.
-      const auto it = r.env.find(plan.outer_var);
-      const std::int64_t env_lo = it == r.env.end() ? kLo : it->second.lo;
-      if (env_lo <= plan.outer_lo) plan.boundary_dispatch = true;
+      if (first_outer(r.domains) <= plan.outer_lo)
+        plan.boundary_dispatch = true;
     } else {
       return std::nullopt;  // reads further back than one iteration
     }
   }
 
-  if (first_write_order < 0) return std::nullopt;  // read-only: keep as is
-  if (first_read0_order >= 0 && first_read0_order < first_write_order)
+  if (first_write < 0) return std::nullopt;  // read-only: keep as is
+  if (first_read0 >= 0 && first_read0 < first_write)
     return std::nullopt;  // current-column read before definition
 
   if (plan.boundary_dispatch &&
@@ -507,132 +466,115 @@ void apply_shrink(Program& p, ArrayId array, const ShrinkPlan& plan,
   };
   rewrite_const_cols(p.top());
 
-  // Within the sweep loop: rewrite variable-column refs.
+  // Within the sweep loop: rewrite variable-column refs, each statement in
+  // its own guard-refined loop context.
   Stmt& loop_stmt = *p.top()[static_cast<std::size_t>(plan.loop_top)];
   const std::string& j = plan.outer_var;
-
-  // Helper: offset of a dim-1 subscript in this (possibly guarded) context.
-  // Uses the same env machinery as planning, rebuilt during the walk.
-  std::function<void(StmtList&, const Env&)> rewrite_body =
-      [&](StmtList& body, const Env& env) {
-        for (std::size_t si = 0; si < body.size(); ++si) {
-          Stmt& s = *body[si];
-          switch (s.kind) {
-            case StmtKind::kIf: {
-              const Env then_env =
-                  refine_env(env, s.cmp, s.cmp_lhs, s.cmp_rhs, true);
-              rewrite_body(s.then_body, then_env);
-              const Env else_env =
-                  refine_env(env, s.cmp, s.cmp_lhs, s.cmp_rhs, false);
-              rewrite_body(s.else_body, else_env);
-              break;
-            }
-            case StmtKind::kLoop: {
-              Env inner = env;
-              inner[s.loop->var] = {s.loop->lower, s.loop->upper};
-              rewrite_body(s.loop->body, inner);
-              break;
-            }
-            case StmtKind::kArrayAssign:
-            case StmtKind::kScalarAssign: {
-              // Remember whether this statement is the sweep's write (its
-              // lhs row subscript survives the rewrite) for dual-write
-              // peel maintenance below.
-              const bool is_sweep_write =
-                  s.kind == StmtKind::kArrayAssign && s.lhs_array == array;
-              const Affine row_sub =
-                  is_sweep_write ? s.lhs_subscripts[0] : Affine();
-
-              // Does this statement read the array at offset -1, possibly
-              // at the boundary iteration?
-              bool has_prev_read = false;
-              std::function<void(const Expr&)> scan = [&](const Expr& e) {
-                if (e.kind == ExprKind::kArrayRef && e.array == array) {
-                  const auto off = column_offset(e.subscripts[1], j, env);
-                  if (off.has_value() && *off == -1) has_prev_read = true;
-                }
-                for (const auto& c : e.operands) scan(*c);
-              };
-              scan(*s.rhs);
-
-              const auto it = env.find(j);
-              const std::int64_t env_lo =
-                  it == env.end() ? kLo : it->second.lo;
-              const bool needs_dispatch =
-                  has_prev_read && env_lo <= plan.outer_lo;
-
-              auto rewrite_stmt_refs = [&](Stmt& st, bool prev_to_peel) {
-                for_each_expr(st, [&](Expr& e) {
-                  if (e.kind != ExprKind::kArrayRef || e.array != array)
-                    return;
-                  const auto off = column_offset(e.subscripts[1], j, env);
-                  BWC_CHECK(off.has_value(), "unplanned reference shape");
-                  if (*off == 0) {
-                    e.array = cur;
-                  } else {
-                    BWC_ASSERT(*off == -1, "unplanned offset");
-                    e.array = prev_to_peel ? peel.at(plan.outer_lo - 1) : prev;
-                  }
-                  e.subscripts = {e.subscripts[0]};
-                });
-                if (st.kind == StmtKind::kArrayAssign &&
-                    st.lhs_array == array) {
-                  st.lhs_array = cur;
-                  st.lhs_subscripts = {st.lhs_subscripts[0]};
-                }
-              };
-
-              if (needs_dispatch) {
-                // if (j == lo) <stmt with prev -> peel> else <stmt, prev>.
-                ir::StmtPtr then_version = s.clone();
-                ir::StmtPtr else_version = s.clone();
-                rewrite_stmt_refs(*then_version, /*prev_to_peel=*/true);
-                rewrite_stmt_refs(*else_version, /*prev_to_peel=*/false);
-                StmtList then_body, else_body;
-                then_body.push_back(std::move(then_version));
-                else_body.push_back(std::move(else_version));
-                body[si] = ir::make_if(ir::CmpOp::kEq, Affine::var(j),
-                                       Affine::constant(plan.outer_lo),
-                                       std::move(then_body),
-                                       std::move(else_body));
-              } else {
-                rewrite_stmt_refs(s, /*prev_to_peel=*/false);
-              }
-
-              // Dual-write peel: after the sweep's write of the current
-              // column, copy it into the peel array at j == c so the
-              // column survives the cur/prev rotation.
-              if (is_sweep_write) {
-                std::size_t insert_at = si + 1;
-                for (std::int64_t c : plan.dual_write_columns) {
-                  StmtList copy;
-                  copy.push_back(ir::make_array_assign(
-                      peel.at(c), {row_sub},
-                      ir::make_array_ref(cur, {row_sub})));
-                  body.insert(
-                      body.begin() + static_cast<std::ptrdiff_t>(insert_at),
-                      ir::make_if(ir::CmpOp::kEq, Affine::var(j),
-                                  Affine::constant(c), std::move(copy)));
-                  ++insert_at;
-                }
-                si = insert_at - 1;  // skip the inserted statements
-              }
-              break;
-            }
-          }
-        }
-      };
-
-  Env top_env;
-  top_env[j] = {plan.outer_lo, plan.outer_hi};
   BWC_CHECK(loop_stmt.loop->body.size() == 1 &&
                 loop_stmt.loop->body.front()->kind == StmtKind::kLoop,
             "shrink expects a two-deep simple nest");
+  std::map<const Stmt*, verify::AssignSite> site_of;
+  for (verify::AssignSite& site :
+       verify::collect_assign_sites(loop_stmt).sites)
+    site_of.emplace(site.stmt, std::move(site));
+
+  std::function<void(StmtList&)> rewrite_body = [&](StmtList& body) {
+    for (std::size_t si = 0; si < body.size(); ++si) {
+      Stmt& s = *body[si];
+      if (s.kind == StmtKind::kIf) {
+        rewrite_body(s.then_body);
+        rewrite_body(s.else_body);
+        continue;
+      }
+      if (s.kind == StmtKind::kLoop) {
+        rewrite_body(s.loop->body);
+        continue;
+      }
+      // A statement without a site never runs; it keeps its references.
+      const auto found = site_of.find(&s);
+      if (found == site_of.end()) continue;
+      const verify::AssignSite& site = found->second;
+      const auto offset = [&](const Expr& e) {
+        return column_offset(e.subscripts[1], j, site.loop_vars,
+                             site.domains);
+      };
+
+      // Remember whether this statement is the sweep's write (its lhs row
+      // subscript survives the rewrite) for dual-write peel maintenance
+      // below.
+      const bool is_sweep_write =
+          s.kind == StmtKind::kArrayAssign && s.lhs_array == array;
+      const Affine row_sub = is_sweep_write ? s.lhs_subscripts[0] : Affine();
+
+      // Does this statement read the array at offset -1, possibly at the
+      // boundary iteration?
+      bool has_prev_read = false;
+      std::function<void(const Expr&)> scan = [&](const Expr& e) {
+        if (e.kind == ExprKind::kArrayRef && e.array == array) {
+          const auto off = offset(e);
+          if (off.has_value() && *off == -1) has_prev_read = true;
+        }
+        for (const auto& c : e.operands) scan(*c);
+      };
+      scan(*s.rhs);
+      const bool needs_dispatch =
+          has_prev_read && first_outer(site.domains) <= plan.outer_lo;
+
+      auto rewrite_stmt_refs = [&](Stmt& st, bool prev_to_peel) {
+        for_each_expr(st, [&](Expr& e) {
+          if (e.kind != ExprKind::kArrayRef || e.array != array) return;
+          const auto off = offset(e);
+          BWC_CHECK(off.has_value(), "unplanned reference shape");
+          if (*off == 0) {
+            e.array = cur;
+          } else {
+            BWC_ASSERT(*off == -1, "unplanned offset");
+            e.array = prev_to_peel ? peel.at(plan.outer_lo - 1) : prev;
+          }
+          e.subscripts = {e.subscripts[0]};
+        });
+        if (st.kind == StmtKind::kArrayAssign && st.lhs_array == array) {
+          st.lhs_array = cur;
+          st.lhs_subscripts = {st.lhs_subscripts[0]};
+        }
+      };
+
+      if (needs_dispatch) {
+        // if (j == lo) <stmt with prev -> peel> else <stmt, prev>.
+        ir::StmtPtr then_version = s.clone();
+        ir::StmtPtr else_version = s.clone();
+        rewrite_stmt_refs(*then_version, /*prev_to_peel=*/true);
+        rewrite_stmt_refs(*else_version, /*prev_to_peel=*/false);
+        StmtList then_body, else_body;
+        then_body.push_back(std::move(then_version));
+        else_body.push_back(std::move(else_version));
+        body[si] = ir::make_if(ir::CmpOp::kEq, Affine::var(j),
+                               Affine::constant(plan.outer_lo),
+                               std::move(then_body), std::move(else_body));
+      } else {
+        rewrite_stmt_refs(s, /*prev_to_peel=*/false);
+      }
+
+      // Dual-write peel: after the sweep's write of the current column,
+      // copy it into the peel array at j == c so the column survives the
+      // cur/prev rotation.
+      if (is_sweep_write) {
+        std::size_t insert_at = si + 1;
+        for (std::int64_t c : plan.dual_write_columns) {
+          StmtList copy;
+          copy.push_back(ir::make_array_assign(
+              peel.at(c), {row_sub}, ir::make_array_ref(cur, {row_sub})));
+          body.insert(body.begin() + static_cast<std::ptrdiff_t>(insert_at),
+                      ir::make_if(ir::CmpOp::kEq, Affine::var(j),
+                                  Affine::constant(c), std::move(copy)));
+          ++insert_at;
+        }
+        si = insert_at - 1;  // skip the inserted statements
+      }
+    }
+  };
   Stmt& inner_loop = *loop_stmt.loop->body.front();
-  Env inner_env = top_env;
-  inner_env[inner_loop.loop->var] = {inner_loop.loop->lower,
-                                     inner_loop.loop->upper};
-  rewrite_body(inner_loop.loop->body, inner_env);
+  rewrite_body(inner_loop.loop->body);
 
   // Carry the current column into the previous buffer at the end of each
   // inner iteration (the paper's a3[i] = a2).
@@ -656,28 +598,7 @@ void apply_shrink(Program& p, ArrayId array, const ShrinkPlan& plan,
 std::uint64_t referenced_array_bytes(
     const Program& program,
     const std::vector<analysis::LoopSummary>* statement_summaries) {
-  BWC_CHECK(statement_summaries == nullptr ||
-                statement_summaries->size() == program.top().size(),
-            "statement summaries must cover every top-level statement");
-  std::vector<bool> referenced(
-      static_cast<std::size_t>(program.array_count()), false);
-  for (int k = 0; k < static_cast<int>(program.top().size()); ++k) {
-    analysis::LoopSummary computed;
-    if (statement_summaries == nullptr)
-      computed = analysis::summarize_statement(program, k);
-    const analysis::LoopSummary& s =
-        statement_summaries != nullptr
-            ? (*statement_summaries)[static_cast<std::size_t>(k)]
-            : computed;
-    for (const auto& [array, access] : s.arrays)
-      referenced[static_cast<std::size_t>(array)] = true;
-  }
-  std::uint64_t bytes = 0;
-  for (int a = 0; a < program.array_count(); ++a) {
-    if (referenced[static_cast<std::size_t>(a)])
-      bytes += program.array(a).byte_size();
-  }
-  return bytes;
+  return referenced_bytes(program, ref_sets(program, statement_summaries));
 }
 
 StorageReductionResult reduce_storage(
@@ -686,18 +607,23 @@ StorageReductionResult reduce_storage(
   StorageReductionResult result;
   result.program = program.clone();
   Program& p = result.program;
-  result.referenced_bytes_before =
-      referenced_array_bytes(p, statement_summaries);
+  RefSets sets = ref_sets(p, statement_summaries);
+  result.referenced_bytes_before = referenced_bytes(p, sets);
 
   std::vector<std::string> scalar_names(p.scalars());
   const int original_arrays = p.array_count();
   for (int a = 0; a < original_arrays; ++a) {
-    if (try_scalarize(p, a, scalar_names, result.actions)) continue;
-    const auto plan = plan_shrink(p, a);
-    if (plan.has_value()) apply_shrink(p, a, *plan, result.actions);
+    bool changed = try_scalarize(p, a, sets, scalar_names, result.actions);
+    if (!changed) {
+      const auto plan = plan_shrink(p, a, sets);
+      changed = plan.has_value();
+      if (changed) apply_shrink(p, a, *plan, result.actions);
+    }
+    // The rewrite touched exactly the statements referencing the array.
+    if (changed) recollect_users(p, p.array(a).name, sets);
   }
 
-  result.referenced_bytes_after = referenced_array_bytes(p);
+  result.referenced_bytes_after = referenced_bytes(p, sets);
   if (!result.actions.empty())
     p.set_name(program.name() + " (storage-reduced)");
   return result;

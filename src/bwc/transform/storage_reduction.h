@@ -40,9 +40,9 @@ struct StorageReductionResult {
 /// Apply storage reduction to every array where it is provably safe. When
 /// `statement_summaries` is given it must hold one summarize_statement
 /// result per top-level statement of `program` (pass::AnalysisManager
-/// provides exactly that); the pre-transform referenced-bytes census then
-/// reuses them (the post-transform census always re-walks the rewritten
-/// IR).
+/// provides exactly that); the pass then takes every statement's
+/// references (LoopSummary::refs) from them and recollects only the
+/// statements it rewrites.
 StorageReductionResult reduce_storage(
     const ir::Program& program,
     const std::vector<analysis::LoopSummary>* statement_summaries = nullptr);

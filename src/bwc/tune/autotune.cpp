@@ -31,6 +31,9 @@ constexpr int kSelectWidth = 6;
 constexpr int kMaxDraws = 200;
 /// Prefix-state cache entries kept (speed only; never affects results).
 constexpr std::size_t kPrefixCacheCap = 256;
+/// Top-k candidates (by predicted traffic) validated in memsim, besides
+/// the default pipeline, which is always validated.
+constexpr int kValidateTopK = 3;
 
 struct Scored {
   std::string spec;
@@ -60,22 +63,18 @@ std::int64_t stride_penalty(const ir::Program& program) {
     if (s.depth() < 2) continue;
     const std::string& inner = s.loop_vars.back();
     const std::int64_t weight = std::max<std::int64_t>(1, s.trip_count());
-    for (const auto& [array, access] : s.arrays) {
-      const auto fastest =
-          static_cast<std::size_t>(program.array(array).storage_dim(0));
-      const auto tally = [&](const std::vector<std::vector<ir::Affine>>& refs) {
-        for (const auto& ref : refs) {
-          if (fastest >= ref.size() || ref[fastest].uses(inner)) continue;
-          for (const std::string& outer : s.loop_vars) {
-            if (outer != inner && ref[fastest].uses(outer)) {
-              penalty += weight;
-              break;
-            }
-          }
+    for (const verify::AffineRef& r : s.refs->refs) {
+      if (r.array.empty()) continue;
+      const auto fastest = static_cast<std::size_t>(
+          program.array(program.array_id(r.array)).storage_dim(0));
+      const std::vector<ir::Affine>& ref = r.subscripts;
+      if (fastest >= ref.size() || ref[fastest].uses(inner)) continue;
+      for (const std::string& outer : s.loop_vars) {
+        if (outer != inner && ref[fastest].uses(outer)) {
+          penalty += weight;
+          break;
         }
-      };
-      tally(access.reads);
-      tally(access.writes);
+      }
     }
   }
   return penalty;
@@ -217,7 +216,6 @@ TuneResult tune(const ir::Program& program, const TuneOptions& options) {
   if (options.gap_percent < 0)
     throw Error("tune gap tolerance must be non-negative");
   const int threads = std::max(1, options.threads);
-  const int top_k = std::max(1, options.validate_top_k);
 
   TuneResult out;
   out.floor = verify::compute_data_floor(program);
@@ -330,7 +328,7 @@ TuneResult tune(const ir::Program& program, const TuneOptions& options) {
     if (!s.feasible) break;
     if (s.spec == out.default_spec) continue;
     finalists.push_back(s.spec);
-    if (static_cast<int>(finalists.size()) > top_k) break;
+    if (static_cast<int>(finalists.size()) > kValidateTopK) break;
   }
 
   std::map<std::string, std::int64_t> predicted;

@@ -61,9 +61,6 @@ struct TuneOptions {
   std::uint64_t seed = 0;
   /// Scoring pool width. Results are bit-identical at any value.
   int threads = 1;
-  /// Top-k candidates (by predicted traffic) validated in memsim. The
-  /// default pipeline is always validated in addition.
-  int validate_top_k = 3;
   /// Extra starting population (e.g. winners from a daemon record log).
   /// Malformed or over-long entries are ignored.
   std::vector<std::string> seed_specs;

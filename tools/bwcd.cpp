@@ -11,14 +11,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "bwc/server/daemon.h"
-#include "bwc/support/error.h"
+#include "cli_flags.h"
 
 namespace {
 
@@ -28,43 +26,39 @@ struct Options {
   server::DaemonOptions daemon;
 };
 
-struct Flag {
-  const char* name;
-  const char* value;
-  const char* help;
-  void (*apply)(Options&, const std::string&);
-};
+using Flag = cli::Flag<Options>;
+using cli::number;
 
 const Flag kFlags[] = {
     {"--port", "<int>",
      "TCP port to bind on 127.0.0.1 (default 0 = pick an ephemeral port "
      "and print it)",
-     [](Options& o, const std::string& v) { o.daemon.port = std::stoi(v); }},
+     [](Options& o, const std::string& v) { o.daemon.port = number<int>(v); }},
     {"--threads", "<int>", "optimize worker threads (default 4)",
      [](Options& o, const std::string& v) {
-       o.daemon.threads = std::stoi(v);
+       o.daemon.threads = number<int>(v);
      }},
     {"--queue-max", "<int>",
      "bounded job-queue capacity; a request arriving on a full queue is "
      "answered \"overloaded\" immediately, never queued blind (default 64)",
      [](Options& o, const std::string& v) {
-       o.daemon.queue_max = std::stoi(v);
+       o.daemon.queue_max = number<int>(v);
      }},
     {"--batch-max", "<int>",
      "max jobs drained per dispatcher batch -- one thread-pool "
      "parallel_for per batch (default 8)",
      [](Options& o, const std::string& v) {
-       o.daemon.batch_max = std::stoi(v);
+       o.daemon.batch_max = number<int>(v);
      }},
     {"--max-connections", "<int>", "live-connection cap (default 256)",
      [](Options& o, const std::string& v) {
-       o.daemon.max_connections = std::stoi(v);
+       o.daemon.max_connections = number<int>(v);
      }},
     {"--timeout-ms", "<int>",
      "default queue-wait deadline for requests that do not carry their "
      "own timeout_ms (default 30000)",
      [](Options& o, const std::string& v) {
-       o.daemon.default_timeout_ms = std::stoll(v);
+       o.daemon.default_timeout_ms = number<std::int64_t>(v);
      }},
     {"--cache-dir", "<path>",
      "content-addressed compile cache directory; repeated identical "
@@ -81,88 +75,26 @@ const Flag kFlags[] = {
      }},
 };
 
-void print_help(std::ostream& os) {
-  os << "bwcd -- serve the bandwidth optimizer over plain TCP\n\n"
-        "usage: bwcd [options]\n\n"
-        "Prints \"bwcd: listening on port N\" once ready. Speak the "
-        "protocol with\n`bwcopt bwcd-client` or any client that frames "
-        "JSON per docs/SERVER.md.\nSIGTERM/SIGINT drain gracefully.\n\n"
-        "options:\n";
-  for (const Flag& flag : kFlags) {
-    std::string head = "  ";
-    head += flag.name;
-    if (flag.value[0] != '\0') {
-      head += ' ';
-      head += flag.value;
-    }
-    os << head << "\n";
-    std::istringstream words(flag.help);
-    std::string word;
-    std::string line;
-    while (words >> word) {
-      if (!line.empty() && line.size() + 1 + word.size() > 70) {
-        os << "        " << line << "\n";
-        line.clear();
-      }
-      if (!line.empty()) line += " ";
-      line += word;
-    }
-    if (!line.empty()) os << "        " << line << "\n";
-  }
-  os << "  --help\n        print this help and exit\n";
-}
-
-[[noreturn]] void usage_error(const std::string& why) {
-  std::cerr << "bwcd: " << why << "\n"
-            << "usage: bwcd [options]; run bwcd --help for the flag list\n";
-  std::exit(2);
-}
+const cli::Command<Options> kBwcd = {
+    "bwcd", "[options]",
+    "bwcd -- serve the bandwidth optimizer over plain TCP\n\n"
+    "usage: bwcd [options]\n\n"
+    "Prints \"bwcd: listening on port N\" once ready. Speak the protocol "
+    "with\n`bwcopt bwcd-client` or any client that frames JSON per "
+    "docs/SERVER.md.\nSIGTERM/SIGINT drain gracefully.\n",
+    kFlags, 1};
 
 Options parse(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_help(std::cout);
-      std::exit(0);
-    }
-    std::string inline_value;
-    bool has_inline = false;
-    const std::size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      inline_value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      has_inline = true;
-    }
-    const Flag* found = nullptr;
-    for (const Flag& flag : kFlags) {
-      if (arg == flag.name) {
-        found = &flag;
-        break;
-      }
-    }
-    if (found == nullptr) usage_error("unknown flag: " + arg);
-    std::string value;
-    if (has_inline) {
-      value = inline_value;
-    } else if (i + 1 < argc) {
-      value = argv[++i];
-    } else {
-      usage_error("flag " + arg + " requires a value " + found->value);
-    }
-    try {
-      found->apply(o, value);
-    } catch (const std::exception&) {
-      usage_error("bad value \"" + value + "\" for flag " + arg);
-    }
-  }
+  const Options o = cli::parse(kBwcd, argc, argv);
   if (o.daemon.port < 0 || o.daemon.port > 65535)
-    usage_error("--port must be in [0, 65535]");
-  if (o.daemon.threads < 1) usage_error("--threads must be >= 1");
-  if (o.daemon.queue_max < 1) usage_error("--queue-max must be >= 1");
-  if (o.daemon.batch_max < 1) usage_error("--batch-max must be >= 1");
+    cli::usage_error(kBwcd, "--port must be in [0, 65535]");
+  if (o.daemon.threads < 1) cli::usage_error(kBwcd, "--threads must be >= 1");
+  if (o.daemon.queue_max < 1)
+    cli::usage_error(kBwcd, "--queue-max must be >= 1");
+  if (o.daemon.batch_max < 1)
+    cli::usage_error(kBwcd, "--batch-max must be >= 1");
   if (o.daemon.max_connections < 1)
-    usage_error("--max-connections must be >= 1");
+    cli::usage_error(kBwcd, "--max-connections must be >= 1");
   return o;
 }
 

@@ -7,14 +7,10 @@
 //
 // Exit status: 0 on success, 1 when the traffic-bound or semantics check
 // fails (a bug), 2 on bad usage or any error.
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include "bwc/core/optimizer.h"
@@ -34,6 +30,7 @@
 #include "bwc/workloads/extra_programs.h"
 #include "bwc/workloads/paper_programs.h"
 #include "bwc/workloads/random_programs.h"
+#include "cli_flags.h"
 
 namespace {
 
@@ -87,30 +84,9 @@ struct Options {
   } client;
 };
 
-/// A flag value that must be a number and nothing else: std::from_chars
-/// rejects trailing characters ("64x"), a sign on an unsigned type ("-1"),
-/// leading blanks and out-of-range values, which std::stoll/std::stoull
-/// would truncate or wrap.
-template <typename T>
-T number(const std::string& v) {
-  T x{};
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, x);
-  if (ec != std::errc() || ptr != end) throw std::invalid_argument(v);
-  return x;
-}
-
-/// One entry of a flag table: the flag, its value placeholder (empty for
-/// boolean flags; starting with '[' for an optional inline value, e.g.
-/// "--tune" or "--tune=genetic"), help text, and its effect. An apply
-/// that throws rejects the value: a bwc::Error with its own message, any
-/// other exception as a bad value.
-struct Flag {
-  const char* name;
-  const char* value;  // e.g. "<int>"; "" for flags taking no value
-  std::string help;
-  void (*apply)(Options&, const std::string&);
-};
+using cli::number;
+using Flag = cli::Flag<Options>;
+using Command = cli::Command<Options>;
 
 const Flag kFlags[] = {
     // Workload selection.
@@ -337,15 +313,6 @@ const Flag kClientFlags[] = {
      [](Options& o, const std::string&) { o.client.json = true; }},
 };
 
-/// A command line: `bwcopt` itself or its bwcd-client subcommand.
-struct Command {
-  const char* name;             // "bwcopt" or "bwcopt bwcd-client"
-  const char* usage;            // arguments after the name
-  const char* about;            // the --help preamble
-  std::span<const Flag> flags;  // every flag the command accepts
-  int first;                    // index of the first flag in argv
-};
-
 const char kMainAbout[] =
     "bwcopt -- drive the bandwidth optimizer over a workload and measure "
     "it\n\nusage: bwcopt [options]\n\n"
@@ -365,94 +332,8 @@ const Command kMain = {"bwcopt", "[options]", kMainAbout, kFlags, 1};
 const Command kClient = {"bwcopt bwcd-client", "--port <port> [options]",
                          kClientAbout, kClientFlags, 2};
 
-void print_help(const Command& command) {
-  std::cout << command.about << "\noptions:\n";
-  for (const Flag& flag : command.flags) {
-    std::string head = "  " + std::string(flag.name);
-    if (flag.value[0] == '[')
-      head += std::string(flag.value);  // optional inline value
-    else if (flag.value[0] != '\0')
-      head += " " + std::string(flag.value);
-    std::cout << head << "\n";
-    // Wrap the help text at 70 columns under an 8-column indent.
-    std::istringstream words(flag.help);
-    std::string word;
-    std::string line;
-    while (words >> word) {
-      if (!line.empty() && line.size() + 1 + word.size() > 70) {
-        std::cout << "        " << line << "\n";
-        line.clear();
-      }
-      if (!line.empty()) line += " ";
-      line += word;
-    }
-    if (!line.empty()) std::cout << "        " << line << "\n";
-  }
-  std::cout << "  --help\n        print this help and exit\n";
-}
-
-[[noreturn]] void usage_error(const Command& command, const std::string& why) {
-  std::cerr << command.name << ": " << why << "\n"
-            << "usage: " << command.name << " " << command.usage << "; run "
-            << command.name << " --help for the flag list\n";
-  std::exit(2);
-}
-
-/// Parse argv against the command's flag table; both "--flag value" and
-/// "--flag=value" are accepted. Exits 0 after --help, 2 on bad usage.
-Options parse(const Command& command, int argc, char** argv) {
-  Options o;
-  for (int i = command.first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_help(command);
-      std::exit(0);
-    }
-    std::string inline_value;
-    bool has_inline = false;
-    const std::size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      inline_value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      has_inline = true;
-    }
-    const Flag* found = nullptr;
-    for (const Flag& flag : command.flags) {
-      if (arg == flag.name) {
-        found = &flag;
-        break;
-      }
-    }
-    if (found == nullptr) usage_error(command, "unknown flag: " + arg);
-    const bool optional_value = found->value[0] == '[';
-    const bool takes_value = !optional_value && found->value[0] != '\0';
-    std::string value;
-    if (optional_value) {
-      // "--tune" and "--tune=genetic" are both valid; a following
-      // argument is never consumed.
-      if (has_inline) value = inline_value;
-    } else if (takes_value) {
-      if (has_inline) {
-        value = inline_value;
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        usage_error(command,
-                    "flag " + arg + " requires a value " + found->value);
-      }
-    } else if (has_inline) {
-      usage_error(command, "flag " + arg + " takes no value");
-    }
-    try {
-      found->apply(o, value);
-    } catch (const Error& e) {
-      usage_error(command, e.what());
-    } catch (const std::exception&) {
-      usage_error(command, "bad value \"" + value + "\" for flag " + arg);
-    }
-  }
-  return o;
-}
+using cli::parse;
+using cli::usage_error;
 
 ir::Program make_program(const Options& o) {
   if (!o.file.empty()) {
