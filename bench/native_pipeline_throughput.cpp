@@ -1,8 +1,9 @@
 // Optimizer-pipeline throughput: wall-clock cost of a full
 // core::optimize() run, and what the pass layer's analysis cache buys.
 //
-// The pass manager serves statement summaries, liveness, the fusion graph
-// and traffic bounds from the AnalysisManager cache across passes
+// The pass manager serves statement summaries (which every storage pass
+// decides on), the fusion graph and traffic bounds from the
+// AnalysisManager cache across passes
 // (src/bwc/pass/analysis_manager.h); with the cache disabled every query
 // recomputes from the IR, which is what each pass did for itself before
 // the pass-manager refactor. The cached and uncached runs produce

@@ -122,6 +122,14 @@ LoopSummary summarize_statement(const ir::Program& program, int top_index) {
   return summary;
 }
 
+std::vector<LoopSummary> summarize_statements(const ir::Program& program) {
+  std::vector<LoopSummary> result;
+  result.reserve(program.top().size());
+  for (int k = 0; k < static_cast<int>(program.top().size()); ++k)
+    result.push_back(summarize_statement(program, k));
+  return result;
+}
+
 std::vector<LoopSummary> summarize_program(const ir::Program& program) {
   std::vector<LoopSummary> result;
   for (int idx : program.top_loop_indices())
@@ -142,6 +150,28 @@ std::set<std::string> order_sensitive_scalars(
     }
   }
   return out;
+}
+
+bool spans_nest(const LoopSummary& nest, const verify::AffineRef& ref) {
+  if (!ref.exact_domain || ref.loop_vars != nest.loop_vars) return false;
+  for (std::size_t l = 0; l < ref.domains.size(); ++l) {
+    const std::vector<verify::Interval>& ranges = ref.domains[l].ranges;
+    if (ranges.size() != 1 || ranges.front().lo != nest.lowers[l] ||
+        ranges.front().hi != nest.uppers[l])
+      return false;
+  }
+  return true;
+}
+
+bool injective_over(const std::vector<ir::Affine>& tuple,
+                    const std::vector<std::string>& spine) {
+  std::set<std::string> used;
+  for (const auto& sub : tuple) {
+    const auto var = sub.single_var();
+    if (!var.has_value() || sub.coeff(*var) != 1) return false;
+    if (!used.insert(*var).second) return false;
+  }
+  return used == std::set<std::string>(spine.begin(), spine.end());
 }
 
 void clear_reductions(LoopSummary& summary,

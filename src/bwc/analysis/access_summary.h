@@ -1,10 +1,10 @@
 // Per-loop access summaries: which arrays and scalars a top-level loop nest
 // reads and writes. This is the raw material for fusion-graph
-// construction, dependence testing and liveness. Each summary carries the
-// nest's references in the exact dependence engine's form
+// construction, dependence testing and the storage passes. Each summary
+// carries the nest's references in the exact dependence engine's form
 // (verify::collect_refs, the one walk from a statement to its references):
 // the read/write maps are tallied from them, and the legality queries of
-// analysis/dependence.h and the storage-reduction pass consume them.
+// analysis/dependence.h and the storage passes consume them.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +69,12 @@ bool touch_conflict(const LoopSummary& x, const LoopSummary& y);
 LoopSummary summarize_loop(const ir::Program& program, int top_index);
 
 /// Summarize any top-level statement; non-loop statements yield a depth-0
-/// summary containing just their accesses (used by liveness analysis).
+/// summary containing just their accesses.
 LoopSummary summarize_statement(const ir::Program& program, int top_index);
+
+/// summarize_statement of every top-level statement, in order (what
+/// pass::AnalysisManager caches as the statement summaries).
+std::vector<LoopSummary> summarize_statements(const ir::Program& program);
 
 /// Summaries of all top-level loops, in program order.
 std::vector<LoopSummary> summarize_program(const ir::Program& program);
@@ -82,6 +86,19 @@ std::vector<LoopSummary> summarize_program(const ir::Program& program);
 /// given one summary per top-level statement.
 std::set<std::string> order_sensitive_scalars(
     const std::vector<LoopSummary>& statements);
+
+/// Does `ref` run at every iteration of `nest`'s spine: an exact domain
+/// over exactly the spine's loops, each at its full range? Such references
+/// run in static order within one iteration.
+bool spans_nest(const LoopSummary& nest, const verify::AffineRef& ref);
+
+/// Injective tuple: each dim a distinct unit-coefficient variable of
+/// `spine`, covering every spine level, so distinct iterations of the nest
+/// name distinct elements. A variable of a loop below the spine does not
+/// qualify: two sibling loops over it would each touch every element once
+/// per spine iteration.
+bool injective_over(const std::vector<ir::Affine>& tuple,
+                    const std::vector<std::string>& spine);
 
 /// Clear `reduction_only` on the given scalars of `summary`, so that
 /// analyze_pair orders their updates like any other write.

@@ -38,31 +38,6 @@ struct TupleStride {
 
 }  // namespace
 
-std::vector<std::uint64_t> simulate_base_addresses(const ir::Program& program,
-                                                   const LayoutGeometry& g) {
-  BWC_CHECK(g.alignment > 0 && (g.alignment & (g.alignment - 1)) == 0,
-            "layout geometry alignment must be a power of two");
-  std::uint64_t next = g.base_address;
-  std::vector<std::uint64_t> alloc_base(
-      static_cast<std::size_t>(program.array_count()), 0);
-  std::vector<std::uint64_t> bases;
-  bases.reserve(alloc_base.size());
-  for (int a = 0; a < program.array_count(); ++a) {
-    const ir::ArrayAddressing addressing = ir::resolve_addressing(program, a);
-    if (addressing.owns_allocation) {
-      next = (next + g.alignment - 1) / g.alignment * g.alignment;
-      alloc_base[static_cast<std::size_t>(a)] = next;
-      next += addressing.alloc_bytes;
-    } else {
-      alloc_base[static_cast<std::size_t>(a)] =
-          alloc_base[static_cast<std::size_t>(addressing.owner)];
-    }
-    bases.push_back(alloc_base[static_cast<std::size_t>(a)] +
-                    addressing.member_offset);
-  }
-  return bases;
-}
-
 LayoutTrafficEstimate estimate_layout_traffic(const ir::Program& program,
                                               const LayoutGeometry& g) {
   const auto line = static_cast<std::int64_t>(g.line_bytes);
@@ -73,8 +48,7 @@ LayoutTrafficEstimate estimate_layout_traffic(const ir::Program& program,
 
   LayoutTrafficEstimate est;
   est.arrays.resize(static_cast<std::size_t>(program.array_count()));
-  const std::vector<std::uint64_t> bases =
-      simulate_base_addresses(program, g);
+  const std::vector<std::uint64_t> bases = ir::array_base_addresses(program);
   std::vector<std::int64_t> addr_scale(est.arrays.size(), 8);
   std::vector<ir::ArrayId> owner(est.arrays.size(), 0);
   for (int a = 0; a < program.array_count(); ++a) {

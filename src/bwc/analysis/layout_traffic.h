@@ -23,14 +23,12 @@ namespace bwc::analysis {
 
 /// The cache geometry the estimator maps addresses onto. Defaults mirror
 /// the memory simulator's L1 (memsim/cache_config.h: 32 KiB, 32-byte
-/// lines, 2-way => 512 sets) and the executors' allocation walk
-/// (runtime ExecOptions: base 1<<20, 4096-byte alignment).
+/// lines, 2-way => 512 sets); arrays sit where the executors place them
+/// (ir::array_base_addresses).
 struct LayoutGeometry {
   std::uint64_t line_bytes = 32;
   std::uint64_t sets = 512;
   std::uint64_t ways = 2;
-  std::uint64_t base_address = 1 << 20;
-  std::uint64_t alignment = 4096;
 
   /// Bytes covered by one way (the set-index period of the address map).
   std::uint64_t way_span() const { return sets * line_bytes; }
@@ -73,11 +71,6 @@ struct LayoutTrafficEstimate {
     return arrays[static_cast<std::size_t>(id)];
   }
 };
-
-/// Simulated base address of every array under its declared layout:
-/// the same aligned owner-allocation walk the executors perform.
-std::vector<std::uint64_t> simulate_base_addresses(const ir::Program& program,
-                                                   const LayoutGeometry& g);
 
 /// Estimate per-array strides, line traffic and set conflicts of `program`
 /// under geometry `g`.

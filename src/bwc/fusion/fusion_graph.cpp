@@ -29,8 +29,7 @@ FusionGraph build_fusion_graph(
             "statement summaries must cover every top-level statement");
   std::vector<analysis::LoopSummary> computed;
   if (statement_summaries == nullptr) {
-    for (int k = 0; k < static_cast<int>(program.top().size()); ++k)
-      computed.push_back(analysis::summarize_statement(program, k));
+    computed = analysis::summarize_statements(program);
     statement_summaries = &computed;
   }
   const std::vector<analysis::LoopSummary>& statements = *statement_summaries;

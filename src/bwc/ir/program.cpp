@@ -234,4 +234,26 @@ ArrayAddressing resolve_addressing(const Program& program, ArrayId id) {
   return out;
 }
 
+std::vector<std::uint64_t> array_base_addresses(const Program& program) {
+  std::uint64_t next = kArrayBaseAddress;
+  std::vector<std::uint64_t> alloc_base(
+      static_cast<std::size_t>(program.array_count()), 0);
+  std::vector<std::uint64_t> bases;
+  bases.reserve(alloc_base.size());
+  for (ArrayId a = 0; a < program.array_count(); ++a) {
+    const ArrayAddressing addressing = resolve_addressing(program, a);
+    if (addressing.owns_allocation) {
+      next = (next + kArrayAlignment - 1) / kArrayAlignment * kArrayAlignment;
+      alloc_base[static_cast<std::size_t>(a)] = next;
+      next += addressing.alloc_bytes;
+    } else {
+      alloc_base[static_cast<std::size_t>(a)] =
+          alloc_base[static_cast<std::size_t>(addressing.owner)];
+    }
+    bases.push_back(alloc_base[static_cast<std::size_t>(a)] +
+                    addressing.member_offset);
+  }
+  return bases;
+}
+
 }  // namespace bwc::ir

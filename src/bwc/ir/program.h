@@ -163,4 +163,15 @@ struct ArrayAddressing {
 };
 ArrayAddressing resolve_addressing(const Program& program, ArrayId id);
 
+/// The allocation walk every executor and the layout-traffic estimator
+/// share: in ArrayId order, each allocation owner is placed at the next
+/// kArrayAlignment boundary from kArrayBaseAddress on, and group members
+/// sit at their member_offset inside their owner's allocation. Pages by
+/// default, like large-array allocation in real runtimes, so
+/// physically-indexed cache models see realistic page-collision
+/// behaviour. Returns each array's base address (its element 0 slot).
+inline constexpr std::uint64_t kArrayBaseAddress = 1 << 20;
+inline constexpr std::uint64_t kArrayAlignment = 4096;
+std::vector<std::uint64_t> array_base_addresses(const Program& program);
+
 }  // namespace bwc::ir

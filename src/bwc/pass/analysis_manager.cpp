@@ -31,27 +31,10 @@ const std::vector<analysis::LoopSummary>& AnalysisManager::statement_summaries(
                        "statement summaries")) {
     return summaries_;
   }
-  summaries_.clear();
-  summaries_.reserve(program.top().size());
-  for (int k = 0; k < static_cast<int>(program.top().size()); ++k)
-    summaries_.push_back(analysis::summarize_statement(program, k));
+  summaries_ = analysis::summarize_statements(program);
   summaries_valid_ = true;
   if (options_.audit) summaries_fp_ = fingerprint_of(program);
   return summaries_;
-}
-
-const std::vector<analysis::ArrayLiveness>& AnalysisManager::liveness(
-    const ir::Program& program) {
-  if (serve_from_cache(program, liveness_valid_, liveness_fp_, "liveness")) {
-    return liveness_;
-  }
-  // Liveness is a projection of the statement summaries; derive it from
-  // the cached ones so a liveness miss does not re-walk the IR.
-  liveness_ =
-      analysis::analyze_liveness(program, &statement_summaries(program));
-  liveness_valid_ = true;
-  if (options_.audit) liveness_fp_ = fingerprint_of(program);
-  return liveness_;
 }
 
 const fusion::FusionGraph& AnalysisManager::fusion_graph(
@@ -99,7 +82,6 @@ void AnalysisManager::invalidate(const PreservedAnalyses& preserved) {
   ++stats_.invalidations;
   if (!preserved.preserves(AnalysisId::kStatementSummaries))
     summaries_valid_ = false;
-  if (!preserved.preserves(AnalysisId::kLiveness)) liveness_valid_ = false;
   if (!preserved.preserves(AnalysisId::kFusionGraph)) graph_valid_ = false;
   if (!preserved.preserves(AnalysisId::kTrafficBound)) bound_valid_ = false;
   if (!preserved.preserves(AnalysisId::kStaticDependence))

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bwc/analysis/access_summary.h"
-#include "bwc/analysis/liveness.h"
 #include "bwc/fusion/fusion_graph.h"
 #include "bwc/ir/program.h"
 #include "bwc/pass/report.h"
@@ -26,11 +25,10 @@ namespace bwc::pass {
 
 /// The analyses the manager knows how to cache.
 enum class AnalysisId : unsigned {
-  kStatementSummaries = 0,  // analysis::summarize_statement per top stmt
-  kLiveness = 1,            // analysis::analyze_liveness
-  kFusionGraph = 2,         // fusion::build_fusion_graph (per options)
-  kTrafficBound = 3,        // verify::compute_traffic_bound
-  kStaticDependence = 4,    // verify::summarize_dependences
+  kStatementSummaries = 0,  // analysis::summarize_statements
+  kFusionGraph = 1,         // fusion::build_fusion_graph (per options)
+  kTrafficBound = 2,        // verify::compute_traffic_bound
+  kStaticDependence = 3,    // verify::summarize_dependences
 };
 
 /// What a transform promises it did NOT clobber. A pass that changed the
@@ -78,8 +76,6 @@ class AnalysisManager {
   /// One summarize_statement result per top-level statement, in order.
   const std::vector<analysis::LoopSummary>& statement_summaries(
       const ir::Program& program);
-  const std::vector<analysis::ArrayLiveness>& liveness(
-      const ir::Program& program);
   /// Keyed by options: a query with different FusionGraphOptions than the
   /// cached graph recomputes.
   const fusion::FusionGraph& fusion_graph(
@@ -110,10 +106,6 @@ class AnalysisManager {
   bool summaries_valid_ = false;
   std::vector<analysis::LoopSummary> summaries_;
   std::string summaries_fp_;
-
-  bool liveness_valid_ = false;
-  std::vector<analysis::ArrayLiveness> liveness_;
-  std::string liveness_fp_;
 
   bool graph_valid_ = false;
   fusion::FusionGraph graph_;

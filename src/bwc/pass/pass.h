@@ -6,7 +6,6 @@
 // after every changing pass (docs/PIPELINE.md).
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "bwc/ir/program.h"
@@ -32,11 +31,10 @@ enum class StaticVerifyMode {
 
 const char* static_verify_mode_name(StaticVerifyMode mode);
 
-/// Options threaded to the inter-pass checkers (bwc::verify).
+/// Options threaded to the inter-pass checkers (bwc::verify). Instance-level
+/// checks trace each program within verify::kMaxTraceEvents; larger
+/// programs degrade to structural validation (the checker reports skipped).
 struct CheckOptions {
-  /// Per-program event budget for instance-level checks; larger programs
-  /// degrade to structural validation (the checker reports skipped).
-  std::uint64_t max_events = 2'000'000;
   StaticVerifyMode static_verify = StaticVerifyMode::kOn;
 };
 

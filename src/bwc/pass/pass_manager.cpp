@@ -76,9 +76,8 @@ PipelineReport PassManager::run(ir::Program& program) {
     // program is trivially equivalent to itself.
     if (result.changed && options_.verify) {
       const auto verify_start = std::chrono::steady_clock::now();
-      const verify::Report checked = pass->check(
-          before, program,
-          {options_.verify_max_events, options_.static_verify});
+      const verify::Report checked =
+          pass->check(before, program, {options_.static_verify});
       report.verify_ms = ms_since(verify_start);
       if (!checked.ok()) {
         throw Error("verification failed after " + pass->label() + ":\n" +

@@ -4,7 +4,6 @@
 // inter-pass verifier, and structured reporting (docs/PIPELINE.md).
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -21,8 +20,6 @@ struct PipelineOptions {
   /// a violation raises bwc::Error ("verification failed after <label>").
   /// The input program's structure is validated before the first pass.
   bool verify = true;
-  /// Event budget for the instance-level checks (CheckOptions).
-  std::uint64_t verify_max_events = 2'000'000;
   /// Static-prover-first checking policy (CheckOptions::static_verify):
   /// kOn tries the input-independent legality provers before replaying
   /// traces, kOff is trace-only, kOnly never replays.

@@ -72,12 +72,9 @@ PassResult InterchangePass::run(ir::Program& program, AnalysisManager& am,
   program = std::move(result.program);
   pr.changed = true;
   // Interchange permutes the spine of individual nests: per-statement
-  // access summaries change (loop order), but which statements touch
-  // which arrays does not (liveness), and footprints are unchanged
+  // access summaries change (loop order), but footprints are unchanged
   // (traffic bound).
-  pr.preserved = PreservedAnalyses::none()
-                     .preserve(AnalysisId::kLiveness)
-                     .preserve(AnalysisId::kTrafficBound);
+  pr.preserved = PreservedAnalyses::none().preserve(AnalysisId::kTrafficBound);
   return pr;
 }
 
@@ -86,8 +83,7 @@ verify::Report InterchangePass::check(const ir::Program& before,
                                       const CheckOptions& options) const {
   return static_first(before, after, options, verify::prove_reschedule,
                       "static-reschedule", "reschedule", [&] {
-                        return verify::validate_translation(
-                            before, after, {options.max_events});
+                        return verify::validate_translation(before, after);
                       });
 }
 
@@ -149,8 +145,7 @@ verify::Report FusePass::check(const ir::Program& before,
                                const CheckOptions& options) const {
   return static_first(before, after, options, verify::prove_reschedule,
                       "static-reschedule", "reschedule", [&] {
-                        return verify::validate_translation(
-                            before, after, {options.max_events});
+                        return verify::validate_translation(before, after);
                       });
 }
 
@@ -188,7 +183,7 @@ verify::Report ReduceStoragePass::check(const ir::Program& before,
   return static_first(before, after, options, verify::prove_storage_reduction,
                       "static-storage-reduction", "storage-reduction", [&] {
                         return verify::validate_storage_reduction(
-                            before, after, {options.max_events});
+                            before, after);
                       });
 }
 
@@ -198,7 +193,7 @@ verify::Report ReduceStoragePass::check(const ir::Program& before,
 PassResult EliminateStoresPass::run(ir::Program& program, AnalysisManager& am,
                                     PassReport& report) {
   transform::StoreEliminationResult result =
-      transform::eliminate_stores(program, &am.liveness(program));
+      transform::eliminate_stores(program, &am.statement_summaries(program));
   PassResult pr;
   if (result.eliminated.empty()) {
     report.missed("stores-no-candidates",
@@ -229,7 +224,7 @@ verify::Report EliminateStoresPass::check(const ir::Program& before,
   return static_first(before, after, options, verify::prove_store_elimination,
                       "static-store-elimination", "store-elimination", [&] {
                         return verify::validate_store_elimination(
-                            before, after, {options.max_events});
+                            before, after);
                       });
 }
 
@@ -238,9 +233,8 @@ verify::Report EliminateStoresPass::check(const ir::Program& before,
 
 PassResult ScalarReplacePass::run(ir::Program& program, AnalysisManager& am,
                                   PassReport& report) {
-  (void)am;  // purely local rewrite; needs no whole-program analysis
   transform::ScalarReplacementResult result =
-      transform::replace_scalars(program);
+      transform::replace_scalars(program, &am.statement_summaries(program));
   PassResult pr;
   if (result.actions.empty()) {
     report.missed("scalars-no-candidates",
@@ -287,8 +281,7 @@ verify::Report DistributePass::check(const ir::Program& before,
                                      const CheckOptions& options) const {
   return static_first(before, after, options, verify::prove_reschedule,
                       "static-reschedule", "reschedule", [&] {
-                        return verify::validate_translation(
-                            before, after, {options.max_events});
+                        return verify::validate_translation(before, after);
                       });
 }
 
@@ -340,8 +333,7 @@ verify::Report check_layout_pass(const ir::Program& before,
                                  const CheckOptions& options) {
   return static_first(before, after, options, verify::prove_layout_change,
                       "static-layout-change", "layout-change", [&] {
-                        return verify::validate_translation(
-                            before, after, {options.max_events});
+                        return verify::validate_translation(before, after);
                       });
 }
 

@@ -353,7 +353,7 @@ int stream_callback(void* host, int loop_id) {
   try {
     const StreamLoop& sl =
         d->lp->stream_loops[static_cast<std::size_t>(loop_id)];
-    const StreamContext ctx{d->st->data.data(), d->st->bases.data(),
+    const StreamContext ctx{d->st->data.data(), d->st->lp.bases.data(),
                             d->st->scalars.data()};
     if (d->sched != nullptr) {
       d->sched->run(sl, ctx, *d->rec);
@@ -390,7 +390,7 @@ ExecResult execute_lowered_native(const LoweredProgram& lowered,
 
   BwcNativeCtx c{};
   c.data = st.data.data();
-  c.bases = st.bases.data();
+  c.bases = st.lp.bases.data();
   c.scalars = st.scalars.data();
   c.sink = &rec;
   c.rec_load = recorder_load;

@@ -76,7 +76,7 @@ class Vm {
   // simulation see no difference.
 
   void run_stream_loop(const StreamLoop& sl) {
-    const StreamContext ctx{st_.data.data(), st_.bases.data(),
+    const StreamContext ctx{st_.data.data(), st_.lp.bases.data(),
                             st_.scalars.data()};
     if (scheduler_ != nullptr) {
       scheduler_->run(sl, ctx, recorder_);
@@ -106,7 +106,7 @@ void Vm::run() {
   // (Recorder methods) the compiler would otherwise reload them through
   // `this` on every use.
   double* const* data = st_.data.data();
-  const std::uint64_t* bases = st_.bases.data();
+  const std::uint64_t* bases = st_.lp.bases.data();
   double* scalars = st_.scalars.data();
   std::int64_t* iters = iters_.data();
   double* sp = stack_.data();  // next free stack cell

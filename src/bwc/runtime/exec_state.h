@@ -1,12 +1,13 @@
 // Shared runtime state for one execution of a lowered program: the array
-// storage/base-address walk, the scalar file, and the ExecResult assembly
-// (checksum over declared outputs, counters, profile).
+// storage, the scalar file, and the ExecResult assembly (checksum over
+// declared outputs, counters, profile). Array base addresses come with
+// the lowered program (LoweredProgram::bases).
 //
 // Both executors of lowered bytecode -- the VM (compiled.cpp) and the
 // native dlopen backend (codegen.cpp) -- build this identical state, so
-// option validation, base addresses, deterministic initial array contents
-// and checksum composition can never drift between them. It mirrors the
-// reference interpreter's Machine exactly for the same reason.
+// option validation, deterministic initial array contents and checksum
+// composition can never drift between them. It mirrors the reference
+// interpreter's Machine exactly for the same reason.
 #pragma once
 
 #include <cstdint>
@@ -22,25 +23,8 @@ namespace bwc::runtime {
 struct ExecState {
   ExecState(const LoweredProgram& lp, const ExecOptions& opts) : lp(lp) {
     BWC_CHECK(opts.cores >= 1, "core count must be at least 1");
-    const std::uint64_t align = opts.array_alignment;
-    BWC_CHECK(align > 0 && (align & (align - 1)) == 0,
-              "array alignment must be a power of two");
-    std::uint64_t next = opts.base_address;
     storage.reserve(lp.arrays.size());
-    std::vector<std::uint64_t> alloc_base(lp.arrays.size(), 0);
-    for (std::size_t a = 0; a < lp.arrays.size(); ++a) {
-      const auto& decl = lp.arrays[a];
-      // Same walk as the reference interpreter's Machine: one aligned
-      // allocation per owner (padded + interleaved size), group members
-      // offset into the owner's range. Storage stays logical-dense.
-      if (static_cast<std::size_t>(decl.alloc_owner) == a) {
-        next = (next + align - 1) / align * align;
-        alloc_base[a] = next;
-        next += decl.alloc_bytes;
-      } else {
-        alloc_base[a] = alloc_base[static_cast<std::size_t>(decl.alloc_owner)];
-      }
-      bases.push_back(alloc_base[a] + decl.member_offset);
+    for (const LoweredArray& decl : lp.arrays) {
       std::vector<double>& d = storage.emplace_back();
       d.resize(static_cast<std::size_t>(decl.element_count));
       for (std::int64_t k = 0; k < decl.element_count; ++k)
@@ -62,7 +46,7 @@ struct ExecState {
     if (rec.hierarchy() != nullptr) r.profile = rec.profile();
     for (std::size_t s = 0; s < scalars.size(); ++s)
       r.scalars[lp.scalar_names[s]] = scalars[s];
-    r.array_bases = bases;
+    r.array_bases = lp.bases;
     double checksum = 0.0;
     for (std::int32_t slot : lp.output_scalar_slots)
       checksum += scalars[static_cast<std::size_t>(slot)];
@@ -74,7 +58,6 @@ struct ExecState {
   }
 
   const LoweredProgram& lp;
-  std::vector<std::uint64_t> bases;
   std::vector<std::vector<double>> storage;
   std::vector<double*> data;  // storage[a].data(), hot-path flat view
   std::vector<double> scalars;

@@ -32,31 +32,14 @@ using ir::StmtList;
 class Machine {
  public:
   Machine(const Program& program, const ExecOptions& opts)
-      : program_(program), recorder_(opts.hierarchy) {
-    const std::uint64_t align = opts.array_alignment;
-    BWC_CHECK(align > 0 && (align & (align - 1)) == 0,
-              "array alignment must be a power of two");
-    std::uint64_t next = opts.base_address;
-    std::vector<std::uint64_t> alloc_base(
-        static_cast<std::size_t>(program.array_count()), 0);
+      : program_(program),
+        recorder_(opts.hierarchy),
+        bases_(ir::array_base_addresses(program)) {
     for (int a = 0; a < program.array_count(); ++a) {
       const auto& decl = program.array(a);
-      // The layout decides the simulated address range: padded allocation
-      // sizes, and one shared allocation per interleave group (placed at
-      // the owning -- lowest-id -- member's walk position). Storage stays
-      // logical-dense; only addresses move.
-      const ir::ArrayAddressing addressing = ir::resolve_addressing(program, a);
-      if (addressing.owns_allocation) {
-        next = (next + align - 1) / align * align;
-        alloc_base[static_cast<std::size_t>(a)] = next;
-        next += addressing.alloc_bytes;
-      } else {
-        alloc_base[static_cast<std::size_t>(a)] =
-            alloc_base[static_cast<std::size_t>(addressing.owner)];
-      }
-      bases_.push_back(alloc_base[static_cast<std::size_t>(a)] +
-                       addressing.member_offset);
-      addr_scale_.push_back(addressing.addr_scale);
+      // The layout decides the simulated address range (bases_ and the
+      // slot scale); storage stays logical-dense, only addresses move.
+      addr_scale_.push_back(ir::resolve_addressing(program, a).addr_scale);
       layout_default_.push_back(decl.layout.order.empty() &&
                                 decl.layout.pad.empty());
       layout_strides_.push_back(decl.layout_strides());

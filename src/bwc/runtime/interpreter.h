@@ -27,13 +27,6 @@ namespace bwc::runtime {
 struct ExecOptions {
   /// Optional hierarchy; when null only semantics and flops are computed.
   memsim::MemoryHierarchy* hierarchy = nullptr;
-  /// First byte address handed to the first array.
-  std::uint64_t base_address = 1 << 20;
-  /// Arrays are aligned to this boundary (bytes, power of two). Pages by
-  /// default, like large-array allocation in real runtimes (and like the
-  /// native workloads' AddressSpace), so physically-indexed cache models
-  /// see realistic page-collision behaviour.
-  std::uint64_t array_alignment = 4096;
   /// Compiled engine only (execute_compiled): batch stride-1 access runs
   /// into line-granular hierarchy accesses. Boundary traffic is preserved
   /// byte-for-byte (see recorder.h); disable to force per-element

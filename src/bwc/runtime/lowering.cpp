@@ -36,11 +36,9 @@ class Lowerer {
       la.element_count = decl.element_count();
       la.initial_key = initial_key(decl.name);
       la.addr_scale = addressing.addr_scale;
-      la.member_offset = addressing.member_offset;
-      la.alloc_bytes = addressing.owns_allocation ? addressing.alloc_bytes : 0;
-      la.alloc_owner = addressing.owns_allocation ? a : addressing.owner;
       out_.arrays.push_back(std::move(la));
     }
+    out_.bases = ir::array_base_addresses(program_);
     out_.name = program_.name();
     out_.scalar_names = program_.scalars();
     for (const auto& name : program_.output_scalars())

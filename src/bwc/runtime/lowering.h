@@ -161,9 +161,9 @@ struct Op {
 /// Everything the executor needs about one declared array, with the
 /// name-derived initial-contents key resolved ahead of time. Storage is
 /// always logical-dense (element_count doubles, subscript-linearized);
-/// the addressing fields place the array in the simulated address space
-/// according to its declared ArrayLayout: every element address is
-///   walk_base(alloc_owner) + member_offset + layout_offset * addr_scale.
+/// the declared ArrayLayout places it in the simulated address space:
+/// every element address is
+///   LoweredProgram::bases[a] + layout_offset * addr_scale.
 struct LoweredArray {
   std::string name;
   std::vector<std::int64_t> extents;
@@ -173,14 +173,6 @@ struct LoweredArray {
   /// Bytes between consecutive layout slots (elem_bytes, or group size *
   /// elem_bytes for interleaved arrays).
   std::uint64_t addr_scale = 8;
-  /// Byte offset of this member inside its allocation (interleave rank).
-  std::uint64_t member_offset = 0;
-  /// Allocation size at this array's walk position; 0 for group members
-  /// that share an earlier member's allocation (the walk skips them).
-  std::uint64_t alloc_bytes = 0;
-  /// Array id whose walk position hosts this array's bytes (self unless
-  /// interleaved with a lower-id member).
-  std::int32_t alloc_owner = 0;
 };
 
 /// A program lowered to slots and bytecode. Self-contained: owns copies of
@@ -188,6 +180,8 @@ struct LoweredArray {
 struct LoweredProgram {
   std::string name;
   std::vector<LoweredArray> arrays;
+  /// Base address of every array (ir::array_base_addresses).
+  std::vector<std::uint64_t> bases;
   std::vector<std::string> scalar_names;
   std::vector<std::int32_t> output_scalar_slots;
   std::vector<std::int32_t> output_arrays;

@@ -135,9 +135,8 @@ DistributionResult distribute_loops(const Program& program) {
   result.loops_before =
       static_cast<int>(program.top_loop_indices().size());
 
-  std::vector<analysis::LoopSummary> statements;
-  for (int k = 0; k < static_cast<int>(program.top().size()); ++k)
-    statements.push_back(analysis::summarize_statement(program, k));
+  const std::vector<analysis::LoopSummary> statements =
+      analysis::summarize_statements(program);
   const std::set<std::string> ordered =
       analysis::order_sensitive_scalars(statements);
 

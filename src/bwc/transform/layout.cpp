@@ -212,7 +212,7 @@ LayoutResult pad_layouts(const Program& program,
       } else if (rank == 1) {
         // End pad: grow the allocation past the next alignment boundary
         // so every later array's base moves to a different set phase.
-        pad0 = static_cast<std::int64_t>(g.alignment) / elem;
+        pad0 = static_cast<std::int64_t>(ir::kArrayAlignment) / elem;
         why = "base-phase conflict";
       }
       if (pad0 <= 0) continue;

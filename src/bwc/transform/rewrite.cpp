@@ -141,6 +141,47 @@ void replace_exprs(ir::StmtList& body,
 
 namespace {
 
+/// forward_through_scalar over one statement list; `written` says whether a
+/// write precedes it in static order. Returns the flag after the list.
+bool forward_list(ir::StmtList& body, ir::ArrayId array,
+                  const std::string& temp, bool written) {
+  const auto reads_array = [&](const ir::Expr& e) {
+    return e.kind == ir::ExprKind::kArrayRef && e.array == array;
+  };
+  const auto read_temp = [&](const ir::Expr&) { return ir::make_scalar(temp); };
+  for (auto& s : body) {
+    switch (s->kind) {
+      case ir::StmtKind::kArrayAssign:
+      case ir::StmtKind::kScalarAssign:
+        // The rhs evaluates before the store, so a statement's own write
+        // does not reach its reads.
+        if (written) replace_in_expr(s->rhs, reads_array, read_temp);
+        if (s->kind == ir::StmtKind::kArrayAssign && s->lhs_array == array) {
+          s = ir::make_scalar_assign(temp, std::move(s->rhs));
+          written = true;
+        }
+        break;
+      case ir::StmtKind::kIf:
+        written = forward_list(s->then_body, array, temp, written);
+        written = forward_list(s->else_body, array, temp, written);
+        break;
+      case ir::StmtKind::kLoop:
+        written = forward_list(s->loop->body, array, temp, written);
+        break;
+    }
+  }
+  return written;
+}
+
+}  // namespace
+
+void forward_through_scalar(ir::StmtList& body, ir::ArrayId array,
+                            const std::string& temp) {
+  forward_list(body, array, temp, false);
+}
+
+namespace {
+
 /// Build the expression tree equivalent of an affine: c0 + sum(ci * vi).
 ir::ExprPtr affine_to_expr(const ir::Affine& a) {
   ir::ExprPtr expr;

@@ -29,6 +29,15 @@ void replace_exprs(ir::StmtList& body,
                    const std::function<bool(const ir::Expr&)>& pred,
                    const std::function<ir::ExprPtr(const ir::Expr&)>& make);
 
+/// Forward `array` through scalar `temp` in static order: every write of
+/// the array becomes an assignment to `temp`, and every read that follows
+/// a write becomes a read of `temp`; reads before the first write keep
+/// reading the array. Shared by contraction (storage_reduction.h) and
+/// store elimination (store_elimination.h), whose decisions make static
+/// order the order in which each iteration runs the references.
+void forward_through_scalar(ir::StmtList& body, ir::ArrayId array,
+                            const std::string& temp);
+
 /// Substitute a loop variable with an affine expression everywhere in a
 /// body: subscripts and guard conditions via affine substitution; value
 /// uses (kLoopVar expressions) become the equivalent arithmetic

@@ -18,9 +18,9 @@ using ir::ArrayId;
 using ir::Expr;
 using ir::ExprKind;
 using ir::Program;
-using ir::Stmt;
 using ir::StmtKind;
 using ir::StmtList;
+using verify::AffineRef;
 
 /// The plan for one array in one loop: the sorted distinct offsets of its
 /// reads (a[i + offset]).
@@ -30,84 +30,50 @@ struct ArrayPlan {
   std::vector<std::string> temps;     // one per offset
 };
 
-/// Collect the read offsets of `array` in the (flat, guard-free) body of a
-/// depth-1 loop over `var`; nullopt when any reference disqualifies it.
-std::optional<std::vector<std::int64_t>> read_offsets(
-    const StmtList& body, ArrayId array, const std::string& var) {
+/// The sorted distinct offsets c of one array's references a[var + c] in
+/// a depth-1 loop, or nullopt when some reference disqualifies the array:
+/// a write, another subscript shape, or one that does not run at every
+/// iteration (a guard must keep protecting its subscript).
+std::optional<std::vector<std::int64_t>> stencil_offsets(
+    const analysis::LoopSummary& loop,
+    const std::vector<const AffineRef*>& refs) {
+  const std::string& var = loop.loop_vars.front();
   std::set<std::int64_t> offsets;
-  bool ok = true;
-
-  std::function<void(const Expr&)> scan = [&](const Expr& e) {
-    if (e.kind == ExprKind::kArrayRef && e.array == array) {
-      if (e.subscripts.size() != 1) {
-        ok = false;
-        return;
-      }
-      const Affine& sub = e.subscripts[0];
-      if (sub.coeff(var) != 1 || sub.terms().size() != 1) {
-        ok = false;
-        return;
-      }
-      offsets.insert(sub.constant_term());
-    }
-    for (const auto& child : e.operands) scan(*child);
-  };
-
-  for (const auto& s : body) {
-    switch (s->kind) {
-      case StmtKind::kArrayAssign:
-        if (s->lhs_array == array) ok = false;  // written: skip
-        scan(*s->rhs);
-        break;
-      case StmtKind::kScalarAssign:
-        scan(*s->rhs);
-        break;
-      case StmtKind::kIf:
-      case StmtKind::kLoop: {
-        // Any reference under a guard or inner loop disqualifies.
-        bool referenced = false;
-        std::function<void(const Stmt&)> find = [&](const Stmt& inner) {
-          if (inner.kind == StmtKind::kArrayAssign &&
-              inner.lhs_array == array)
-            referenced = true;
-          if (inner.rhs) {
-            std::function<void(const Expr&)> walk = [&](const Expr& e) {
-              if (e.kind == ExprKind::kArrayRef && e.array == array)
-                referenced = true;
-              for (const auto& c : e.operands) walk(*c);
-            };
-            walk(*inner.rhs);
-          }
-          for (const auto& t : inner.then_body) find(*t);
-          for (const auto& t : inner.else_body) find(*t);
-          if (inner.loop) {
-            for (const auto& t : inner.loop->body) find(*t);
-          }
-        };
-        find(*s);
-        if (referenced) ok = false;
-        break;
-      }
-    }
-    if (!ok) return std::nullopt;
+  for (const AffineRef* r : refs) {
+    if (r->write || r->subscripts.size() != 1 ||
+        !analysis::spans_nest(loop, *r))
+      return std::nullopt;
+    const Affine& sub = r->subscripts[0];
+    if (sub.coeff(var) != 1 || sub.terms().size() != 1) return std::nullopt;
+    offsets.insert(sub.constant_term());
   }
-  if (offsets.empty()) return std::nullopt;
   return std::vector<std::int64_t>(offsets.begin(), offsets.end());
 }
 
 }  // namespace
 
-ScalarReplacementResult replace_scalars(const Program& program) {
+ScalarReplacementResult replace_scalars(
+    const Program& program,
+    const std::vector<analysis::LoopSummary>* statement_summaries) {
   ScalarReplacementResult result;
   result.program = program.clone();
   Program& p = result.program;
 
+  std::vector<analysis::LoopSummary> computed;
+  if (statement_summaries == nullptr) {
+    computed = analysis::summarize_statements(p);
+    statement_summaries = &computed;
+  }
+  BWC_CHECK(statement_summaries->size() == p.top().size(),
+            "statement summaries must cover every top-level statement");
   std::vector<std::string> scalar_names(p.scalars());
   std::vector<ir::StmtPtr> new_top;
 
-  for (auto& stmt : p.top()) {
+  for (std::size_t top = 0; top < p.top().size(); ++top) {
+    ir::StmtPtr& stmt = p.top()[top];
+    const analysis::LoopSummary& summary = (*statement_summaries)[top];
     if (stmt->kind != StmtKind::kLoop || !stmt->loop ||
-        stmt->loop->trip_count() <= 1) {
+        stmt->loop->trip_count() <= 1 || summary.refs->has_unreachable_code()) {
       new_top.push_back(std::move(stmt));
       continue;
     }
@@ -126,17 +92,13 @@ ScalarReplacementResult replace_scalars(const Program& program) {
     // Candidate arrays: read-only in this body with >= 2 distinct offsets
     // (or a duplicated single offset would also profit, but the win there
     // is marginal; require a real stencil).
-    std::set<ArrayId> touched;
-    for_each_expr(stmt->loop->body, [&](Expr& e) {
-      if (e.kind == ExprKind::kArrayRef) touched.insert(e.array);
-    });
-    for (const auto& s : stmt->loop->body) {
-      if (s->kind == StmtKind::kArrayAssign) touched.insert(s->lhs_array);
-    }
+    std::map<ArrayId, std::vector<const AffineRef*>> touched;
+    for (const AffineRef& r : summary.refs->refs)
+      if (!r.array.empty()) touched[p.array_id(r.array)].push_back(&r);
 
     std::vector<ArrayPlan> plans;
-    for (ArrayId a : touched) {
-      const auto reads = read_offsets(stmt->loop->body, a, var);
+    for (const auto& [a, refs] : touched) {
+      const auto reads = stencil_offsets(summary, refs);
       if (!reads.has_value() || reads->size() < 2) continue;
       // The rotation shifts each temp by exactly one iteration, so the
       // plan carries *every* offset in the read span (gaps become

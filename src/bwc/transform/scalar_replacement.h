@@ -14,15 +14,19 @@
 //
 // k+1 distinct offsets cost one load per iteration instead of k+1;
 // duplicate reads of the same element (CSE) come along for free. Applied
-// only where it is trivially safe: the array is not written in the loop,
-// every read uses the loop variable with unit coefficient and a constant
-// offset, and no reference sits under a guard (a hoisted load must not
-// evaluate a subscript the guard was protecting).
+// only where it is trivially safe, decided on the statement summaries'
+// references: the array is not written in the loop, every read uses the
+// loop variable with unit coefficient and a constant offset, and every
+// reference runs at every iteration -- its exact domain is the whole loop
+// (a hoisted load must not evaluate a subscript a guard was protecting).
+// A loop with unreachable code is left alone: the rewrite would reach
+// references the decision never saw.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "bwc/analysis/access_summary.h"
 #include "bwc/ir/program.h"
 
 namespace bwc::transform {
@@ -35,7 +39,12 @@ struct ScalarReplacementResult {
 };
 
 /// Apply scalar replacement to every eligible (array, top-level depth-1
-/// loop) pair.
-ScalarReplacementResult replace_scalars(const ir::Program& program);
+/// loop) pair. When `statement_summaries` is given it must hold one
+/// summarize_statement result per top-level statement of `program`
+/// (pass::AnalysisManager provides exactly that); otherwise the pass
+/// computes them.
+ScalarReplacementResult replace_scalars(
+    const ir::Program& program,
+    const std::vector<analysis::LoopSummary>* statement_summaries = nullptr);
 
 }  // namespace bwc::transform

@@ -163,21 +163,6 @@ std::vector<std::string> spine_vars(const Stmt& loop_stmt) {
   return vars;
 }
 
-/// Injective tuple: each dim a distinct unit-coefficient spine variable,
-/// covering every spine level. A variable of a loop below the spine does
-/// not qualify: two sibling loops over it would each touch every element
-/// once per spine iteration, which one scalar cannot hold.
-bool injective_over(const std::vector<Affine>& tuple,
-                    const std::vector<std::string>& spine) {
-  std::set<std::string> used;
-  for (const auto& sub : tuple) {
-    const auto var = sub.single_var();
-    if (!var.has_value() || sub.coeff(*var) != 1) return false;
-    if (!used.insert(*var).second) return false;
-  }
-  return used == std::set<std::string>(spine.begin(), spine.end());
-}
-
 // ---------------------------------------------------------------------------
 // Contraction: array -> scalar.
 // ---------------------------------------------------------------------------
@@ -212,7 +197,8 @@ bool try_scalarize(Program& p, ArrayId array, const RefSets& sets,
   for (const auto& r : refs) {
     if (!names_element(*r.ref, canonical)) return false;
   }
-  if (!injective_over(canonical, spine_vars(loop_stmt))) return false;
+  if (!analysis::injective_over(canonical, spine_vars(loop_stmt)))
+    return false;
 
   // Rewrite: writes become scalar assigns, reads become scalar refs.
   const std::string name = fresh_name(p.array(array).name + "_s",
@@ -220,45 +206,7 @@ bool try_scalarize(Program& p, ArrayId array, const RefSets& sets,
   p.add_scalar(name);
   scalar_names.push_back(name);
 
-  std::function<void(StmtList&)> rewrite = [&](StmtList& body) {
-    for (auto& s : body) {
-      switch (s->kind) {
-        case StmtKind::kArrayAssign:
-          for_each_expr(*s, [&](Expr& e) {
-            if (e.kind == ExprKind::kArrayRef && e.array == array) {
-              e.kind = ExprKind::kScalarRef;
-              e.scalar = name;
-              e.array = ir::kInvalidArray;
-              e.subscripts.clear();
-            }
-          });
-          if (s->lhs_array == array)
-            s = ir::make_scalar_assign(name, std::move(s->rhs));
-          break;
-        case StmtKind::kScalarAssign:
-          for_each_expr(*s, [&](Expr& e) {
-            if (e.kind == ExprKind::kArrayRef && e.array == array) {
-              e.kind = ExprKind::kScalarRef;
-              e.scalar = name;
-              e.array = ir::kInvalidArray;
-              e.subscripts.clear();
-            }
-          });
-          break;
-        case StmtKind::kIf:
-          rewrite(s->then_body);
-          rewrite(s->else_body);
-          break;
-        case StmtKind::kLoop:
-          rewrite(s->loop->body);
-          break;
-      }
-    }
-  };
-  StmtList shell;
-  shell.push_back(std::move(p.top()[static_cast<std::size_t>(top)]));
-  rewrite(shell);
-  p.top()[static_cast<std::size_t>(top)] = std::move(shell.front());
+  forward_through_scalar(loop_stmt.loop->body, array, name);
 
   actions.push_back("contracted array " + p.array(array).name +
                     " to scalar " + name);

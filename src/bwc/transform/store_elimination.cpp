@@ -1,10 +1,5 @@
 #include "bwc/transform/store_elimination.h"
 
-#include <algorithm>
-#include <optional>
-#include <set>
-
-#include "bwc/analysis/liveness.h"
 #include "bwc/support/error.h"
 #include "bwc/transform/rewrite.h"
 
@@ -12,20 +7,17 @@ namespace bwc::transform {
 
 namespace {
 
-using ir::ArrayId;
-using ir::Expr;
-using ir::ExprKind;
 using ir::Program;
 using ir::Stmt;
 using ir::StmtKind;
 using ir::StmtList;
+using verify::AffineRef;
 
 /// The innermost body of a simple nest, or nullptr when the nest branches.
-StmtList* innermost_body(Stmt& loop_stmt, std::vector<std::string>* vars) {
+StmtList* innermost_body(Stmt& loop_stmt) {
   BWC_ASSERT(loop_stmt.kind == StmtKind::kLoop, "expects a loop");
   Stmt* cursor = &loop_stmt;
   while (true) {
-    vars->push_back(cursor->loop->var);
     StmtList& body = cursor->loop->body;
     if (body.size() == 1 && body.front()->kind == StmtKind::kLoop) {
       cursor = body.front().get();
@@ -38,157 +30,61 @@ StmtList* innermost_body(Stmt& loop_stmt, std::vector<std::string>* vars) {
   }
 }
 
-/// Do all refs of `array` in this flat body use one identical subscript
-/// tuple that covers all loop vars with unit coefficients, with none under
-/// a guard? Returns the tuple on success.
-std::optional<std::vector<ir::Affine>> uniform_injective_subscripts(
-    const StmtList& body, ArrayId array,
-    const std::vector<std::string>& loop_vars) {
-  std::optional<std::vector<ir::Affine>> tuple;
-  bool ok = true;
-
-  std::function<void(const Expr&)> check_expr = [&](const Expr& e) {
-    if (e.kind == ExprKind::kArrayRef && e.array == array) {
-      if (!tuple.has_value()) {
-        tuple = e.subscripts;
-      } else if (*tuple != e.subscripts) {
-        ok = false;
-      }
-    }
-    for (const auto& child : e.operands) check_expr(*child);
-  };
-
-  for (const auto& s : body) {
-    switch (s->kind) {
-      case StmtKind::kArrayAssign:
-        if (s->lhs_array == array) {
-          if (!tuple.has_value()) {
-            tuple = s->lhs_subscripts;
-          } else if (*tuple != s->lhs_subscripts) {
-            ok = false;
-          }
-        }
-        check_expr(*s->rhs);
-        break;
-      case StmtKind::kScalarAssign:
-        check_expr(*s->rhs);
-        break;
-      case StmtKind::kIf: {
-        // Any reference under a guard disqualifies the array (conservative).
-        bool guarded_ref = false;
-        std::function<void(const StmtList&)> scan = [&](const StmtList& inner) {
-          for (const auto& g : inner) {
-            if (g->kind == StmtKind::kArrayAssign && g->lhs_array == array)
-              guarded_ref = true;
-            if (g->rhs) check_expr(*g->rhs);  // still validate tuple equality
-            std::function<void(const Expr&)> find = [&](const Expr& e) {
-              if (e.kind == ExprKind::kArrayRef && e.array == array)
-                guarded_ref = true;
-              for (const auto& child : e.operands) find(*child);
-            };
-            if (g->rhs) find(*g->rhs);
-            if (g->kind == StmtKind::kIf) {
-              scan(g->then_body);
-              scan(g->else_body);
-            }
-            if (g->kind == StmtKind::kLoop) scan(g->loop->body);
-          }
-        };
-        scan(s->then_body);
-        scan(s->else_body);
-        if (guarded_ref) ok = false;
-        break;
-      }
-      case StmtKind::kLoop:
-        break;
-    }
-    if (!ok) return std::nullopt;
+/// Do the references to `array` in `nest` all run at every iteration and
+/// use one identical tuple, injective with unit coefficients over the
+/// nest's loops?
+bool forwardable(const analysis::LoopSummary& nest, const std::string& array) {
+  const std::vector<ir::Affine>* tuple = nullptr;
+  for (const AffineRef& r : nest.refs->refs) {
+    if (r.array != array) continue;
+    if (!analysis::spans_nest(nest, r)) return false;
+    if (tuple == nullptr) tuple = &r.subscripts;
+    if (r.subscripts != *tuple) return false;
   }
-  if (!tuple.has_value()) return std::nullopt;
-
-  // Injectivity across iterations: every loop var appears in exactly one
-  // dimension with coefficient 1, and every dimension is a single such var.
-  std::set<std::string> used;
-  for (const auto& sub : *tuple) {
-    const auto var = sub.single_var();
-    if (!var.has_value() || sub.coeff(*var) != 1) return std::nullopt;
-    if (!used.insert(*var).second) return std::nullopt;
-  }
-  for (const auto& v : loop_vars) {
-    if (used.count(v) == 0) return std::nullopt;
-  }
-  return tuple;
-}
-
-/// Rewrite the body: writes to `array` become scalar assignments to `temp`;
-/// reads after the first write use the scalar. Returns false (no change)
-/// when the body never writes the array.
-bool forward_through_scalar(StmtList& body, ArrayId array,
-                            const std::string& temp) {
-  bool written = false;
-  for (auto& s : body) {
-    if (written) {
-      // Replace reads of the array with the scalar.
-      for_each_expr(*s, [&](Expr& e) {
-        if (e.kind == ExprKind::kArrayRef && e.array == array) {
-          e.kind = ExprKind::kScalarRef;
-          e.scalar = temp;
-          e.array = ir::kInvalidArray;
-          e.subscripts.clear();
-        }
-      });
-    }
-    if (s->kind == StmtKind::kArrayAssign && s->lhs_array == array) {
-      // The rhs evaluates before the store: its reads of the array refer to
-      // old values on the first write, the scalar afterwards (handled by
-      // the replacement above on later statements; within this statement
-      // reads were already rewritten if a previous write occurred).
-      s = ir::make_scalar_assign(temp, std::move(s->rhs));
-      written = true;
-    }
-  }
-  return written;
+  return tuple != nullptr && analysis::injective_over(*tuple, nest.loop_vars);
 }
 
 }  // namespace
 
 StoreEliminationResult eliminate_stores(
     const Program& program,
-    const std::vector<analysis::ArrayLiveness>* liveness) {
+    const std::vector<analysis::LoopSummary>* statement_summaries) {
   StoreEliminationResult result;
   result.program = program.clone();
   Program& p = result.program;
 
-  const std::vector<analysis::ArrayLiveness> computed =
-      liveness != nullptr ? std::vector<analysis::ArrayLiveness>{}
-                          : analysis::analyze_liveness(p);
-  const std::vector<analysis::ArrayLiveness>& live_arrays =
-      liveness != nullptr ? *liveness : computed;
-  BWC_CHECK(live_arrays.size() ==
-                static_cast<std::size_t>(p.array_count()),
-            "liveness must cover every array of the program");
+  std::vector<analysis::LoopSummary> computed;
+  if (statement_summaries == nullptr) {
+    computed = analysis::summarize_statements(p);
+    statement_summaries = &computed;
+  }
+  const std::vector<analysis::LoopSummary>& statements = *statement_summaries;
+  BWC_CHECK(statements.size() == p.top().size(),
+            "statement summaries must cover every top-level statement");
   std::vector<std::string> scalar_names(p.scalars());
 
   for (int a = 0; a < p.array_count(); ++a) {
-    const analysis::ArrayLiveness& live =
-        live_arrays[static_cast<std::size_t>(a)];
-    if (live.is_output || live.writing_stmts.empty()) continue;
-    // All writes in one statement; no later statement reads the array.
-    if (live.writing_stmts.front() != live.writing_stmts.back()) continue;
-    const int writer = live.writing_stmts.front();
-    if (live.last_read() > writer) continue;
-    Stmt& stmt = *p.top()[static_cast<std::size_t>(writer)];
-    if (stmt.kind != StmtKind::kLoop) continue;
-
-    std::vector<std::string> loop_vars;
-    StmtList* body = innermost_body(stmt, &loop_vars);
-    if (body == nullptr) continue;
-    if (!uniform_injective_subscripts(*body, a, loop_vars).has_value())
+    if (p.is_output_array(a)) continue;
+    // One statement writes the array, and no later statement reads it.
+    std::vector<std::size_t> writers;
+    std::size_t last_read = 0;
+    for (std::size_t t = 0; t < statements.size(); ++t) {
+      const auto it = statements[t].arrays.find(a);
+      if (it == statements[t].arrays.end()) continue;
+      if (it->second.written) writers.push_back(t);
+      if (it->second.read) last_read = t;
+    }
+    if (writers.size() != 1 || last_read > writers.front()) continue;
+    const analysis::LoopSummary& nest = statements[writers.front()];
+    Stmt& stmt = *p.top()[writers.front()];
+    if (stmt.kind != StmtKind::kLoop || nest.refs->has_unreachable_code())
       continue;
+    StmtList* body = innermost_body(stmt);
+    if (body == nullptr || !forwardable(nest, p.array(a).name)) continue;
 
     const std::string temp =
         fresh_name(p.array(a).name + "_t", scalar_names);
-    if (!forward_through_scalar(*body, a, temp)) continue;
+    forward_through_scalar(*body, a, temp);
     p.add_scalar(temp);
     scalar_names.push_back(temp);
     result.eliminated.push_back(a);

@@ -14,7 +14,7 @@
 
 #include <vector>
 
-#include "bwc/analysis/liveness.h"
+#include "bwc/analysis/access_summary.h"
 #include "bwc/ir/program.h"
 
 namespace bwc::transform {
@@ -25,21 +25,26 @@ struct StoreEliminationResult {
   std::vector<ir::ArrayId> eliminated;
 };
 
-/// Eliminate stores to every array where it is provably safe:
+/// Eliminate stores to every array where it is provably safe, deciding on
+/// the statement summaries alone (their `arrays` flags and `refs`):
 ///  - the array is not a program output,
-///  - all writes happen in one top-level loop and no later statement reads
-///    the array,
-///  - within that loop, all references to the array use one identical
+///  - one top-level statement writes it, a simple loop nest, and no later
+///    statement reads it,
+///  - in that nest, every reference to the array uses one identical
 ///    subscript tuple that covers every loop level with unit coefficients
 ///    (so iterations touch distinct elements: no cross-iteration reuse),
-///  - no reference sits under a guard (conservative).
+///  - every reference runs at every iteration: its exact domain is the
+///    full nest (a guard that narrows it, or one the splitter cannot
+///    refine, declines the array), and the nest has no unreachable code,
+///    whose references the decision would not see.
 /// Writes become scalar assignments; subsequent same-iteration reads use
 /// the scalar; reads before the write keep reading the array's old values.
-/// When `liveness` is given it must be analyze_liveness of `program`
-/// (pass::AnalysisManager provides exactly that); the transform then skips
-/// its own liveness derivation.
+/// When `statement_summaries` is given it must hold one
+/// summarize_statement result per top-level statement of `program`
+/// (pass::AnalysisManager provides exactly that); otherwise the pass
+/// computes them.
 StoreEliminationResult eliminate_stores(
     const ir::Program& program,
-    const std::vector<analysis::ArrayLiveness>* liveness = nullptr);
+    const std::vector<analysis::LoopSummary>* statement_summaries = nullptr);
 
 }  // namespace bwc::transform

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "bwc/support/error.h"
+#include "bwc/verify/structure.h"
 
 namespace bwc::verify {
 
@@ -441,6 +442,40 @@ EventTrace trace_program(const ir::Program& program, LocationSpace& space,
   Tracer tracer(program, space, max_events, report, &trace);
   tracer.run();
   return trace;
+}
+
+bool trace_pair(const ir::Program& a, const ir::Program& b,
+                const std::string& role_a, const std::string& role_b,
+                const std::function<bool()>& precheck, Report* report,
+                LocationSpace* space, EventTrace* ta, EventTrace* tb) {
+  const Report s1 = validate_structure(a);
+  const Report s2 = validate_structure(b);
+  if (!s1.ok() || !s2.ok()) {
+    report->error("structure-invalid",
+                  "structural validation failed for the " +
+                      (!s1.ok() ? role_a : role_b) + " program: " +
+                      (!s1.ok() ? s1.first_error() : s2.first_error()));
+    return false;
+  }
+  if (precheck && !precheck()) return false;
+  const std::uint64_t est = std::max(estimate_events(a), estimate_events(b));
+  if (est > kMaxTraceEvents) {
+    report->skipped = true;
+    report->skip_reason = "instance-level check needs ~" + std::to_string(est) +
+                          " events, budget is " +
+                          std::to_string(kMaxTraceEvents);
+    return false;
+  }
+  *ta = trace_program(a, *space, kMaxTraceEvents, report);
+  *tb = trace_program(b, *space, kMaxTraceEvents, report);
+  if (!report->ok()) return false;
+  if (ta->truncated || tb->truncated) {
+    report->skipped = true;
+    report->skip_reason = "event budget exhausted while tracing";
+    return false;
+  }
+  report->instances_checked = ta->instances.size() + tb->instances.size();
+  return true;
 }
 
 }  // namespace bwc::verify

@@ -6,7 +6,7 @@
 // reads and writes -- is computable without executing any arithmetic. The
 // tracer walks a program in execution order and emits one Instance per
 // dynamic assignment. This is the verifier's independent ground truth: it
-// shares no code with analysis/ (summaries, dependence tests, liveness) or
+// shares no code with analysis/ (summaries, dependence tests) or
 // runtime/ (interpreter, compiled engine).
 //
 // Locations are interned by *name* in a LocationSpace shared across the
@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -95,6 +96,11 @@ struct EventTrace {
   bool truncated = false;
 };
 
+/// Access events one traced program may emit. Beyond it an instance-level
+/// check is reported as skipped (certification requires a complete
+/// trace), so oversized programs degrade to structural validation.
+inline constexpr std::uint64_t kMaxTraceEvents = 2'000'000;
+
 /// Statically estimate the number of access events the trace would emit
 /// (sum over assignments of trip-count x accesses; guards assumed taken).
 /// Used to refuse oversized traces before paying for them.
@@ -106,5 +112,15 @@ std::uint64_t estimate_events(const ir::Program& program);
 /// trace. Tracing stops once `max_events` access events were emitted.
 EventTrace trace_program(const ir::Program& program, LocationSpace& space,
                          std::uint64_t max_events, Report* report);
+
+/// The trace validators' shared preamble: structure-check both programs
+/// (`role_a` / `role_b` name them in the diagnostic), run `precheck`
+/// (false when it reported an error), refuse by static estimate, and
+/// trace both into one LocationSpace within kMaxTraceEvents each. Returns
+/// false when `report` is already final: an error, or a skipped check.
+bool trace_pair(const ir::Program& a, const ir::Program& b,
+                const std::string& role_a, const std::string& role_b,
+                const std::function<bool()>& precheck, Report* report,
+                LocationSpace* space, EventTrace* ta, EventTrace* tb);
 
 }  // namespace bwc::verify

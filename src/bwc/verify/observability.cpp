@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "bwc/verify/events.h"
-#include "bwc/verify/structure.h"
 
 namespace bwc::verify {
 
@@ -45,52 +44,17 @@ TraceTouch touch_of(const EventTrace& trace, const LocationSpace& space) {
   return t;
 }
 
-/// Shared preamble: structure-check both programs, enforce the event
-/// budget, trace both into one LocationSpace. Returns false when the
-/// report is already final (error or skipped).
-bool trace_pair(const ir::Program& pre, const ir::Program& post,
-                std::uint64_t max_events, Report* report, LocationSpace* space,
-                EventTrace* ta, EventTrace* tb) {
-  const Report s1 = validate_structure(pre);
-  const Report s2 = validate_structure(post);
-  if (!s1.ok() || !s2.ok()) {
-    report->error("structure-invalid",
-                  std::string("structural validation failed for the ") +
-                      (!s1.ok() ? "pre" : "post") + "-pass program: " +
-                      (!s1.ok() ? s1.first_error() : s2.first_error()));
-    return false;
-  }
-  const std::uint64_t est =
-      std::max(estimate_events(pre), estimate_events(post));
-  if (est > max_events) {
-    report->skipped = true;
-    report->skip_reason = "instance-level check needs ~" + std::to_string(est) +
-                          " events, budget is " + std::to_string(max_events);
-    return false;
-  }
-  *ta = trace_program(pre, *space, max_events, report);
-  *tb = trace_program(post, *space, max_events, report);
-  if (!report->ok()) return false;
-  if (ta->truncated || tb->truncated) {
-    report->skipped = true;
-    report->skip_reason = "event budget exhausted while tracing";
-    return false;
-  }
-  report->instances_checked = ta->instances.size() + tb->instances.size();
-  return true;
-}
-
 }  // namespace
 
 Report validate_store_elimination(const ir::Program& pre,
-                                  const ir::Program& post,
-                                  const ObservabilityOptions& options) {
+                                  const ir::Program& post) {
   Report report;
   report.check = "store-elimination";
 
   LocationSpace space;
   EventTrace ta, tb;
-  if (!trace_pair(pre, post, options.max_events, &report, &space, &ta, &tb)) {
+  if (!trace_pair(pre, post, "pre-pass", "post-pass", {}, &report, &space, &ta,
+                  &tb)) {
     return report;
   }
 
@@ -214,14 +178,14 @@ Report validate_store_elimination(const ir::Program& pre,
 }
 
 Report validate_storage_reduction(const ir::Program& pre,
-                                  const ir::Program& post,
-                                  const ObservabilityOptions& options) {
+                                  const ir::Program& post) {
   Report report;
   report.check = "storage-reduction";
 
   LocationSpace space;
   EventTrace ta, tb;
-  if (!trace_pair(pre, post, options.max_events, &report, &space, &ta, &tb)) {
+  if (!trace_pair(pre, post, "pre-pass", "post-pass", {}, &report, &space, &ta,
+                  &tb)) {
     return report;
   }
 
@@ -255,8 +219,10 @@ Report validate_storage_reduction(const ir::Program& pre,
 
   // Element-granular liveness over the pre trace, re-derived from scratch:
   // a value is live from its producing write until its last read before
-  // the next write of the same element. Reads with no prior write observe
-  // initial contents fresh replacement buffers cannot reproduce.
+  // the next write of the same element, and is freed at that read (an
+  // instance reads before it writes, so the instance's own write may reuse
+  // the storage). Reads with no prior write observe initial contents fresh
+  // replacement buffers cannot reproduce.
   struct LiveValue {
     std::size_t born;       // trace position of the write
     std::size_t last_read;  // last observing read position
@@ -269,7 +235,7 @@ Report validate_storage_reduction(const ir::Program& pre,
   auto close = [&](const LiveValue& v) {
     if (!v.read) return;  // dead value: occupies no replacement storage
     deltas.emplace_back(v.born, static_cast<std::int64_t>(v.bytes));
-    deltas.emplace_back(v.last_read + 1, -static_cast<std::int64_t>(v.bytes));
+    deltas.emplace_back(v.last_read, -static_cast<std::int64_t>(v.bytes));
   };
   for (std::size_t pos = 0; pos < ta.instances.size(); ++pos) {
     const Instance& inst = ta.instances[pos];

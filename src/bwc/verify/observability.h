@@ -5,9 +5,9 @@
 // everything deleted was unobservable -- no program output and no later
 // memory read ever needed the removed writebacks or the shrunk storage.
 // Liveness is re-derived here independently, at element granularity, from
-// the concrete event trace of the pre-pass program (the repo's
-// analysis/liveness.cpp works at whole-array, whole-statement granularity
-// and is exactly the code under suspicion).
+// the concrete event trace of the pre-pass program (the passes decide on
+// whole-statement access summaries and symbolic reference domains, which
+// are exactly the code under suspicion).
 //
 // validate_store_elimination(pre, post) certifies, for every array whose
 // writes disappeared:
@@ -26,30 +26,25 @@
 //     write of that element cannot be reproduced by fresh buffers);
 //   - replacement storage is sufficient: the peak number of simultaneously
 //     live values (produced, still to be read) of all reduced arrays fits
-//     in the arrays and scalars the pass introduced. This is a lower-bound
+//     in the arrays and scalars the pass introduced. A value is freed at
+//     its last read: an instance reads before it writes, so a
+//     read-modify-write holds one value, not two. This is a lower-bound
 //     argument in the spirit of the traffic bound: a pass that "shrinks" a
 //     live array below its peak live set cannot be correct, whatever code
 //     it generated.
 #pragma once
-
-#include <cstdint>
 
 #include "bwc/ir/program.h"
 #include "bwc/verify/diagnostics.h"
 
 namespace bwc::verify {
 
-struct ObservabilityOptions {
-  /// Event budget per traced program (see TranslationOptions::max_events).
-  std::uint64_t max_events = 2'000'000;
-};
-
+/// Both checks trace each program within kMaxTraceEvents (events.h) and
+/// report larger ones as skipped.
 Report validate_store_elimination(const ir::Program& pre,
-                                  const ir::Program& post,
-                                  const ObservabilityOptions& options = {});
+                                  const ir::Program& post);
 
 Report validate_storage_reduction(const ir::Program& pre,
-                                  const ir::Program& post,
-                                  const ObservabilityOptions& options = {});
+                                  const ir::Program& post);
 
 }  // namespace bwc::verify

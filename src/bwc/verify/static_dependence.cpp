@@ -442,7 +442,10 @@ struct SiteWalker {
         vars.push_back(s.loop->var);
         domains.push_back(VarDomain::range(s.loop->lower, s.loop->upper));
         loop_addr.push_back(static_cast<int>(pos.size()));
-        if (!domains.back().empty()) walk_list(s.loop->body, pos);
+        if (!domains.back().empty())
+          walk_list(s.loop->body, pos);
+        else if (!s.loop->body.empty())
+          ++out->empty_loops;
         vars.pop_back();
         domains.pop_back();
         loop_addr.pop_back();
@@ -580,6 +583,7 @@ RefSet collect_refs(const ir::Program& program, const ir::Stmt& top) {
   RefSet out;
   SiteWalk walk = collect_assign_sites(top);
   out.unreachable_guards = walk.unreachable_guards;
+  out.empty_loops = walk.empty_loops;
   for (const auto& site : walk.sites) {
     for (auto& r : site_refs(program, site)) {
       if (!r.exact_domain) ++out.inexact_refs;

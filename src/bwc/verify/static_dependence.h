@@ -198,6 +198,7 @@ struct AssignSite {
 struct SiteWalk {
   std::vector<AssignSite> sites;  // in execution order
   int unreachable_guards = 0;     // guard arms proven empty (for lint)
+  int empty_loops = 0;            // loops with a body that never runs
   int inexact_sites = 0;
 };
 
@@ -218,6 +219,14 @@ struct RefSet {
   int inexact_refs = 0;
   /// Guard arms proven unreachable while collecting (for lint).
   int unreachable_guards = 0;
+  /// Loops whose body never runs; their references are skipped too.
+  int empty_loops = 0;
+
+  /// Code the walk skipped: a syntactic rewrite must not touch references
+  /// its decision never saw.
+  bool has_unreachable_code() const {
+    return unreachable_guards > 0 || empty_loops > 0;
+  }
 };
 
 RefSet collect_refs(const ir::Program& program, const ir::Stmt& top);

@@ -789,6 +789,74 @@ Verdict write_before_read_conflict(const Atom& wa, const AffineRef& w,
   return earlier == Verdict::kUnknown ? earlier : same;
 }
 
+/// How one storage prover names its rewrite in `reason` strings.
+struct SubstNames {
+  const char* count_mismatch;  // reason when the atom counts differ
+  const char* scalar;          // "<scalar>-scalar-not-fresh", ...
+  const char* array;           // "no-<array>-array", ...
+};
+
+/// The storage provers' shared prologue: collect both programs' atoms
+/// (exact domains only), discover the array-to-scalar map from positional
+/// atom pairs (a before write to an array against an after write to a
+/// scalar), require every scalar fresh and every array not an output, and
+/// compare the atoms in lockstep modulo the map. Returns false with
+/// `res->reason` set when a step fails; `ba` gets the before atoms that
+/// `spec->rewritten` points into.
+bool match_scalar_substitution(const ir::Program& before,
+                               const ir::Program& after,
+                               const SubstNames& names, std::vector<Atom>* ba,
+                               SubstSpec* spec, LegalityResult* res) {
+  const std::string scalar = names.scalar, array = names.array;
+  bool exact_b = true, exact_a = true;
+  *ba = collect_atoms(before, &exact_b);
+  const std::vector<Atom> aa = collect_atoms(after, &exact_a);
+  if (!exact_b || !exact_a) {
+    res->reason = "unrefinable-guard";
+    return false;
+  }
+  if (ba->size() != aa.size()) {
+    res->reason = names.count_mismatch;
+    return false;
+  }
+  for (std::size_t i = 0; i < ba->size(); ++i) {
+    const ir::Stmt& sb = *(*ba)[i].site.stmt;
+    const ir::Stmt& sa = *aa[i].site.stmt;
+    if (sb.kind == ir::StmtKind::kArrayAssign &&
+        sa.kind == ir::StmtKind::kScalarAssign) {
+      const std::string& arr = before.array(sb.lhs_array).name;
+      auto it = spec->array_to_scalar.find(arr);
+      if (it != spec->array_to_scalar.end() && it->second != sa.lhs_scalar) {
+        res->reason = "inconsistent-" + scalar + "-scalar";
+        return false;
+      }
+      spec->array_to_scalar[arr] = sa.lhs_scalar;
+    }
+  }
+  if (spec->array_to_scalar.empty()) {
+    res->reason = "no-" + array + "-array";
+    return false;
+  }
+  for (const auto& [arr, s] : spec->array_to_scalar) {
+    if (before.has_scalar(s)) {
+      res->reason = scalar + "-scalar-not-fresh";
+      return false;
+    }
+    const ir::ArrayId id = before.array_id(arr);
+    if (id >= 0 && before.is_output_array(id)) {
+      res->reason = array + "-array-is-output";
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < ba->size(); ++i) {
+    if (!atoms_equal_modulo(before, after, (*ba)[i], aa[i], spec)) {
+      res->reason = "atom-mismatch";
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 LegalityResult prove_store_elimination(const ir::Program& before,
@@ -796,58 +864,11 @@ LegalityResult prove_store_elimination(const ir::Program& before,
   LegalityResult res;
   // Arrays written in before but never written in after were eliminated;
   // their forwarding scalars are the after-only scalars.
-  bool exact_b = true, exact_a = true;
-  std::vector<Atom> ba = collect_atoms(before, &exact_b);
-  std::vector<Atom> aa = collect_atoms(after, &exact_a);
-  if (!exact_b || !exact_a) {
-    res.reason = "unrefinable-guard";
-    return res;
-  }
-  if (ba.size() != aa.size()) {
-    res.reason = "atom-count-mismatch";
-    return res;
-  }
-  // Discover eliminated arrays: before atom writes array A, the positional
-  // after atom writes a scalar.
+  const SubstNames names{"atom-count-mismatch", "forwarding", "eliminated"};
+  std::vector<Atom> ba;
   SubstSpec spec;
-  for (std::size_t i = 0; i < ba.size(); ++i) {
-    const ir::Stmt& sb = *ba[i].site.stmt;
-    const ir::Stmt& sa = *aa[i].site.stmt;
-    if (sb.kind == ir::StmtKind::kArrayAssign &&
-        sa.kind == ir::StmtKind::kScalarAssign) {
-      const std::string& arr = before.array(sb.lhs_array).name;
-      auto it = spec.array_to_scalar.find(arr);
-      if (it != spec.array_to_scalar.end() && it->second != sa.lhs_scalar) {
-        res.reason = "inconsistent-forwarding-scalar";
-        return res;
-      }
-      spec.array_to_scalar[arr] = sa.lhs_scalar;
-    }
-  }
-  if (spec.array_to_scalar.empty()) {
-    res.reason = "no-eliminated-array";
+  if (!match_scalar_substitution(before, after, names, &ba, &spec, &res))
     return res;
-  }
-  for (const auto& [arr, scalar] : spec.array_to_scalar) {
-    // The forwarding scalar must be fresh and must not be an output.
-    for (const auto& s : before.scalars()) {
-      if (s == scalar) {
-        res.reason = "forwarding-scalar-not-fresh";
-        return res;
-      }
-    }
-    ir::ArrayId id = before.array_id(arr);
-    if (id >= 0 && before.is_output_array(id)) {
-      res.reason = "eliminated-array-is-output";
-      return res;
-    }
-  }
-  for (std::size_t i = 0; i < ba.size(); ++i) {
-    if (!atoms_equal_modulo(before, after, ba[i], aa[i], &spec)) {
-      res.reason = "atom-mismatch";
-      return res;
-    }
-  }
   // Per eliminated array: single writer statement; rewritten reads are in
   // the writer's iteration with the identical tuple, after the write; the
   // write tuple is injective across iterations; surviving reads never
@@ -936,57 +957,13 @@ LegalityResult prove_store_elimination(const ir::Program& before,
 LegalityResult prove_storage_reduction(const ir::Program& before,
                                        const ir::Program& after) {
   LegalityResult res;
-  bool exact_b = true, exact_a = true;
-  std::vector<Atom> ba = collect_atoms(before, &exact_b);
-  std::vector<Atom> aa = collect_atoms(after, &exact_a);
-  if (!exact_b || !exact_a) {
-    res.reason = "unrefinable-guard";
-    return res;
-  }
-  if (ba.size() != aa.size()) {
-    // Shrinking/peeling insert copy statements; only pure contraction is
-    // modelled statically.
-    res.reason = "not-pure-contraction";
-    return res;
-  }
+  // Shrinking/peeling insert copy statements, so the atom counts differ;
+  // only pure contraction is modelled statically.
+  const SubstNames names{"not-pure-contraction", "contraction", "contracted"};
+  std::vector<Atom> ba;
   SubstSpec spec;
-  for (std::size_t i = 0; i < ba.size(); ++i) {
-    const ir::Stmt& sb = *ba[i].site.stmt;
-    const ir::Stmt& sa = *aa[i].site.stmt;
-    if (sb.kind == ir::StmtKind::kArrayAssign &&
-        sa.kind == ir::StmtKind::kScalarAssign) {
-      const std::string& arr = before.array(sb.lhs_array).name;
-      auto it = spec.array_to_scalar.find(arr);
-      if (it != spec.array_to_scalar.end() && it->second != sa.lhs_scalar) {
-        res.reason = "inconsistent-contraction-scalar";
-        return res;
-      }
-      spec.array_to_scalar[arr] = sa.lhs_scalar;
-    }
-  }
-  if (spec.array_to_scalar.empty()) {
-    res.reason = "no-contracted-array";
+  if (!match_scalar_substitution(before, after, names, &ba, &spec, &res))
     return res;
-  }
-  for (const auto& [arr, scalar] : spec.array_to_scalar) {
-    for (const auto& s : before.scalars()) {
-      if (s == scalar) {
-        res.reason = "contraction-scalar-not-fresh";
-        return res;
-      }
-    }
-    ir::ArrayId id = before.array_id(arr);
-    if (id >= 0 && before.is_output_array(id)) {
-      res.reason = "contracted-array-is-output";
-      return res;
-    }
-  }
-  for (std::size_t i = 0; i < ba.size(); ++i) {
-    if (!atoms_equal_modulo(before, after, ba[i], aa[i], &spec)) {
-      res.reason = "atom-mismatch";
-      return res;
-    }
-  }
   // Every read of a contracted array must be dominated, within the same
   // iteration of a common full-depth nest, by the nearest preceding write,
   // with the identical subscript tuple (live range inside one iteration).

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "bwc/verify/events.h"
-#include "bwc/verify/structure.h"
 
 namespace bwc::verify {
 
@@ -99,55 +98,27 @@ std::string outputs_signature(const ir::Program& p) {
 }  // namespace
 
 Report validate_translation(const ir::Program& original,
-                            const ir::Program& transformed,
-                            const TranslationOptions& options) {
+                            const ir::Program& transformed) {
   Report report;
   report.check = "translation";
 
-  // A transformed program must stand on its own structurally.
-  const Report s1 = validate_structure(original);
-  const Report s2 = validate_structure(transformed);
-  if (!s1.ok() || !s2.ok()) {
-    report.error("structure-invalid",
-                 std::string("structural validation failed for the ") +
-                     (!s1.ok() ? "original" : "transformed") + " program: " +
-                     (!s1.ok() ? s1.first_error() : s2.first_error()));
-    return report;
-  }
-
-  // Observable outputs must be declared identically (by name and shape).
-  const std::string out_a = outputs_signature(original);
-  const std::string out_b = outputs_signature(transformed);
-  if (out_a != out_b) {
+  // A transformed program must stand on its own structurally, and
+  // observable outputs must be declared identically (by name and shape).
+  LocationSpace space;
+  EventTrace ta, tb;
+  const auto same_outputs = [&] {
+    const std::string out_a = outputs_signature(original);
+    const std::string out_b = outputs_signature(transformed);
+    if (out_a == out_b) return true;
     report.error("outputs-changed",
                  "observable outputs differ: original declares {" + out_a +
                      "}, transformed declares {" + out_b + "}");
+    return false;
+  };
+  if (!trace_pair(original, transformed, "original", "transformed",
+                  same_outputs, &report, &space, &ta, &tb)) {
     return report;
   }
-
-  // Refuse oversized traces up front.
-  const std::uint64_t est =
-      std::max(estimate_events(original), estimate_events(transformed));
-  if (est > options.max_events) {
-    report.skipped = true;
-    report.skip_reason = "instance-level check needs ~" + std::to_string(est) +
-                         " events, budget is " +
-                         std::to_string(options.max_events);
-    return report;
-  }
-
-  LocationSpace space;
-  const EventTrace ta =
-      trace_program(original, space, options.max_events, &report);
-  const EventTrace tb =
-      trace_program(transformed, space, options.max_events, &report);
-  if (!report.ok()) return report;
-  if (ta.truncated || tb.truncated) {
-    report.skipped = true;
-    report.skip_reason = "event budget exhausted while tracing";
-    return report;
-  }
-  report.instances_checked = ta.instances.size() + tb.instances.size();
 
   // -- 1. Instance bijection --------------------------------------------
   // Bucket transformed instances by semantic key; match each original

@@ -29,21 +29,14 @@
 // diagnostic naming the violated dependence and the two instances.
 #pragma once
 
-#include <cstdint>
-
 #include "bwc/ir/program.h"
 #include "bwc/verify/diagnostics.h"
 
 namespace bwc::verify {
 
-struct TranslationOptions {
-  /// Budget on access events per traced program; beyond it the check is
-  /// reported as skipped (certification requires a complete trace).
-  std::uint64_t max_events = 2'000'000;
-};
-
+/// Each program is traced within kMaxTraceEvents (events.h); beyond it the
+/// check is reported as skipped (certification requires a complete trace).
 Report validate_translation(const ir::Program& original,
-                            const ir::Program& transformed,
-                            const TranslationOptions& options = {});
+                            const ir::Program& transformed);
 
 }  // namespace bwc::verify

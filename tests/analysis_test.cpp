@@ -2,7 +2,6 @@
 
 #include "bwc/analysis/access_summary.h"
 #include "bwc/analysis/dependence.h"
-#include "bwc/analysis/liveness.h"
 #include "bwc/ir/dsl.h"
 #include "bwc/support/error.h"
 
@@ -240,56 +239,6 @@ TEST(Dependence, LoopInvariantArrayWritePreventing) {
                      assign(c, {v("i"), v("j")}, at(a, v("i"), k(1))))));
   const auto s = summarize_program(p);
   EXPECT_TRUE(analyze_pair(s[0], s[1]).fusion_preventing);
-}
-
-// -- Liveness -------------------------------------------------------------------
-
-TEST(Liveness, TracksReadersWritersOutputs) {
-  Program p("t");
-  const ArrayId res = p.add_array("res", {8});
-  const ArrayId data = p.add_array("data", {8});
-  p.add_scalar("sum");
-  p.mark_output_scalar("sum");
-  p.append(loop("i", 1, 8,
-                assign(res, {v("i")}, at(res, v("i")) + at(data, v("i")))));
-  p.append(assign("sum", lit(0.0)));
-  p.append(loop("i", 1, 8, assign("sum", sref("sum") + at(res, v("i")))));
-
-  const auto live = analyze_liveness(p);
-  const ArrayLiveness& lr = live[static_cast<std::size_t>(res)];
-  EXPECT_EQ(lr.writing_stmts, (std::vector<int>{0}));
-  EXPECT_EQ(lr.reading_stmts, (std::vector<int>{0, 2}));
-  EXPECT_FALSE(lr.is_output);
-  EXPECT_FALSE(lr.dead_after(0));
-  EXPECT_TRUE(lr.dead_after(2));
-  EXPECT_FALSE(lr.stores_unobserved());  // read in stmt 2 after write in 0
-
-  const ArrayLiveness& ld = live[static_cast<std::size_t>(data)];
-  EXPECT_TRUE(ld.writing_stmts.empty());
-  EXPECT_EQ(ld.first_access(), 0);
-}
-
-TEST(Liveness, OutputArrayNeverDead) {
-  Program p("t");
-  const ArrayId a = p.add_array("a", {8});
-  p.mark_output_array(a);
-  p.append(loop("i", 1, 8, assign(a, {v("i")}, lit(1.0))));
-  const auto live = analyze_liveness(p);
-  EXPECT_FALSE(live[0].dead_after(0));
-  EXPECT_FALSE(live[0].stores_unobserved());
-}
-
-TEST(Liveness, StoresUnobservedWhenReadsCoincideWithLastWrite) {
-  // Fused fig7 shape: one loop writes res and reads it; no later reads.
-  Program p("t");
-  const ArrayId res = p.add_array("res", {8});
-  p.add_scalar("sum");
-  p.mark_output_scalar("sum");
-  p.append(loop("i", 1, 8,
-                assign(res, {v("i")}, at(res, v("i")) + lit(1.0)),
-                assign("sum", sref("sum") + at(res, v("i")))));
-  const auto live = analyze_liveness(p);
-  EXPECT_TRUE(live[0].stores_unobserved());
 }
 
 }  // namespace

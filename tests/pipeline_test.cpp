@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "bwc/analysis/liveness.h"
+#include "bwc/analysis/access_summary.h"
 #include "bwc/core/optimizer.h"
 #include "bwc/fusion/solvers.h"
 #include "bwc/ir/dsl.h"
@@ -100,15 +100,10 @@ TEST(BlurSharpen, ChainFusesAndContracts) {
   // blur and diff are intermediates; after fusion they contract and their
   // stores disappear from the referenced set. img and out must survive
   // (inputs/outputs).
-  const auto live = analysis::analyze_liveness(r.program);
-  bool blur_gone = true;
-  for (int a = 0; a < r.program.array_count(); ++a) {
-    if (r.program.array(a).name == "blur" &&
-        (!live[static_cast<std::size_t>(a)].reading_stmts.empty() ||
-         !live[static_cast<std::size_t>(a)].writing_stmts.empty()))
-      blur_gone = false;
-  }
-  EXPECT_TRUE(blur_gone) << ir::to_string(r.program);
+  const ir::ArrayId blur = r.program.array_id("blur");
+  ASSERT_GE(blur, 0);
+  for (const auto& s : analysis::summarize_statements(r.program))
+    EXPECT_EQ(s.arrays.count(blur), 0u) << ir::to_string(r.program);
 }
 
 TEST(BlurSharpen, TrafficDropsSubstantially) {

@@ -94,6 +94,48 @@ TEST(ScalarReplacement, SkipsGuardedReferences) {
   EXPECT_TRUE(replace_scalars(p).actions.empty());
 }
 
+TEST(ScalarReplacement, SkipsLoopsWithUnreachableReads) {
+  // a[i+5] sits under a guard no iteration takes (then, in the second
+  // loop, in a loop that never runs), so the references the decision
+  // sees never include it; rotating a's other reads would send that
+  // offset, which is outside the plan, to the rewrite.
+  for (const bool empty_loop : {false, true}) {
+    Program p("t");
+    const ArrayId a = p.add_array("a", {40});
+    const ArrayId out = p.add_array("out", {40});
+    p.mark_output_array(out);
+    ir::StmtPtr unreachable =
+        empty_loop ? when(ir::CmpOp::kGe, v("i"), k(3),
+                          loop("k", 2, 1,
+                               assign(out, {v("i")}, at(a, v("i", 5)))))
+                   : when(ir::CmpOp::kGt, v("i"), k(30),
+                          assign(out, {v("i")}, at(a, v("i", 5))));
+    p.append(loop("i", 2, 30,
+                  assign(out, {v("i")},
+                         at(a, v("i", -1)) + at(a, v("i")) + at(a, v("i", 1))),
+                  std::move(unreachable)));
+    const ScalarReplacementResult r = replace_scalars(p);
+    EXPECT_TRUE(r.actions.empty()) << ir::to_string(r.program);
+    expect_preserved(p, r.program);
+  }
+}
+
+TEST(ScalarReplacement, RotatesUnderNonNarrowingGuards) {
+  // i >= 1 holds at every iteration of i = 2..30: the guarded reads run at
+  // every iteration, so hoisting their loads evaluates no new subscript.
+  Program p("t");
+  const ArrayId a = p.add_array("a", {32});
+  p.add_scalar("s");
+  p.mark_output_scalar("s");
+  p.append(loop("i", 2, 30,
+                when(ir::CmpOp::kGe, v("i"), k(1),
+                     assign("s", sref("s") + at(a, v("i", -1)) +
+                                     at(a, v("i"))))));
+  const ScalarReplacementResult r = replace_scalars(p);
+  EXPECT_EQ(r.loads_removed, 1);
+  expect_preserved(p, r.program);
+}
+
 TEST(ScalarReplacement, SkipsSingleOffsetReads) {
   Program p("t");
   const ArrayId a = p.add_array("a", {32});

@@ -327,10 +327,10 @@ TEST(Translation, AcceptsReductionInterleavingButNotPartialReads) {
 }
 
 TEST(Translation, SkipsOversizedTraces) {
+  // The static estimate exceeds the event budget: refused before tracing.
   const Program p = workloads::fig7_original(400000);
-  verify::TranslationOptions opts;
-  opts.max_events = 1000;
-  const verify::Report r = verify::validate_translation(p, p, opts);
+  ASSERT_GT(verify::estimate_events(p), verify::kMaxTraceEvents);
+  const verify::Report r = verify::validate_translation(p, p);
   EXPECT_TRUE(r.skipped);
   EXPECT_TRUE(r.ok()) << r.render();
 }
@@ -444,6 +444,59 @@ TEST(Observability, RejectsShrinkingBelowPeakLiveSet) {
   EXPECT_TRUE(has_code(r, "storage-reduction-capacity")) << r.render();
 }
 
+TEST(Observability, ReadModifyWriteFitsOneScalar) {
+  // t[i] is read and rewritten by one instance: the old value dies at the
+  // read, as the new one is born, so one scalar holds the live set.
+  Program pre("t");
+  const ArrayId t = pre.add_array("t", {40});
+  const ArrayId b = pre.add_array("b", {40});
+  const ArrayId c = pre.add_array("c", {40});
+  pre.mark_output_array(c);
+  pre.append(loop("i", 1, 32,
+                  assign(t, {v("i")}, at(b, v("i"))),
+                  assign(t, {v("i")}, at(t, v("i")) + lit(1.0)),
+                  assign(c, {v("i")}, at(t, v("i")))));
+  Program post("t");
+  post.add_array("t", {40});
+  const ArrayId pb = post.add_array("b", {40});
+  const ArrayId pc = post.add_array("c", {40});
+  post.mark_output_array(pc);
+  post.add_scalar("tt");
+  post.append(loop("i", 1, 32,
+                   assign("tt", at(pb, v("i"))),
+                   assign("tt", sref("tt") + lit(1.0)),
+                   assign(pc, {v("i")}, sref("tt"))));
+  const verify::Report r = verify::validate_storage_reduction(pre, post);
+  EXPECT_TRUE(r.ok() && !r.skipped) << r.render();
+}
+
+TEST(Observability, RejectsValueReadAfterSuccessorIsBorn) {
+  // t[i+1] is born before c[i] reads t[i]: two values live at once, which
+  // one scalar cannot hold.
+  Program pre("t");
+  const ArrayId t = pre.add_array("t", {40});
+  const ArrayId b = pre.add_array("b", {40});
+  const ArrayId c = pre.add_array("c", {40});
+  pre.mark_output_array(c);
+  pre.append(assign(t, {k(1)}, at(b, k(1))));
+  pre.append(loop("i", 1, 32,
+                  assign(t, {v("i", 1)}, lit(2.0) * at(t, v("i"))),
+                  assign(c, {v("i")}, at(t, v("i")))));
+  Program post("t");
+  post.add_array("t", {40});
+  const ArrayId pb = post.add_array("b", {40});
+  const ArrayId pc = post.add_array("c", {40});
+  post.mark_output_array(pc);
+  post.add_scalar("tt");
+  post.append(assign("tt", at(pb, k(1))));
+  post.append(loop("i", 1, 32,
+                   assign("tt", lit(2.0) * sref("tt")),
+                   assign(pc, {v("i")}, sref("tt"))));
+  const verify::Report r = verify::validate_storage_reduction(pre, post);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(has_code(r, "storage-reduction-capacity")) << r.render();
+}
+
 TEST(Observability, RejectsReducingOutputArray) {
   Program pre("t");
   const ArrayId t = pre.add_array("t", {40});
@@ -492,13 +545,14 @@ TEST(Pipeline, VerifyOffProducesNoVerifyLines) {
 }
 
 TEST(Pipeline, OversizedProgramsDegradeToStructuralChecks) {
+  const Program p = workloads::fig7_original(400000);
+  ASSERT_GT(verify::estimate_events(p), verify::kMaxTraceEvents);
   pass::PipelineOptions opts;
-  opts.verify_max_events = 1000;
   // The static prover certifies fig7's transforms without replaying events;
   // force trace-only verification so the event budget is actually exercised.
   opts.static_verify = pass::StaticVerifyMode::kOff;
-  const core::OptimizeResult result = core::optimize(
-      workloads::fig7_original(400000), core::kDefaultPipeline, opts);
+  const core::OptimizeResult result =
+      core::optimize(p, core::kDefaultPipeline, opts);
   bool skipped = false;
   for (const auto& report : result.pipeline.passes) {
     if (report.verify.ran && report.verify.skipped) {
