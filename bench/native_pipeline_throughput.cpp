@@ -61,8 +61,8 @@ constexpr double kCacheSpeedupFloor = 1.5;
 // The fuse/reduce-storage/eliminate-stores trio twice over: the pipeline
 // a fixed-point driver runs. The second fuse pass is where the cache
 // pays -- at the fixed point nothing between the two invalidates the
-// fusion graph. Heuristic solver: exact enumeration's Bell-number
-// blowup would time the solver, not the pipeline machinery.
+// fusion graph. Heuristic solver: its cost barely depends on the graph,
+// so the timing is the pipeline machinery's, not the exact search's.
 const char kTrio[] = "fuse(solver=greedy),reduce-storage,eliminate-stores";
 
 double seconds_of(const std::function<void()>& fn, int reps) {

@@ -3,8 +3,17 @@
 // The paper proves two-partitioning polynomial ("cubic to the number of
 // arrays, linear to the number of loops") and general multi-partitioning
 // NP-complete. This google-benchmark binary times the solvers as the
-// graph grows: the exact enumeration's Bell-number blow-up against the
-// polynomial min-cut two-partitioning and the heuristics.
+// graph grows: the exact branch-and-bound search, whose search space is
+// the Bell number of the loop count, against the polynomial min-cut
+// two-partitioning and the heuristics, up to the search's 12-loop cap.
+//
+// On a 4-vCPU 2.0 GHz x86-64 host the search took 1.5-5.7 us per graph
+// from 4 to 10 loops, 62 us at 11 and 4.5 us at 12 (medians of 3);
+// exhaustive enumeration of the same graphs grew ~7x per added loop, from
+// 6.7 us at 4 loops to 1.34 s at 11. The bound, not the search space, sets
+// the time: the private-arrays family, on which every partitioning costs
+// the same, took enumeration ~5 s at 12 loops and takes the search 2.3 us.
+// The worst case is still exponential, which is why the cap stays.
 #include <benchmark/benchmark.h>
 
 #include "bwc/fusion/solvers.h"
@@ -35,11 +44,29 @@ void BM_ExactEnumeration(benchmark::State& state) {
   const int loops = static_cast<int>(state.range(0));
   const auto g = make_graph(loops, loops, 42);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fusion::exact_enumeration(g, 16).cost);
+    benchmark::DoNotOptimize(fusion::exact_enumeration(g).cost);
   }
-  state.SetLabel("Bell(" + std::to_string(loops) + ") partitions");
+  state.SetLabel("search space Bell(" + std::to_string(loops) + ")");
 }
-BENCHMARK(BM_ExactEnumeration)->DenseRange(4, 11)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ExactEnumeration)
+    ->DenseRange(4, fusion::kMaxExactLoops)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Every loop touches only its own array: every partitioning costs the
+/// same, so exhaustive enumeration gains nothing from the optimum it finds
+/// first, while the bound cuts every branch after the first plan.
+void BM_ExactEnumerationPrivateArrays(benchmark::State& state) {
+  const int loops = static_cast<int>(state.range(0));
+  std::vector<std::vector<int>> pins;
+  for (int l = 0; l < loops; ++l) pins.push_back({l});
+  const auto g = fusion::graph_from_spec(loops, pins, {}, {});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fusion::exact_enumeration(g).cost);
+  }
+}
+BENCHMARK(BM_ExactEnumerationPrivateArrays)
+    ->DenseRange(4, fusion::kMaxExactLoops, 4)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_TwoPartitionMinCut(benchmark::State& state) {
   const int loops = static_cast<int>(state.range(0));

@@ -1,6 +1,8 @@
 #include "bwc/fusion/solvers.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <functional>
 #include <limits>
 #include <numeric>
@@ -14,7 +16,7 @@ namespace bwc::fusion {
 FusionCapacityError::FusionCapacityError(const std::string& solver,
                                          int loop_count, int max_nodes)
     : Error("solver '" + solver + "' cannot handle " +
-            std::to_string(loop_count) + " loops: exact fusion enumeration "
+            std::to_string(loop_count) + " loops: exact fusion search "
             "is limited to " + std::to_string(max_nodes) +
             " (the problem is NP-complete); use the 'bisection' heuristic "
             "or best_fusion, which falls back automatically"),
@@ -24,78 +26,188 @@ FusionCapacityError::FusionCapacityError(const std::string& solver,
 
 namespace {
 
-/// Cost of an assignment under the edge-weighted (baseline) objective:
-/// total number of shared arrays across partition boundaries, counted per
-/// loop pair (the Gao / Kennedy-McKinley edge weights).
-std::int64_t edge_weighted_cost(const FusionGraph& g,
-                                const std::vector<int>& assignment) {
-  std::int64_t cost = 0;
-  const int n = g.node_count();
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (assignment[static_cast<std::size_t>(i)] ==
-          assignment[static_cast<std::size_t>(j)])
-        continue;
-      cost += static_cast<std::int64_t>(g.pair(i, j).shared_arrays.size());
+using Mask = std::uint64_t;
+static_assert(kMaxExactLoops <= 64,
+              "the exact search keeps node and partition sets in 64-bit masks");
+
+/// What the exact search minimizes.
+enum class Objective {
+  /// graph::partition_cost over `sharing`: arrays loaded.
+  kArrays,
+  /// graph::partition_cost over `sharing_bytes`: bytes loaded.
+  kBytes,
+  /// The edge-weighted baseline (Gao et al., Kennedy & McKinley): shared
+  /// arrays between loops in different partitions, times 64, plus the
+  /// number of partitions minus one, so that equal cut weights prefer
+  /// fewer partitions like the published fuse-whenever-legal heuristics.
+  kCutEdges,
+};
+
+/// Depth-first branch-and-bound over set partitions in restricted-growth
+/// order: node v joins a partition opened by nodes 0..v-1 or opens the
+/// next one. Each objective only grows as nodes are placed, so a branch
+/// whose cost plus a lower bound on what the unplaced nodes add reaches
+/// the best complete cost cannot hold a strictly cheaper leaf. The result
+/// is therefore the first minimum in visit order, the leaf an exhaustive
+/// enumeration keeping strict improvements would pick.
+class ExactSearch {
+ public:
+  ExactSearch(const FusionGraph& g, Objective objective)
+      : g_(g),
+        n_(g.node_count()),
+        cut_edges_(objective == Objective::kCutEdges),
+        h_(objective == Objective::kBytes ? g.sharing_bytes : g.sharing),
+        assignment_(static_cast<std::size_t>(n_), -1) {
+    for (const auto& [i, j] : g.preventing) {
+      prevents_[static_cast<std::size_t>(i)] |= bit(j);
+      prevents_[static_cast<std::size_t>(j)] |= bit(i);
+    }
+    // graph_from_spec admits backward dependences, so a node may have arcs
+    // both from and to the nodes placed before it.
+    for (int u = 0; u < n_; ++u) {
+      for (int v : g.deps.successors(u)) {
+        if (u < v) earlier_preds_[static_cast<std::size_t>(v)] |= bit(u);
+        if (v < u) earlier_succs_[static_cast<std::size_t>(u)] |= bit(v);
+      }
+    }
+    if (!cut_edges_) {
+      const auto edges = static_cast<std::size_t>(h_.edge_count());
+      pins_in_partition_.assign(static_cast<std::size_t>(n_),
+                                std::vector<int>(edges, 0));
+      pins_placed_.assign(edges, 0);
+      unplaced_ = h_.total_weight();
     }
   }
-  return cost;
-}
 
-/// Enumerate set partitions (restricted growth strings) with preventing
-/// pruning; calls `visit` on every complete legal-looking assignment
-/// (full validity still checked by the caller).
-void enumerate_partitions(const FusionGraph& g,
-                          const std::function<void(const std::vector<int>&)>&
-                              visit) {
-  const int n = g.node_count();
-  std::vector<int> assignment(static_cast<std::size_t>(n), -1);
-  std::function<void(int, int)> recurse = [&](int v, int used) {
-    if (v == n) {
-      visit(assignment);
+  /// The first minimum-cost valid assignment in visit order; empty when no
+  /// assignment is valid.
+  std::vector<int> run() {
+    search(0, 0, 0);
+    return best_;
+  }
+
+ private:
+  static Mask bit(int i) { return Mask{1} << i; }
+
+  void search(int v, int used, std::int64_t cost) {
+    if (v == n_) {  // reached only when strictly cheaper than best_cost_
+      best_cost_ = cost;
+      best_ = assignment_;
       return;
     }
-    for (int p = 0; p <= used && p < n; ++p) {
-      bool ok = true;
-      for (int u = 0; u < v && ok; ++u) {
-        if (assignment[static_cast<std::size_t>(u)] == p &&
-            g.is_preventing(u, v))
-          ok = false;
+    const auto sv = static_cast<std::size_t>(v);
+    const std::array<Mask, kMaxExactLoops> saved_reach = reach_;
+    for (int p = 0; p <= used; ++p) {
+      const auto sp = static_cast<std::size_t>(p);
+      if ((members_[sp] & prevents_[sv]) != 0) continue;
+      if (link(v, p)) {
+        const std::int64_t added = place(v, p, used);
+        if (cost + added + unplaced_ < best_cost_) {
+          assignment_[sv] = p;
+          members_[sp] |= bit(v);
+          search(v + 1, std::max(used, p + 1), cost + added);
+          members_[sp] &= ~bit(v);
+        }
+        unplace(v, p);
       }
-      if (!ok) continue;
-      assignment[static_cast<std::size_t>(v)] = p;
-      recurse(v + 1, std::max(used, p + 1));
+      reach_ = saved_reach;
     }
-    assignment[static_cast<std::size_t>(v)] = -1;
-  };
-  recurse(0, 0);
-}
-
-/// Exact search minimizing an arbitrary objective over valid assignments.
-FusionPlan exact_minimize(
-    const FusionGraph& g, int max_nodes, const std::string& solver,
-    const std::function<std::int64_t(const std::vector<int>&)>& objective) {
-  if (g.node_count() > max_nodes) {
-    throw FusionCapacityError(solver, g.node_count(), max_nodes);
   }
-  std::int64_t best = std::numeric_limits<std::int64_t>::max();
-  std::vector<int> best_assignment;
-  enumerate_partitions(g, [&](const std::vector<int>& assignment) {
-    if (!plan_is_valid(g, assignment)) return;
-    const std::int64_t c = objective(assignment);
-    if (c < best) {
-      best = c;
-      best_assignment = assignment;
+
+  /// Adds the arcs of the partition-contracted dependence graph between
+  /// partition p, which v joins, and the partitions of earlier nodes;
+  /// false when one closes a cycle. Later nodes add their own arcs to v.
+  bool link(int v, int p) {
+    const auto sv = static_cast<std::size_t>(v);
+    for (Mask m = earlier_preds_[sv]; m != 0; m &= m - 1) {
+      const int q = assignment_[static_cast<std::size_t>(std::countr_zero(m))];
+      if (q != p && !add_arc(q, p)) return false;
     }
-  });
-  BWC_CHECK(!best_assignment.empty() || g.node_count() == 0,
-            "no valid partitioning exists");
+    for (Mask m = earlier_succs_[sv]; m != 0; m &= m - 1) {
+      const int q = assignment_[static_cast<std::size_t>(std::countr_zero(m))];
+      if (q != p && !add_arc(p, q)) return false;
+    }
+    return true;
+  }
+
+  /// reach_[x] holds the partitions reachable from x along one or more
+  /// arcs; adding from -> to closes a cycle exactly when `to` reaches
+  /// `from`.
+  bool add_arc(int from, int to) {
+    const Mask to_reach = reach_[static_cast<std::size_t>(to)];
+    if ((to_reach & bit(from)) != 0) return false;
+    for (int x = 0; x < n_; ++x) {
+      Mask& r = reach_[static_cast<std::size_t>(x)];
+      if (x == from || (r & bit(from)) != 0) r |= bit(to) | to_reach;
+    }
+    return true;
+  }
+
+  /// Places v in p and returns the cost it adds; also takes the hyper-edges
+  /// v is the first pin of out of `unplaced_`.
+  std::int64_t place(int v, int p, int used) {
+    std::int64_t added = 0;
+    if (cut_edges_) {
+      for (int u = 0; u < v; ++u) {
+        if (assignment_[static_cast<std::size_t>(u)] == p) continue;
+        added += static_cast<std::int64_t>(g_.pair(u, v).shared_arrays.size());
+      }
+      return added * 64 + (p == used && v > 0 ? 1 : 0);
+    }
+    std::vector<int>& counts = pins_in_partition_[static_cast<std::size_t>(p)];
+    for (int e : h_.incident_edges(v)) {
+      const auto se = static_cast<std::size_t>(e);
+      if (pins_placed_[se]++ == 0) unplaced_ -= h_.weight(e);
+      if (counts[se]++ == 0) added += h_.weight(e);
+    }
+    return added;
+  }
+
+  void unplace(int v, int p) {
+    if (cut_edges_) return;
+    std::vector<int>& counts = pins_in_partition_[static_cast<std::size_t>(p)];
+    for (int e : h_.incident_edges(v)) {
+      const auto se = static_cast<std::size_t>(e);
+      if (--pins_placed_[se] == 0) unplaced_ += h_.weight(e);
+      --counts[se];
+    }
+  }
+
+  const FusionGraph& g_;
+  const int n_;
+  const bool cut_edges_;
+  const graph::Hypergraph& h_;
+  std::array<Mask, kMaxExactLoops> prevents_{};
+  std::array<Mask, kMaxExactLoops> earlier_preds_{};
+  std::array<Mask, kMaxExactLoops> earlier_succs_{};
+  /// kArrays / kBytes: pins of each hyper-edge per partition, pins placed
+  /// per hyper-edge, and the weight of hyper-edges with no pin placed yet.
+  /// Every hyper-edge has a pin, so that weight is a lower bound on the
+  /// cost still to come.
+  std::vector<std::vector<int>> pins_in_partition_;
+  std::vector<int> pins_placed_;
+  std::int64_t unplaced_ = 0;
+
+  std::vector<int> assignment_;
+  std::array<Mask, kMaxExactLoops> members_{};
+  std::array<Mask, kMaxExactLoops> reach_{};
+  std::int64_t best_cost_ = std::numeric_limits<std::int64_t>::max();
+  std::vector<int> best_;
+};
+
+FusionPlan exact_minimize(const FusionGraph& g, Objective objective,
+                          std::string solver) {
+  if (g.node_count() > kMaxExactLoops) {
+    throw FusionCapacityError(solver, g.node_count(), kMaxExactLoops);
+  }
   if (g.node_count() == 0) {
     FusionPlan p;
-    p.solver = solver;
+    p.solver = std::move(solver);
     return p;
   }
-  return finish_plan(g, best_assignment, solver);
+  std::vector<int> best = ExactSearch(g, objective).run();
+  BWC_CHECK(!best.empty(), "no valid partitioning exists");
+  return finish_plan(g, std::move(best), std::move(solver));
 }
 
 }  // namespace
@@ -136,20 +248,12 @@ std::optional<FusionPlan> exact_two_partition(const FusionGraph& graph) {
   return finish_plan(graph, std::move(assignment), "exact-two-partition");
 }
 
-FusionPlan exact_enumeration(const FusionGraph& graph, int max_nodes) {
-  return exact_minimize(graph, max_nodes, "exact",
-                        [&graph](const std::vector<int>& a) {
-                          return graph::partition_cost(graph.sharing, a);
-                        });
+FusionPlan exact_enumeration(const FusionGraph& graph) {
+  return exact_minimize(graph, Objective::kArrays, "exact");
 }
 
-FusionPlan exact_enumeration_weighted(const FusionGraph& graph,
-                                      int max_nodes) {
-  return exact_minimize(
-      graph, max_nodes, "exact-weighted",
-      [&graph](const std::vector<int>& a) {
-        return graph::partition_cost(graph.sharing_bytes, a);
-      });
+FusionPlan exact_enumeration_weighted(const FusionGraph& graph) {
+  return exact_minimize(graph, Objective::kBytes, "exact-weighted");
 }
 
 FusionPlan greedy_fusion(const FusionGraph& graph) {
@@ -296,24 +400,15 @@ FusionPlan recursive_bisection(const FusionGraph& graph) {
 }
 
 FusionPlan edge_weighted_baseline(const FusionGraph& graph) {
-  if (graph.node_count() <= 12) {
-    FusionPlan plan = exact_minimize(
-        graph, 12, "edge-weighted",
-        [&graph](const std::vector<int>& a) {
-          // Prefer fewer partitions on equal cut weight, like the published
-          // greedy-fusion heuristics that fuse whenever legal.
-          return edge_weighted_cost(graph, a) * 64 +
-                 *std::max_element(a.begin(), a.end());
-        });
-    return plan;
-  }
+  if (graph.node_count() <= kMaxExactLoops)
+    return exact_minimize(graph, Objective::kCutEdges, "edge-weighted");
   FusionPlan plan = greedy_fusion(graph);
   plan.solver = "edge-weighted(greedy)";
   return plan;
 }
 
 FusionPlan best_fusion(const FusionGraph& graph) {
-  if (graph.node_count() <= 12) {
+  if (graph.node_count() <= kMaxExactLoops) {
     FusionPlan plan = exact_enumeration(graph);
     plan.solver = "best(exact)";
     return plan;

@@ -4,11 +4,14 @@
 // two-partitioning form -- one fusion-preventing edge, solved by a minimal
 // cut on the data-sharing hyper-graph with dependences enforced by heavy
 // hyper-edges -- and (b) an NP-completeness proof for the general
-// multi-partition form, which therefore gets exact enumeration for small
-// graphs and heuristics (greedy, recursive bisection) beyond. The prior
-// edge-weighted formulation of Gao et al. / Kennedy & McKinley is included
-// as the comparison baseline; the paper's Figure 4 shows it is *not*
-// bandwidth-optimal (8 arrays loaded vs 7).
+// multi-partition form, which therefore gets an exact branch-and-bound
+// search for graphs of up to kMaxExactLoops loops and heuristics (greedy,
+// recursive bisection) beyond. The search prunes with a lower bound on the
+// cost still to come, which keeps typical programs fast, but its worst
+// case remains exponential in the loop count; that is why the cap stays.
+// The prior edge-weighted formulation of Gao et al. / Kennedy & McKinley
+// is included as the comparison baseline; the paper's Figure 4 shows it is
+// *not* bandwidth-optimal (8 arrays loaded vs 7).
 #pragma once
 
 #include <optional>
@@ -19,11 +22,16 @@
 
 namespace bwc::fusion {
 
-/// Thrown when an exact solver is asked for a graph beyond its capacity
-/// (set-partition enumeration is Bell-number sized; the general problem is
-/// NP-complete). Carries the offending loop count, the solver's limit and
-/// the heuristic to use instead, so callers can degrade deliberately
-/// rather than parse a message.
+/// Largest graph the exact solvers accept. The exact search is exponential
+/// in the worst case (the general problem is NP-complete), so beyond this
+/// best_fusion uses heuristics.
+inline constexpr int kMaxExactLoops = 12;
+
+/// Thrown when an exact solver is asked for a graph of more than
+/// kMaxExactLoops loops (the exact fusion search is exponential in the
+/// worst case; the general problem is NP-complete). Carries the offending
+/// loop count, the solver's limit and the heuristic to use instead, so
+/// callers can degrade deliberately rather than parse a message.
 class FusionCapacityError : public Error {
  public:
   FusionCapacityError(const std::string& solver, int loop_count,
@@ -55,17 +63,20 @@ FusionPlan no_fusion(const FusionGraph& graph);
 /// partition before u's cannot be minimal.
 std::optional<FusionPlan> exact_two_partition(const FusionGraph& graph);
 
-/// Exact multi-partitioning by enumeration of set partitions with
-/// validity pruning. Throws bwc::Error when node count exceeds `max_nodes`
-/// (the problem is NP-complete; enumeration is Bell-number sized).
-FusionPlan exact_enumeration(const FusionGraph& graph, int max_nodes = 12);
+/// Exact multi-partitioning: a depth-first branch-and-bound over set
+/// partitions in restricted-growth order that skips fusion-preventing and
+/// cyclic placements as soon as they arise and prunes a branch once its
+/// cost plus the weight of the arrays no placed loop touches yet reaches
+/// the best plan found. Of several optimal plans it returns the first in
+/// that order. Throws FusionCapacityError beyond kMaxExactLoops loops and
+/// bwc::Error when no valid partitioning exists.
+FusionPlan exact_enumeration(const FusionGraph& graph);
 
-/// Exact multi-partitioning under the byte-weighted objective (total bytes
+/// exact_enumeration under the byte-weighted objective (total bytes
 /// loaded, i.e. hyper-edge lengths weighted by array sizes). With equal
 /// array sizes this coincides with exact_enumeration; with mixed sizes it
 /// can prefer splitting small arrays to keep one big array resident.
-FusionPlan exact_enumeration_weighted(const FusionGraph& graph,
-                                      int max_nodes = 12);
+FusionPlan exact_enumeration_weighted(const FusionGraph& graph);
 
 /// Greedy: place each loop (in program order) into the legal partition
 /// that minimizes the increase in distinct-array count, else start a new
@@ -79,13 +90,15 @@ FusionPlan recursive_bisection(const FusionGraph& graph);
 
 /// The edge-weighted baseline: minimizes the total weight of
 /// cross-partition normal edges (weight = number of shared arrays), the
-/// objective of Gao et al. and Kennedy & McKinley. Exact for small graphs,
-/// greedy beyond. The returned plan's `cost` is still the bandwidth
-/// objective, so it can be compared directly against the other solvers.
+/// objective of Gao et al. and Kennedy & McKinley, preferring fewer
+/// partitions on equal weight. Solved by exact_enumeration's search up to
+/// kMaxExactLoops loops, greedy beyond. The returned plan's `cost` is still
+/// the bandwidth objective, so it can be compared directly against the
+/// other solvers.
 FusionPlan edge_weighted_baseline(const FusionGraph& graph);
 
-/// Dispatcher: exact enumeration when feasible, otherwise the better of
-/// recursive bisection and greedy.
+/// Dispatcher: exact_enumeration up to kMaxExactLoops loops, otherwise the
+/// better of recursive bisection and greedy.
 FusionPlan best_fusion(const FusionGraph& graph);
 
 /// Build a fusion graph directly from a specification, for experiments on
