@@ -263,32 +263,68 @@ FusionPlan greedy_fusion(const FusionGraph& graph) {
     p.solver = "greedy";
     return p;
   }
+  // Loops on one dependence cycle share a partition in every valid plan,
+  // so each strongly connected component is placed as a unit, named by its
+  // smallest loop. Units go in topological order, the smallest ready
+  // first (program order when every dependence runs forward): producers
+  // are placed before consumers, partitions only grow along dependences,
+  // and the plan stays acyclic.
+  const std::vector<std::vector<bool>> reach = graph.deps.transitive_closure();
+  std::vector<int> unit(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    unit[static_cast<std::size_t>(v)] = v;
+    for (int u = 0; u < v; ++u) {
+      if (reach[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)] &&
+          reach[static_cast<std::size_t>(v)][static_cast<std::size_t>(u)]) {
+        unit[static_cast<std::size_t>(v)] = unit[static_cast<std::size_t>(u)];
+        break;
+      }
+    }
+  }
+  graph::Digraph units(n);
+  for (int u = 0; u < n; ++u) {
+    for (int v : graph.deps.successors(u)) {
+      const int a = unit[static_cast<std::size_t>(u)];
+      const int b = unit[static_cast<std::size_t>(v)];
+      if (a != b) units.add_edge(a, b);
+    }
+  }
+
+  const std::vector<int> order = *units.topological_order();
+
   std::vector<int> assignment(static_cast<std::size_t>(n), -1);
   std::vector<std::set<ir::ArrayId>> partition_arrays;
   std::vector<std::vector<int>> members;
-
-  for (int v = 0; v < n; ++v) {
-    const auto& arrays =
-        graph.summaries[static_cast<std::size_t>(v)].touched_arrays();
-
-    // Earliest partition v may join: after every producer's partition.
+  for (int head : order) {
+    if (unit[static_cast<std::size_t>(head)] != head) continue;
+    std::vector<int> loops;
+    std::set<ir::ArrayId> arrays;
+    // Earliest partition the unit may join: after every producer's.
     int min_partition = 0;
-    for (int u : graph.deps.predecessors(v))
-      min_partition =
-          std::max(min_partition, assignment[static_cast<std::size_t>(u)]);
+    for (int v = head; v < n; ++v) {
+      if (unit[static_cast<std::size_t>(v)] != head) continue;
+      loops.push_back(v);
+      for (ir::ArrayId a :
+           graph.summaries[static_cast<std::size_t>(v)].touched_arrays())
+        arrays.insert(a);
+      for (int u : graph.deps.predecessors(v))
+        min_partition =
+            std::max(min_partition, assignment[static_cast<std::size_t>(u)]);
+    }
+    const auto prevents = [&](const std::vector<int>& others) {
+      for (int u : others) {
+        for (int v : loops)
+          if (graph.is_preventing(u, v)) return true;
+      }
+      return false;
+    };
+    BWC_CHECK(!prevents(loops), "no valid partitioning exists");
 
     int best_partition = -1;
     std::int64_t best_delta = std::numeric_limits<std::int64_t>::max();
     for (int p = min_partition;
          p < static_cast<int>(partition_arrays.size()); ++p) {
-      bool ok = true;
-      for (int u : members[static_cast<std::size_t>(p)]) {
-        if (graph.is_preventing(u, v)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
+      if (prevents(members[static_cast<std::size_t>(p)])) continue;
       std::int64_t delta = 0;
       for (ir::ArrayId a : arrays) {
         if (partition_arrays[static_cast<std::size_t>(p)].count(a) == 0)
@@ -307,10 +343,12 @@ FusionPlan greedy_fusion(const FusionGraph& graph) {
       partition_arrays.emplace_back();
       members.emplace_back();
     }
-    assignment[static_cast<std::size_t>(v)] = best_partition;
-    members[static_cast<std::size_t>(best_partition)].push_back(v);
-    for (ir::ArrayId a : arrays)
-      partition_arrays[static_cast<std::size_t>(best_partition)].insert(a);
+    for (int v : loops) {
+      assignment[static_cast<std::size_t>(v)] = best_partition;
+      members[static_cast<std::size_t>(best_partition)].push_back(v);
+    }
+    partition_arrays[static_cast<std::size_t>(best_partition)].insert(
+        arrays.begin(), arrays.end());
   }
   return finish_plan(graph, std::move(assignment), "greedy");
 }

@@ -78,9 +78,12 @@ FusionPlan exact_enumeration(const FusionGraph& graph);
 /// can prefer splitting small arrays to keep one big array resident.
 FusionPlan exact_enumeration_weighted(const FusionGraph& graph);
 
-/// Greedy: place each loop (in program order) into the legal partition
+/// Greedy: place each loop, in topological order of the dependences
+/// (program order when they all run forward), into the legal partition
 /// that minimizes the increase in distinct-array count, else start a new
-/// partition.
+/// partition. Loops on a dependence cycle move as one unit; throws
+/// bwc::Error when such a unit holds a fusion-preventing pair, where no
+/// valid partitioning exists.
 FusionPlan greedy_fusion(const FusionGraph& graph);
 
 /// Recursive bisection: repeatedly split any group containing a

@@ -1,6 +1,7 @@
 #include "bwc/graph/digraph.h"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 
 #include "bwc/support/error.h"
@@ -38,13 +39,13 @@ std::optional<std::vector<int>> Digraph::topological_order() const {
   for (int v = 0; v < n; ++v)
     indegree[static_cast<std::size_t>(v)] =
         static_cast<int>(pred_[static_cast<std::size_t>(v)].size());
-  std::queue<int> ready;
+  std::priority_queue<int, std::vector<int>, std::greater<>> ready;
   for (int v = 0; v < n; ++v)
     if (indegree[static_cast<std::size_t>(v)] == 0) ready.push(v);
   std::vector<int> order;
   order.reserve(static_cast<std::size_t>(n));
   while (!ready.empty()) {
-    const int u = ready.front();
+    const int u = ready.top();
     ready.pop();
     order.push_back(u);
     for (int v : succ_[static_cast<std::size_t>(u)]) {

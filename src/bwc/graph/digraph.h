@@ -24,7 +24,9 @@ class Digraph {
   }
   bool has_edge(int u, int v) const;
 
-  /// Topological order, or nullopt when the graph has a cycle.
+  /// Topological order taking the smallest ready node first (so a graph
+  /// whose edges all run forward yields 0..n-1), or nullopt when the
+  /// graph has a cycle.
   std::optional<std::vector<int>> topological_order() const;
   bool is_acyclic() const { return topological_order().has_value(); }
 

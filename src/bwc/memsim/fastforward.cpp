@@ -16,6 +16,8 @@ namespace {
 // lines of a *previous* phase draining out). The patience budget must
 // therefore cover capacity / period-shift boundaries, plus slack;
 // adversarial streams still degrade to plain simulation once it is spent.
+// Periods with a zero shift revisit the same lines and drain nothing, so
+// the slack alone bounds them.
 constexpr std::int64_t kStateRetrySlack = 64;
 // Snapshotting and comparing the resident state is O(resident lines), far
 // too expensive to pay at every boundary of a capacity-long drain. State
@@ -57,9 +59,12 @@ PeriodDetector::PeriodDetector(MemoryHierarchy* h,
                                std::int64_t period_shift_bytes)
     : h_(h),
       shift_(period_shift_bytes),
-      max_periods_(static_cast<std::int64_t>(2 * h->total_capacity_bytes() /
-                                             magnitude(period_shift_bytes)) +
-                   kStateRetrySlack) {
+      max_periods_(
+          (period_shift_bytes == 0
+               ? 0
+               : static_cast<std::int64_t>(2 * h->total_capacity_bytes() /
+                                           magnitude(period_shift_bytes))) +
+          kStateRetrySlack) {
   h_->snapshot_counters(&prev_);
 }
 

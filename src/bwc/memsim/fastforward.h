@@ -10,9 +10,12 @@
 // analytically -- counters by m * delta, resident tags by m * shift --
 // which by induction is exactly what simulating them would have done.
 //
-// The certifier is fed by two period sources:
+// The certifier is fed by three period sources:
 //  - the compiled engines' stream loops (runtime/fastforward.h), whose
 //    period comes from lowering's uniform per-iteration address step;
+//  - rows: the iterations of an outer loop whose accesses all move by one
+//    byte step per iteration (lowering's RowLoop certificate), reported
+//    by the engines at each row end (runtime::Recorder::end_row);
 //  - AccessFastForward below, which infers the period online from a raw
 //    access stream with no loop metadata attached -- the native workloads
 //    (Figure 3 stride kernels, STREAM, the proxies) in
@@ -27,9 +30,15 @@
 
 namespace bwc::memsim {
 
-/// Repetitions of an address step of `step_bytes` (nonzero) after which
-/// the accumulated shift is a line multiple at every level of `h` at
-/// once: max_line / gcd(|step|, max_line).
+/// Stream loops and rows arm the certifier only for a span of at least
+/// this many periods: certification needs four (warm-up, two equal
+/// deltas, one state comparison), and anything close to that would skip
+/// next to nothing.
+inline constexpr std::int64_t kMinPeriodsToAttempt = 8;
+
+/// Repetitions of an address step of `step_bytes` after which the
+/// accumulated shift is a line multiple at every level of `h` at once:
+/// max_line / gcd(|step|, max_line), which is 1 for a zero step.
 std::uint64_t line_granular_repeats(const MemoryHierarchy& h,
                                     std::int64_t step_bytes);
 
@@ -42,10 +51,12 @@ std::uint64_t line_granular_repeats(const MemoryHierarchy& h,
 /// probing.
 class PeriodDetector {
  public:
-  /// `period_shift_bytes` (nonzero) is the address shift of one period;
-  /// it must be a multiple of h->max_line_bytes() (line_granular_repeats)
-  /// and the hierarchy translation_invariant(). Snapshots the counters:
-  /// the first period starts now.
+  /// `period_shift_bytes` is the address shift of one period; it must be
+  /// a multiple of h->max_line_bytes() (line_granular_repeats) and the
+  /// hierarchy translation_invariant(). A zero shift certifies periods
+  /// that reuse the same lines, which need no capacity drain: their
+  /// patience budget is the slack alone. Snapshots the counters: the
+  /// first period starts now.
   PeriodDetector(MemoryHierarchy* h, std::int64_t period_shift_bytes);
 
   /// Close one period. True once the fixpoint is certified: the counter

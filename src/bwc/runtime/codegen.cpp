@@ -49,6 +49,7 @@ struct BwcNativeCtx {
   double (*call_f)(double x, double y);
   double (*call_g)(double x, double y);
   int (*stream)(void* host, int loop_id);
+  int (*row_end)(void* host, int row, long long v);
   void* host;
   int err_array;
   int err_dim;
@@ -367,6 +368,19 @@ int stream_callback(void* host, int loop_id) {
   }
 }
 
+/// The row hook of a certified loop's kLoopEnd (Recorder::end_row).
+int row_end_callback(void* host, int row, long long v) {
+  auto* d = static_cast<HostDriver*>(host);
+  try {
+    if (d->fast_forward)
+      d->rec->end_row(d->lp->row_loops[static_cast<std::size_t>(row)], v);
+    return 0;
+  } catch (...) {
+    d->error = std::current_exception();
+    return 2;
+  }
+}
+
 }  // namespace
 
 ExecResult execute_lowered_native(const LoweredProgram& lowered,
@@ -400,6 +414,7 @@ ExecResult execute_lowered_native(const LoweredProgram& lowered,
   c.call_f = call_f_tramp;
   c.call_g = call_g_tramp;
   c.stream = stream_callback;
+  c.row_end = row_end_callback;
   c.host = &driver;
   c.err_array = 0;
 

@@ -20,6 +20,8 @@
 // fast-forwards periodic loops and still chunks parallelizable loops
 // across the thread pool -- the `values` kernels compute the chunks, and
 // the accesses replay through the same replay_stream_accesses as the VM.
+// A certified loop's kLoopEnd calls back into the host at each row end
+// (Recorder::end_row), so rows fast-forward exactly as in the VM.
 // Observables are bit-identical to the VM by the StreamRangeExec
 // contract; tests/codegen_test.cpp enforces this differentially across
 // every bundled workload, core count, and coalesce/fast-forward setting.
@@ -145,7 +147,7 @@ inline constexpr char kNativeCFlags[] =
     "-O2 -fPIC -shared -ffp-contract=off -w";
 /// Bumped whenever the emitted ABI (context struct, entry-point
 /// signatures) changes; embedded in the source and checked after dlopen.
-inline constexpr int kNativeAbiVersion = 1;
+inline constexpr int kNativeAbiVersion = 2;
 }  // namespace detail
 
 }  // namespace bwc::runtime

@@ -245,6 +245,13 @@ void emit_run(std::string& out, const LoweredProgram& lp) {
         out += "  " + it + " = " + lit_i64(op.lower) + ";\n";
         break;
       case OpCode::kLoopEnd:
+        if (op.row >= 0) {
+          out += "  {\n";
+          out += "    const int rc = ctx->row_end(ctx->host, " +
+                 std::to_string(op.row) + ", " + it + ");\n";
+          out += "    if (rc != 0) return rc;\n";
+          out += "  }\n";
+        }
         out += "  if (++" + it + " <= " + lit_i64(op.upper) + ") goto " + tgt +
                ";\n";
         break;
@@ -433,6 +440,7 @@ std::string emit_c_source(const LoweredProgram& lowered) {
   out += "  double (*call_f)(double x, double y);\n";
   out += "  double (*call_g)(double x, double y);\n";
   out += "  int (*stream)(void* host, int loop_id);\n";
+  out += "  int (*row_end)(void* host, int row, i64 v);\n";
   out += "  void* host;\n";
   out += "  int err_array;\n";
   out += "  int err_dim;\n";

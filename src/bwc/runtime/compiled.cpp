@@ -240,6 +240,9 @@ void Vm::run() {
         }
         break;
       case OpCode::kLoopEnd:
+        if (op.row >= 0 && fast_forward_)
+          recorder_.end_row(lp_.row_loops[static_cast<std::size_t>(op.row)],
+                            iters[op.slot]);
         if (++iters[op.slot] <= op.upper) {
           pc = static_cast<std::size_t>(op.target);
         } else {

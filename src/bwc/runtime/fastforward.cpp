@@ -6,11 +6,6 @@ namespace bwc::runtime {
 
 namespace {
 
-// A loop must offer at least this many periods before the detector is
-// worth arming: certification needs four (warm-up, two equal deltas, one
-// state comparison) and anything close to that would skip next to nothing.
-constexpr std::int64_t kMinPeriodsToAttempt = 8;
-
 // -- Specialized value kernels for the values-first pass -----------------
 //
 // With Op a template constant the apply_stream_bin switch folds away and
@@ -225,7 +220,7 @@ void replay_stream_accesses(const StreamLoop& sl, std::int64_t lower,
   memsim::MemoryHierarchy* h = rec.hierarchy();
   const auto P = static_cast<std::int64_t>(
       memsim::line_granular_repeats(*h, sl.uniform_step_bytes));
-  if (trips < kMinPeriodsToAttempt * P) {
+  if (trips < memsim::kMinPeriodsToAttempt * P) {
     emit(trips);
     return;
   }
@@ -250,10 +245,9 @@ void replay_stream_accesses(const StreamLoop& sl, std::int64_t lower,
         const auto times = static_cast<std::uint64_t>(m);
         const memsim::MemoryHierarchy::Counters& delta = detector.delta();
         detector.skip(times);
-        rec.count_fast_forward(
-            delta.loads * times, delta.stores * times,
-            (delta.toward_cpu[0] + delta.from_cpu[0]) * times,
-            times * static_cast<std::uint64_t>(P));
+        rec.count_accesses(delta.loads * times, delta.stores * times,
+                           (delta.toward_cpu[0] + delta.from_cpu[0]) * times);
+        rec.count_fast_forward(times * static_cast<std::uint64_t>(P));
         for (int s = 0; s < n; ++s)
           cursors[s].addr +=
               static_cast<std::uint64_t>(cursors[s].step * m * P);

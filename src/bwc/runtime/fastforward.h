@@ -29,6 +29,17 @@
 // contents. Loops that break the preconditions -- reductions, mixed
 // strides, stride-0 destinations, page-randomized machines (Exemplar) --
 // never enter the detector and replay in full.
+//
+// Rows are the other period source of the compiled engines. A generic
+// loop around a loop whose accesses all move by one byte step per
+// iteration carries lowering's RowLoop certificate; both engines report
+// the end of each of its iterations to Recorder::end_row, which certifies
+// the rows' fixpoint with the same PeriodDetector and then detaches the
+// hierarchy for the remaining full periods of the segment. The rows still
+// run -- values, dispatch and every access -- but the recorder only
+// counts them, and so do the stream loops, parallel chunk replays and
+// native hooks inside, which all reach the simulator through
+// Recorder::hierarchy().
 #pragma once
 
 #include <cstdint>

@@ -42,17 +42,19 @@ struct ExecOptions {
   /// interpreter ignores this.
   int cores = 1;
   /// Compiled engine only: steady-state fast-forward for fused stream
-  /// loops (runtime/fastforward.h). A loop's values run first, then its
+  /// loops and for the rows of certified outer loops
+  /// (runtime/fastforward.h). A stream loop's values run first, then its
   /// access stream replays period by period until memsim::PeriodDetector
   /// certifies the hierarchy's periodic fixpoint, and the remaining full
-  /// periods advance analytically instead of being simulated. Checksums,
-  /// counts, boundary traffic and the final resident state are
-  /// bit-identical either way: false selects the full-simulation
-  /// reference that tests/fastforward_test.cpp compares against.
-  /// Automatically inert on hierarchies that are not
-  /// translation-invariant (page-randomized machines) and on loops
-  /// without a uniform access step. The reference interpreter ignores
-  /// this flag.
+  /// periods advance analytically instead of being simulated; rows run
+  /// whole, and once their fixpoint is certified the recorder only counts
+  /// the accesses of the remaining full periods. Checksums, counts,
+  /// boundary traffic and the final resident state are bit-identical
+  /// either way: false selects the full-simulation reference that
+  /// tests/fastforward_test.cpp compares against. Automatically inert on
+  /// hierarchies that are not translation-invariant (page-randomized
+  /// machines) and on loops without a uniform access step. The reference
+  /// interpreter ignores this flag.
   bool fast_forward = true;
 };
 
@@ -69,9 +71,10 @@ struct ExecResult {
   /// Base address assigned to each array (by ArrayId).
   std::vector<std::uint64_t> array_bases;
   /// Steady-state fast-forward observability (compiled engine only):
-  /// certified fast-forward events (one per loop, or per parallel chunk)
-  /// and total loop iterations they skipped past simulation. Zero when
-  /// fast-forward is off, refused, or never certified.
+  /// certified fast-forward events (one per stream loop, parallel chunk
+  /// or row segment) and total loop iterations they skipped past
+  /// simulation, a skipped row counting as one iteration of its loop.
+  /// Zero when fast-forward is off, refused, or never certified.
   std::uint64_t fast_forward_events = 0;
   std::uint64_t fast_forwarded_iterations = 0;
 };

@@ -1,6 +1,7 @@
 #include "bwc/runtime/lowering.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "bwc/runtime/interpreter.h"
@@ -48,6 +49,7 @@ class Lowerer {
 
     lower_body(program_.top());
     emit(OpCode::kHalt);
+    certify_rows();
     return std::move(out_);
   }
 
@@ -486,6 +488,133 @@ class Lowerer {
                 o.lin_coeff * static_cast<std::int64_t>(o.addr_scale) == step;
     });
     return uniform ? step : 0;
+  }
+
+  // -- Row certificates -----------------------------------------------------
+  //
+  // A post-pass over the finished bytecode, outermost loops first: the
+  // first loop of a nest that certifies (RowLoop in lowering.h) takes the
+  // certificate and its inner loops are not considered.
+
+  void certify_rows() {
+    for (std::size_t pc = 0; pc < out_.ops.size(); ++pc) {
+      if (out_.ops[pc].code != OpCode::kLoopBegin) continue;
+      const auto end = static_cast<std::size_t>(out_.ops[pc].target) - 1;
+      if (std::optional<RowLoop> row = certify_row(pc, end)) {
+        out_.ops[end].row = static_cast<std::int32_t>(out_.row_loops.size());
+        out_.row_loops.push_back(std::move(*row));
+        pc = end;
+      }
+    }
+  }
+
+  /// The certificate of the loop whose kLoopBegin is at `begin` and whose
+  /// kLoopEnd is at `end`, if it has one.
+  std::optional<RowLoop> certify_row(std::size_t begin,
+                                     std::size_t end) const {
+    const Op& loop = out_.ops[begin];
+    RowLoop row;
+    row.lower = loop.lower;
+    row.upper = loop.upper;
+    bool nested = false, accessed = false, uniform = true;
+    std::vector<bool> touched(out_.arrays.size(), false);
+    const auto access = [&](std::int32_t array, std::int64_t step) {
+      uniform = uniform && (!accessed || step == row.step_bytes);
+      accessed = true;
+      row.step_bytes = step;
+      touched[static_cast<std::size_t>(array)] = true;
+    };
+    for (std::size_t pc = begin + 1; pc < end && uniform; ++pc) {
+      const Op& op = out_.ops[pc];
+      switch (op.code) {
+        case OpCode::kLoopBegin:
+          nested = true;
+          break;
+        case OpCode::kStreamLoop:
+          // Stream subscripts read the inner variable alone.
+          nested = true;
+          for_each_stream_access(
+              out_.stream_loops[static_cast<std::size_t>(op.slot)],
+              [&](const StreamOperand& o, bool) { access(o.slot, 0); });
+          break;
+        case OpCode::kLoadArray:
+        case OpCode::kStoreArray: {
+          std::int64_t slots = 0;
+          const LoweredDim* dims = out_.dims.data() + op.first_dim;
+          for (std::uint32_t d = 0; d < op.dim_count; ++d)
+            slots += coefficient(dims[d].index, loop.slot) *
+                     dims[d].layout_stride;
+          access(op.slot, slots * static_cast<std::int64_t>(op.addr_scale));
+          break;
+        }
+        case OpCode::kLoadArray1:
+        case OpCode::kStoreArray1:
+          access(op.slot, op.iter == loop.slot
+                              ? op.lin_coeff *
+                                    static_cast<std::int64_t>(op.addr_scale)
+                              : 0);
+          break;
+        case OpCode::kBranch:
+          uniform = add_guard_breaks(op, loop.slot, &row);
+          break;
+        default:
+          break;
+      }
+    }
+    if (!nested || !accessed || !uniform) return std::nullopt;
+    for (std::size_t a = 0; a < touched.size(); ++a) {
+      if (!touched[a]) continue;
+      const LoweredArray& decl = out_.arrays[a];
+      row.footprint_bytes +=
+          static_cast<std::uint64_t>(decl.element_count) * decl.elem_bytes;
+    }
+    std::sort(row.segment_starts.begin(), row.segment_starts.end());
+    row.segment_starts.erase(
+        std::unique(row.segment_starts.begin(), row.segment_starts.end()),
+        row.segment_starts.end());
+    return row;
+  }
+
+  std::int64_t coefficient(const LinExpr& e, std::int32_t slot) const {
+    std::int64_t c = 0;
+    for (std::uint32_t k = 0; k < e.term_count; ++k) {
+      const LinTerm& t = out_.terms[e.first_term + k];
+      if (t.slot == slot) c += t.coeff;
+    }
+    return c;
+  }
+
+  /// Adds the rows of `row` at which guard `op` changes its outcome to the
+  /// segment starts; false when the guard reads the loop variable in
+  /// `slot` together with another loop variable.
+  bool add_guard_breaks(const Op& op, std::int32_t slot, RowLoop* row) const {
+    const LinExpr& lhs = out_.lin_exprs[op.lhs];
+    const LinExpr& rhs = out_.lin_exprs[op.rhs];
+    bool reads_var = false, reads_other = false;
+    for (const LinExpr* e : {&lhs, &rhs}) {
+      for (std::uint32_t k = 0; k < e->term_count; ++k) {
+        const bool var = out_.terms[e->first_term + k].slot == slot;
+        reads_var = reads_var || var;
+        reads_other = reads_other || !var;
+      }
+    }
+    if (!reads_var) return true;
+    if (reads_other) return false;
+    // lhs - rhs = c * v + d changes sign, and the guard its outcome, only
+    // at r = floor(-d / c) (where it may be 0) and at r + 1.
+    const std::int64_t c = coefficient(lhs, slot) - coefficient(rhs, slot);
+    const std::int64_t d = lhs.base - rhs.base;
+    if (c == 0) return true;
+    std::int64_t r = -d / c;
+    if (r * c != -d && (-d < 0) != (c < 0)) --r;
+    const auto outcome = [&](std::int64_t v) {
+      return ir::evaluate_cmp(op.cmp, c * v + d, 0);
+    };
+    for (const std::int64_t v : {r, r + 1}) {
+      if (v > row->lower && v <= row->upper && outcome(v) != outcome(v - 1))
+        row->segment_starts.push_back(v);
+    }
+    return true;
   }
 
   const Program& program_;

@@ -17,6 +17,9 @@
 //                       locate() becomes a few integer multiply-adds
 //  * statement tree  -> a compact Op array with explicit jump targets,
 //                       executed by a tight dispatch loop (compiled.h)
+//  * loops           -> StreamLoop (fused innermost loops) and RowLoop
+//                       (rows that repeat one byte step apart) side
+//                       tables, the periods of fast-forward
 //
 // Lowering validates what the interpreter would only discover at run
 // time: references to undeclared scalars, unbound loop variables and
@@ -75,7 +78,8 @@ enum class OpCode : std::uint8_t {
   kBranch,       // if !(lin_exprs[lhs] cmp lin_exprs[rhs]) goto target
   kJump,         // goto target
   kLoopBegin,    // if lower > upper goto target; else iters[slot] = lower
-  kLoopEnd,      // if ++iters[slot] <= upper goto target (body start)
+  kLoopEnd,      // if ++iters[slot] <= upper goto target (body start);
+                 // a certified loop (row >= 0) reports each row end first
   kStreamLoop,   // run stream_loops[slot] natively (fused innermost loop)
   kHalt,         // end of program
 };
@@ -131,6 +135,25 @@ struct StreamLoop {
   verify::Verdict parallel_safety = verify::Verdict::kUnknown;
 };
 
+/// Row certificate of a generic loop whose body contains a loop: every
+/// access of the body moves by the same `step_bytes` per iteration of the
+/// loop (0 when every row reuses the same lines), and every guard that
+/// reads the loop variable reads no other loop variable. Between two
+/// segment starts those guards keep their outcomes, so each row issues the
+/// previous row's access stream translated by `step_bytes` -- the period
+/// source of row fast-forward (Recorder::end_row, runtime/fastforward.h).
+/// Only the outermost certified loop of a nest carries one.
+struct RowLoop {
+  std::int64_t lower = 0, upper = 0;
+  std::int64_t step_bytes = 0;
+  /// Bytes of the arrays the body touches: a bound on the loop's
+  /// footprint, which the recorder compares against the cache capacity.
+  std::uint64_t footprint_bytes = 0;
+  /// First rows of the second and later segments, ascending, each in
+  /// (lower, upper]: the rows at which some guard changes its outcome.
+  std::vector<std::int64_t> segment_starts;
+};
+
 /// One flat instruction. A plain struct (no unions) keeps the executor
 /// branch-free on field access; unused fields are simply ignored.
 struct Op {
@@ -144,6 +167,7 @@ struct Op {
   std::uint32_t dim_count = 0;
   std::uint32_t lhs = 0, rhs = 0;  // kBranch: into LoweredProgram::lin_exprs
   std::int32_t target = 0;     // jump target pc
+  std::int32_t row = -1;       // kLoopEnd: index into row_loops, or -1
   std::int64_t lower = 0, upper = 0;  // kLoopBegin/kLoopEnd bounds
   double imm = 0.0;            // kPushConst
   std::uint64_t elem_bytes = 8;  // kLoadArray/kStoreArray access size
@@ -190,6 +214,7 @@ struct LoweredProgram {
   std::vector<LoweredDim> dims;
   std::vector<LinExpr> lin_exprs;
   std::vector<StreamLoop> stream_loops;
+  std::vector<RowLoop> row_loops;
   /// Number of iteration slots (maximum loop nesting depth).
   std::int32_t iter_slot_count = 0;
   /// Deepest value-stack use of any expression; the executor preallocates.

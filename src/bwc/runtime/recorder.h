@@ -20,12 +20,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "bwc/machine/timing.h"
 #include "bwc/memsim/fastforward.h"
 #include "bwc/memsim/hierarchy.h"
 
 namespace bwc::runtime {
+
+struct RowLoop;
 
 /// One coalesced access run: `count` same-kind accesses, contiguous in
 /// stream order, covering [addr, addr + bytes) in ascending address order
@@ -143,11 +146,11 @@ class Recorder {
     run_.bytes = 0;
   }
 
-  /// Bulk-account accesses that were never issued one by one: with no
-  /// hierarchy attached, the stream-loop replay (runtime/fastforward.h)
-  /// charges a range's load/store/register totals in one call. Only legal
-  /// when no hierarchy is attached: nothing is simulated here, so with a
-  /// hierarchy the caller must issue real load()/store() calls instead.
+  /// Bulk-account accesses that were never issued one by one: the
+  /// stream-loop replay (runtime/fastforward.h) charges a range's
+  /// load/store/register totals in one call when no hierarchy is attached,
+  /// and the skipped periods' totals when fast-forward applied them to the
+  /// hierarchy analytically. Nothing is simulated here.
   void count_accesses(std::uint64_t loads, std::uint64_t stores,
                       std::uint64_t reg_bytes) {
     loads_ += loads;
@@ -155,21 +158,34 @@ class Recorder {
     reg_bytes_ += reg_bytes;
   }
 
-  /// Bulk-account `iterations` fast-forwarded loop iterations whose
-  /// accesses were applied to the hierarchy analytically (never issued
-  /// through load()/store()). Keeps this recorder's load/store/register
-  /// totals exact; see runtime/fastforward.h for the caller.
-  void count_fast_forward(std::uint64_t loads, std::uint64_t stores,
-                          std::uint64_t reg_bytes, std::uint64_t iterations) {
-    loads_ += loads;
-    stores_ += stores;
-    reg_bytes_ += reg_bytes;
+  /// Row fast-forward, the third period source of memsim::PeriodDetector
+  /// (runtime/fastforward.h). The engines call this at the end of row `v`
+  /// (one iteration) of a loop that carries row certificate `loop`, when
+  /// fast-forward is on. From the first row of each segment it arms a
+  /// detector whose period is line_granular_repeats(loop.step_bytes) rows,
+  /// and it flushes the pending run at each period boundary. Once the
+  /// fixpoint is certified it detaches the hierarchy for the segment's
+  /// remaining full periods: the engine still computes every value and
+  /// issues every access, and this recorder only counts them. At the row
+  /// closing the last skipped period it applies PeriodDetector::skip and
+  /// reattaches. It arms only on translation-invariant hierarchies, for
+  /// segments of at least memsim::kMinPeriodsToAttempt periods, and, for
+  /// rows that move (step_bytes != 0), only when the loop's footprint
+  /// exceeds the caches: rows that fit never evict their predecessors,
+  /// so their state never becomes translation-stationary.
+  void end_row(const RowLoop& loop, std::int64_t v);
+
+  /// Record one fast-forward event that skipped `iterations` loop
+  /// iterations past simulation: stream-loop iterations, or rows of a
+  /// certified loop (each row counts as one iteration of that loop).
+  void count_fast_forward(std::uint64_t iterations) {
     ++ff_events_;
     ff_iterations_ += iterations;
   }
 
-  /// Fast-forward events applied through count_fast_forward() (one per
-  /// certified loop or parallel chunk) and iterations they skipped.
+  /// Fast-forward events recorded through count_fast_forward() (one per
+  /// certified stream loop, parallel chunk or row segment) and the
+  /// iterations they skipped.
   std::uint64_t fast_forward_events() const { return ff_events_; }
   std::uint64_t fast_forwarded_iterations() const { return ff_iterations_; }
   /// Accesses absorbed by the online warm-up detector (0 when detached).
@@ -195,6 +211,8 @@ class Recorder {
     run_ = AccessRun{addr, size, 1, is_store, false};
   }
 
+  void arm_rows(const RowLoop& loop, std::int64_t first);
+
   /// Issue one coalesced run to the hierarchy.
   void issue(const AccessRun& run) const {
     if (run.is_store) {
@@ -213,6 +231,18 @@ class Recorder {
   std::uint64_t reg_bytes_ = 0;
   std::uint64_t ff_events_ = 0;
   std::uint64_t ff_iterations_ = 0;
+  // Row fast-forward (end_row): the armed segment's certifier, its period
+  // in rows and the rows closed in the current one; while skipping, the
+  // detached hierarchy, the last skipped row and the periods skipped.
+  struct Rows {
+    std::optional<memsim::PeriodDetector> detector;
+    std::int64_t period = 0;
+    std::int64_t in_period = 0;
+    std::int64_t segment_last = 0;
+    std::int64_t skip_last = 0;
+    std::uint64_t skipped = 0;
+    memsim::MemoryHierarchy* detached = nullptr;
+  } rows_;
   // Pending contiguous run (none while bytes == 0), not yet issued to the
   // hierarchy. Mutable so that profile() (const) can flush before
   // snapshotting.

@@ -200,6 +200,26 @@ TEST(NativeEngine, RandomPrograms2D) {
   }
 }
 
+TEST(NativeEngine, RowFastForward2D) {
+  // The 16-48-wide nests above never arm row fast-forward; at n = 256 the
+  // rows certify, so the native engine's row hook must skip exactly the
+  // rows the VM's does.
+  if (!compiler_available()) GTEST_SKIP() << "no host C compiler";
+  const machine::MachineModel m = machine::origin2000_r10k().scaled(16);
+  for (auto make : {workloads::adi_like, workloads::fig6_original}) {
+    const Program p = make(256);
+    const Program optimized = core::optimize(p).program;
+    for (const Program* q : {&p, &optimized}) {
+      memsim::MemoryHierarchy h = m.make_hierarchy();
+      ExecOptions opts;
+      opts.hierarchy = &h;
+      EXPECT_GT(execute_compiled(*q, opts).fast_forwarded_iterations, 0u)
+          << q->name();
+      expect_native_identical(*q, m);
+    }
+  }
+}
+
 TEST(NativeEngine, NoHierarchy) {
   // Without a simulator the native engine takes its bulk-counting fast
   // path (bare values kernels, one counter charge per range); totals

@@ -1,9 +1,10 @@
 // Steady-state fast-forward: exactness and observability.
 //
 // Fast-forward is one fixpoint certifier (memsim::PeriodDetector) fed by
-// two period sources: lowering's uniform step for the compiled engines'
-// stream loops (runtime/fastforward.h) and online inference from raw
-// access streams (memsim::AccessFastForward). It is an exact
+// three period sources: lowering's uniform step for the compiled engines'
+// stream loops (runtime/fastforward.h), the rows of certified outer loops
+// (Recorder::end_row), and online inference from raw access streams
+// (memsim::AccessFastForward). It is an exact
 // macrosimulation, not an approximation: every test here holds its
 // observables bit-identical to full simulation -- checksums, flop/load/
 // store counts, per-boundary traffic bytes, and the hierarchy's complete
@@ -205,6 +206,34 @@ TEST(PeriodDetector, SkipEqualsSimulatingThePeriods) {
   expect_same_resident_state(h_ref, h_ff, "skip");
 }
 
+TEST(PeriodDetector, ZeroShiftSkipEqualsSimulatingThePeriods) {
+  // Periods that revisit the same lines, as the rows of a loop over
+  // column buffers do: a sweep over a buffer larger than the L1.
+  memsim::MemoryHierarchy h_ref = bench::o2k().make_hierarchy();
+  memsim::MemoryHierarchy h_ff = bench::o2k().make_hierarchy();
+  const std::uint64_t base = 1u << 20;
+  const std::uint64_t iters = 3 * h_ff.level(0).config().size_bytes / 16;
+  EXPECT_EQ(memsim::line_granular_repeats(h_ff, 0), 1u);
+  memsim::PeriodDetector d(&h_ff, 0);
+  std::uint64_t periods = 0;
+  bool certified = false;
+  while (!certified && !d.exhausted()) {
+    feed_stream(h_ff, base, iters);
+    ++periods;
+    certified = d.boundary();
+  }
+  ASSERT_TRUE(certified);
+  const std::uint64_t m = 500;
+  d.skip(m);
+  for (std::uint64_t k = 0; k < periods + m; ++k)
+    feed_stream(h_ref, base, iters);
+  memsim::MemoryHierarchy::Counters cr, cf;
+  h_ref.snapshot_counters(&cr);
+  h_ff.snapshot_counters(&cf);
+  EXPECT_TRUE(cr == cf);
+  expect_same_resident_state(h_ref, h_ff, "zero-shift skip");
+}
+
 TEST(PeriodDetector, AperiodicDeltaExhaustsAfterCapacityScaledBudget) {
   memsim::MemoryHierarchy h = bench::o2k().make_hierarchy();
   const auto shift = static_cast<std::int64_t>(32 * h.max_line_bytes());
@@ -330,6 +359,83 @@ TEST(LoweringMetadata, UniformStepBytes) {
   }
 }
 
+TEST(LoweringMetadata, RowCertificates) {
+  using namespace ir::dsl;  // NOLINT
+  const std::int64_t n = 64;
+  const auto row_count = [](const Program& p) {
+    return runtime::lower(p).row_loops.size();
+  };
+  {  // Column-major a[i,j] in a j-outer nest: one column per row.
+    const runtime::LoweredProgram lp =
+        runtime::lower(workloads::adi_like(n));
+    ASSERT_EQ(lp.row_loops.size(), 3u);
+    for (const runtime::RowLoop& row : lp.row_loops) {
+      EXPECT_EQ(row.step_bytes, 8 * n);
+      EXPECT_TRUE(row.segment_starts.empty());
+    }
+    // The row sweep reads x and rhs, the column sweep and the sum x alone.
+    EXPECT_EQ(lp.row_loops[0].footprint_bytes, 2u * 8 * n * n);
+    EXPECT_EQ(lp.row_loops[1].footprint_bytes, 8u * n * n);
+  }
+  {  // A single-level loop has no row, even over a 2-D array.
+    Program p("single level");
+    const ir::ArrayId a = p.add_array("a", {n, n});
+    p.mark_output_array(a);
+    p.append(loop("i", 1, n, assign(a, {v("i"), k(2)}, at(a, v("i"), k(1)))));
+    EXPECT_EQ(row_count(p), 0u);
+  }
+  {  // A guard reading both loop variables varies within a row.
+    Program p("triangle");
+    const ir::ArrayId a = p.add_array("a", {n, n});
+    p.mark_output_array(a);
+    p.append(loop("j", 1, n,
+                  loop("i", 1, n,
+                       when(ir::CmpOp::kGe, v("i"), v("j"),
+                            assign(a, {v("i"), v("j")}, lit(1.0))))));
+    EXPECT_EQ(row_count(p), 0u);
+  }
+  {  // a[i,j] moves a column per row, b[j,i] an element: no one step.
+    Program p("transposed read");
+    const ir::ArrayId a = p.add_array("a", {n, n});
+    const ir::ArrayId b = p.add_array("b", {n, n});
+    p.mark_output_array(a);
+    p.append(loop("j", 1, n,
+                  loop("i", 1, n,
+                       assign(a, {v("i"), v("j")}, at(b, v("j"), v("i"))))));
+    EXPECT_EQ(row_count(p), 0u);
+  }
+  {  // Guards on the row variable alone split the rows into segments at
+     // exactly the rows where an outcome changes; the inner loop gets no
+     // certificate of its own.
+    Program p("guarded buffers");
+    const ir::ArrayId cur = p.add_array("cur", {n});
+    const ir::ArrayId prev = p.add_array("prev", {n});
+    p.add_scalar("s");
+    p.mark_output_scalar("s");
+    p.append(loop(
+        "j", 1, n,
+        loop("i", 1, n, assign(cur, {v("i")}, at(prev, v("i")) + lit(1.0)),
+             when(ir::CmpOp::kGe, v("j"), k(2),
+                  assign("s", sref("s") + at(cur, v("i")))),
+             when(ir::CmpOp::kEq, v("j"), k(n),
+                  assign("s", sref("s") * lit(0.5))),
+             when(ir::CmpOp::kGt, ir::Affine::var("j", 2), k(7),
+                  assign(prev, {v("i")}, at(cur, v("i")))),
+             when(ir::CmpOp::kNe, v("j"), k(5),
+                  assign("s", sref("s") + lit(1.0))))));
+    const runtime::LoweredProgram lp = runtime::lower(p);
+    ASSERT_EQ(lp.row_loops.size(), 1u);
+    const runtime::RowLoop& row = lp.row_loops[0];
+    EXPECT_EQ(row.lower, 1);
+    EXPECT_EQ(row.upper, n);
+    EXPECT_EQ(row.step_bytes, 0);
+    // j >= 2 from row 2, 2j > 7 from row 4, j != 5 off at row 5 and back
+    // at row 6, j == n at row n.
+    EXPECT_EQ(row.segment_starts,
+              (std::vector<std::int64_t>{2, 4, 5, 6, n}));
+  }
+}
+
 // -- Compiled engine: differential exactness ------------------------------
 
 /// Run `p` with fast-forward off and on, serially and at 4 cores, and hold
@@ -435,6 +541,40 @@ TEST(FastForwardExact, PageRandomizedMachineRefuses) {
 TEST(FastForwardExact, ReductionLoopsFallBack) {
   const ExecResult r = expect_fast_forward_exact(
       workloads::sec21_read_loop(100000), bench::o2k());
+  EXPECT_EQ(r.fast_forwarded_iterations, 0u);
+}
+
+// -- Row fast-forward ------------------------------------------------------
+
+/// The 2-D workloads and their optimized forms, at n = 256, where a row's
+/// step is line-granular (one row per period), and at n = 263, where a
+/// period is 16 rows.
+TEST(RowFastForward, TwoDimensionalWorkloadsExact) {
+  const machine::MachineModel m = bench::o2k();
+  for (const std::int64_t n : {256, 263}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    for (auto make : {workloads::adi_like, workloads::fig6_original,
+                      workloads::transposed_sweep}) {
+      const Program p = make(n);
+      expect_fast_forward_exact(p, m);
+      expect_fast_forward_exact(core::optimize(p).program, m);
+    }
+  }
+}
+
+TEST(RowFastForward, SkipsMostRowsOfAdi) {
+  const std::int64_t n = 256;
+  const ExecResult r =
+      expect_fast_forward_exact(workloads::adi_like(n), bench::o2k());
+  // Three nests of n, n - 1 and n rows, and no stream loops.
+  EXPECT_EQ(runtime::lower(workloads::adi_like(n)).stream_loops.size(), 0u);
+  EXPECT_GT(r.fast_forwarded_iterations,
+            static_cast<std::uint64_t>(3 * n - 1) / 2);
+}
+
+TEST(RowFastForward, PageRandomizedMachineRefuses) {
+  const ExecResult r =
+      expect_fast_forward_exact(workloads::adi_like(256), bench::exemplar());
   EXPECT_EQ(r.fast_forwarded_iterations, 0u);
 }
 

@@ -468,6 +468,58 @@ TEST(Solvers, GreedyMergesObviousSharing) {
   EXPECT_EQ(plan.cost, 1);
 }
 
+TEST(Solvers, GreedyRespectsBackwardDependences) {
+  // Loop 2 runs between loops 0 and 1 (0 -> 2 -> 1), and 0 and 1 share an
+  // array. Placing the loops in index order joined 1 with 0 before 2 was
+  // placed, leaving no acyclic place for 2: the plan was cyclic.
+  const FusionGraph g = graph_from_spec(3, {{0, 1}, {2}}, {{0, 2}, {2, 1}}, {});
+  EXPECT_EQ(exact_enumeration(g).cost, 2);
+  const FusionPlan plan = greedy_fusion(g);
+  EXPECT_TRUE(plan_is_valid(g, plan.assignment));
+  EXPECT_GE(plan.cost, 2);
+
+  // Past kMaxExactLoops both heuristics' callers lean on greedy.
+  std::vector<std::vector<int>> pins = {{0, 1}, {2}};
+  for (int l = 3; l < 13; ++l) pins.push_back({l - 1, l});
+  const FusionGraph big =
+      graph_from_spec(13, pins, {{0, 2}, {2, 1}, {5, 4}}, {{3, 4}});
+  ASSERT_GT(big.node_count(), kMaxExactLoops);
+  for (const FusionPlan& p : {best_fusion(big), edge_weighted_baseline(big)})
+    EXPECT_TRUE(plan_is_valid(big, p.assignment)) << p.solver;
+
+  // Loops on a dependence cycle share a partition; a preventing pair on
+  // one admits no plan, in the exact search as in greedy.
+  const FusionGraph cycle =
+      graph_from_spec(3, {{0}, {1}, {2}}, {{0, 1}, {1, 0}}, {});
+  EXPECT_EQ(greedy_fusion(cycle).assignment, (std::vector<int>{0, 0, 1}));
+  const FusionGraph prevented =
+      graph_from_spec(2, {{0, 1}}, {{0, 1}, {1, 0}}, {{0, 1}});
+  EXPECT_THROW(exact_enumeration(prevented), Error);
+  EXPECT_THROW(greedy_fusion(prevented), Error);
+}
+
+TEST(Solvers, GreedyPlansValidWithBackwardDependences) {
+  Prng rng(4242);
+  int solvable = 0;
+  for (int trial = 0; trial < 2400; ++trial) {
+    const FusionGraph g = random_weighted_spec(rng, 1 + trial % 10);
+    bool exact_found = true;
+    try {
+      exact_enumeration(g);
+    } catch (const Error&) {
+      exact_found = false;
+    }
+    if (!exact_found) {
+      EXPECT_THROW(greedy_fusion(g), Error) << "spec " << trial;
+      continue;
+    }
+    ++solvable;
+    const FusionPlan plan = greedy_fusion(g);
+    EXPECT_TRUE(plan_is_valid(g, plan.assignment)) << "spec " << trial;
+  }
+  EXPECT_GE(solvable, 2000);
+}
+
 TEST(Solvers, PreventingPairAlwaysSeparated) {
   Prng rng(5);
   for (int trial = 0; trial < 20; ++trial) {
