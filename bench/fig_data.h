@@ -109,12 +109,11 @@ inline machine::MachineModel scaling_machine() {
 
 /// Speedup-vs-cores rows for the paper workloads on the Origin2000 model,
 /// before and after the bandwidth optimizer. The profile is measured once
-/// per variant with the parallel compiled engine (traffic is core-count
-/// invariant -- held bit-identical by tests/parallel_runtime_test.cpp) and
-/// the multicore shared-bandwidth timing model is evaluated at each core
-/// count. Optimization lowers shared-bus traffic, so the optimized curves
-/// saturate later and plateau higher (gated in fig_multicore_scaling and
-/// in the golden test).
+/// per variant (replay is serial, so traffic does not depend on the core
+/// count) and the multicore shared-bandwidth timing model is evaluated at
+/// each core count. Optimization lowers shared-bus traffic, so the
+/// optimized curves saturate later and plateau higher (gated in
+/// fig_multicore_scaling and in the golden test).
 inline std::vector<ScalingRow> multicore_scaling_rows(
     int max_cores = kScalingMaxCores) {
   const machine::MachineModel machine = scaling_machine();

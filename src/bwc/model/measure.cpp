@@ -21,12 +21,6 @@ Measurement measure(const ir::Program& program,
   memsim::MemoryHierarchy hierarchy = machine.make_hierarchy();
   runtime::ExecOptions opts;
   opts.hierarchy = &hierarchy;
-  // A multicore machine is replayed by the parallel executor at its core
-  // count; traffic and checksums are bit-identical to serial (held by
-  // tests/parallel_runtime_test.cpp), so this only exercises the engine
-  // the machine model implies. The reference interpreter is serial-only.
-  opts.cores =
-      options.engine == ExecEngine::kReference ? 1 : machine.core_count;
   opts.fast_forward = options.fast_forward;
   Measurement m;
   // Every figure/ablation that measures programs goes through here, so the
@@ -56,16 +50,6 @@ Measurement measure(const ir::Program& program,
   MeasureOptions options;
   options.engine = engine;
   return measure(program, machine, options);
-}
-
-std::vector<Measurement> measure_scaling(
-    const ir::Program& program, const machine::MachineModel& machine,
-    const std::vector<int>& core_counts, const MeasureOptions& options) {
-  std::vector<Measurement> curve;
-  curve.reserve(core_counts.size());
-  for (int cores : core_counts)
-    curve.push_back(measure(program, machine.with_cores(cores), options));
-  return curve;
 }
 
 std::string summarize(const Measurement& m) {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "bwc/ir/program.h"
 #include "bwc/machine/machine_model.h"
@@ -50,25 +49,16 @@ struct MeasureOptions {
 };
 
 /// Execute `program` on the machine's simulated hierarchy (caches start
-/// cold) and evaluate the bandwidth-bound timing model. A machine with
-/// core_count > 1 is measured with the parallel compiled engine at that
-/// core count (traffic is bit-identical to serial by construction) and
-/// timed under the multicore shared-bandwidth model.
+/// cold) and evaluate the bandwidth-bound timing model. The replay is
+/// serial at every core count, so the profile does not depend on
+/// machine.core_count; the core count only enters the multicore
+/// shared-bandwidth timing model (docs/MODEL.md section 7).
 Measurement measure(const ir::Program& program,
                     const machine::MachineModel& machine,
                     const MeasureOptions& options);
 Measurement measure(const ir::Program& program,
                     const machine::MachineModel& machine,
                     ExecEngine engine = ExecEngine::kCompiled);
-
-/// Measured scaling curve: run the parallel engine at each core count in
-/// `core_counts` (machine.core_count is overridden per point) and
-/// evaluate the multicore timing model on each measured profile. One
-/// Measurement per core count, in the given order.
-std::vector<Measurement> measure_scaling(const ir::Program& program,
-                                         const machine::MachineModel& machine,
-                                         const std::vector<int>& core_counts,
-                                         const MeasureOptions& options = {});
 
 /// One-line summary: predicted time, binding resource, memory traffic.
 std::string summarize(const Measurement& m);

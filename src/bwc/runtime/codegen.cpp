@@ -1,8 +1,8 @@
 // Host side of the native backend (runtime/codegen.h): the
 // content-addressed object cache (support/files.h), out-of-process
 // compilation, dlopen plumbing, and the StreamRangeExec adapter that plugs
-// the dlopen'ed kernels into the fast-forward protocol and the parallel
-// scheduler.
+// the dlopen'ed kernels into the serial stream driver and its
+// fast-forward protocol.
 #include "bwc/runtime/codegen.h"
 
 #include <dlfcn.h>
@@ -21,7 +21,6 @@
 #include "bwc/runtime/compiled.h"
 #include "bwc/runtime/exec_state.h"
 #include "bwc/runtime/fastforward.h"
-#include "bwc/runtime/parallel.h"
 #include "bwc/runtime/recorder.h"
 #include "bwc/runtime/stream_exec.h"
 #include "bwc/support/error.h"
@@ -288,8 +287,8 @@ BwcNativeCtx make_base_ctx(const StreamContext& ctx) {
   return c;
 }
 
-/// StreamRangeExec over the dlopen'ed kernels: the fast-forward protocol
-/// and the parallel scheduler drive this exactly as they drive the VM's
+/// StreamRangeExec over the dlopen'ed kernels: run_stream_serial and its
+/// fast-forward protocol drive this exactly as they drive the VM's
 /// run_stream_range/run_stream_values. Without a hierarchy a range takes
 /// the fast path -- the bare values kernel, the flops in one charge and
 /// the accesses counted in bulk by replay_stream_accesses -- which is
@@ -307,8 +306,7 @@ class NativeRangeExec final : public StreamRangeExec {
       values(sl, lower, upper, ctx);
       rec.flops(stream_flops_per_iter(sl) *
                 static_cast<std::uint64_t>(upper - lower + 1));
-      replay_stream_accesses(sl, lower, upper, ctx.bases, rec,
-                             /*fast_forward=*/false);
+      replay_stream_accesses(sl, lower, upper, ctx.bases, rec);
       return;
     }
     BwcNativeCtx c = make_base_ctx(ctx);
@@ -343,7 +341,6 @@ struct HostDriver {
   const LoweredProgram* lp = nullptr;
   ExecState* st = nullptr;
   Recorder* rec = nullptr;
-  ParallelScheduler* sched = nullptr;
   NativeRangeExec* exec = nullptr;
   bool fast_forward = true;
   std::exception_ptr error;
@@ -356,11 +353,7 @@ int stream_callback(void* host, int loop_id) {
         d->lp->stream_loops[static_cast<std::size_t>(loop_id)];
     const StreamContext ctx{d->st->data.data(), d->st->lp.bases.data(),
                             d->st->scalars.data()};
-    if (d->sched != nullptr) {
-      d->sched->run(sl, ctx, *d->rec);
-    } else {
-      run_stream_serial(sl, ctx, *d->rec, d->fast_forward, *d->exec);
-    }
+    run_stream_serial(sl, ctx, *d->rec, d->fast_forward, *d->exec);
     return 0;
   } catch (...) {
     d->error = std::current_exception();
@@ -386,19 +379,14 @@ int row_end_callback(void* host, int row, long long v) {
 ExecResult execute_lowered_native(const LoweredProgram& lowered,
                                   const ExecOptions& opts,
                                   const CompiledWorkload& workload) {
-  ExecState st(lowered, opts);
-  Recorder rec(opts.hierarchy, opts.coalesce_accesses);
-  std::unique_ptr<ParallelScheduler> sched;
-  if (opts.cores > 1)
-    sched = std::make_unique<ParallelScheduler>(opts.cores, opts.fast_forward);
+  ExecState st(lowered);
+  Recorder rec(opts.hierarchy, /*coalesce=*/true);
   NativeRangeExec exec(lowered, workload.impl());
-  if (sched != nullptr) sched->set_range_exec(&exec);
 
   HostDriver driver;
   driver.lp = &lowered;
   driver.st = &st;
   driver.rec = &rec;
-  driver.sched = sched.get();
   driver.exec = &exec;
   driver.fast_forward = opts.fast_forward;
 

@@ -15,16 +15,15 @@
 // so the second execution of the same lowered program is a pure dlopen.
 //
 // The native engine composes with every existing tier: it plugs into the
-// serial fast-forward protocol and the parallel scheduler as a
-// StreamRangeExec (fastforward.h), so `--engine=native` still
-// fast-forwards periodic loops and still chunks parallelizable loops
-// across the thread pool -- the `values` kernels compute the chunks, and
-// the accesses replay through the same replay_stream_accesses as the VM.
+// stream driver's fast-forward protocol as a StreamRangeExec
+// (fastforward.h), so `--engine=native` still fast-forwards periodic
+// loops -- the `values` kernels compute the values first, and the
+// accesses replay through the same replay_stream_accesses as the VM.
 // A certified loop's kLoopEnd calls back into the host at each row end
 // (Recorder::end_row), so rows fast-forward exactly as in the VM.
 // Observables are bit-identical to the VM by the StreamRangeExec
 // contract; tests/codegen_test.cpp enforces this differentially across
-// every bundled workload, core count, and coalesce/fast-forward setting.
+// every bundled workload with fast-forward on and off.
 //
 // When no host C compiler is available (or compilation fails),
 // execute_native() falls back to the bytecode VM and reports a
@@ -118,10 +117,9 @@ CompiledWorkload compile_workload(const LoweredProgram& lowered,
                                   const NativeOptions& opts = {});
 
 /// Execute `lowered` through an already-compiled workload. Bit-identical
-/// to execute_lowered() under the same options, including parallel
-/// execution (opts.cores), access coalescing, steady-state fast-forward,
-/// out-of-bounds errors and rejected options (both build the same
-/// ExecState). Throws exactly what the VM would.
+/// to execute_lowered() under the same options, including access
+/// coalescing, steady-state fast-forward and out-of-bounds errors (both
+/// build the same ExecState). Throws exactly what the VM would.
 ExecResult execute_lowered_native(const LoweredProgram& lowered,
                                   const ExecOptions& opts,
                                   const CompiledWorkload& workload);

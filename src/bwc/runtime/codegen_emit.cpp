@@ -341,8 +341,8 @@ void emit_advance(std::string& out, const StreamOperand& o, const char* name,
 /// (per-access recorder calls in the VM's exact a, b, store order plus
 /// the bulk flop charge at the end) versus the bare values kernel that
 /// run_stream_values is replaced by. Both replay iterations [lower,
-/// upper] only -- range semantics, so the fast-forward protocol and the
-/// parallel chunker can drive them.
+/// upper] only -- range semantics, so the fast-forward protocol can drive
+/// them.
 void emit_stream_kernel(std::string& out, const LoweredProgram& lp,
                         std::size_t k, bool hooks) {
   const StreamLoop& sl = lp.stream_loops[k];

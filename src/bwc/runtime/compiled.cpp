@@ -6,7 +6,6 @@
 
 #include "bwc/runtime/exec_state.h"
 #include "bwc/runtime/fastforward.h"
-#include "bwc/runtime/parallel.h"
 #include "bwc/runtime/recorder.h"
 #include "bwc/runtime/stream_exec.h"
 #include "bwc/support/error.h"
@@ -21,12 +20,10 @@ namespace {
 /// bit-identical.
 class Vm {
  public:
-  Vm(const LoweredProgram& lp, const ExecOptions& opts,
-     ParallelScheduler* scheduler)
+  Vm(const LoweredProgram& lp, const ExecOptions& opts)
       : lp_(lp),
-        st_(lp, opts),
-        recorder_(opts.hierarchy, opts.coalesce_accesses),
-        scheduler_(scheduler),
+        st_(lp),
+        recorder_(opts.hierarchy, /*coalesce=*/true),
         fast_forward_(opts.fast_forward) {
     iters_.assign(static_cast<std::size_t>(lp.iter_slot_count), 0);
     stack_.assign(lp.max_stack, 0.0);
@@ -70,7 +67,7 @@ class Vm {
 
   // -- Fused stream loops ---------------------------------------------------
   // One kStreamLoop op replaces the whole innermost loop (see
-  // stream_exec.h for the range executor shared with the parallel
+  // stream_exec.h for the range executor shared with the native
   // engine). The per-element access stream is byte-for-byte the one the
   // generic op sequence would produce, so coalescing and the cache
   // simulation see no difference.
@@ -78,11 +75,7 @@ class Vm {
   void run_stream_loop(const StreamLoop& sl) {
     const StreamContext ctx{st_.data.data(), st_.lp.bases.data(),
                             st_.scalars.data()};
-    if (scheduler_ != nullptr) {
-      scheduler_->run(sl, ctx, recorder_);
-    } else {
-      run_stream_serial(sl, ctx, recorder_, fast_forward_);
-    }
+    run_stream_serial(sl, ctx, recorder_, fast_forward_);
   }
 
   [[noreturn]] void out_of_bounds(const Op& op, std::int64_t idx) const {
@@ -94,7 +87,6 @@ class Vm {
   const LoweredProgram& lp_;
   ExecState st_;
   Recorder recorder_;
-  ParallelScheduler* scheduler_;
   bool fast_forward_;
   std::vector<std::int64_t> iters_;
   std::vector<double> stack_;
@@ -261,20 +253,11 @@ void Vm::run() {
 
 }  // namespace
 
-ExecResult execute_lowered_with_scheduler(const LoweredProgram& lowered,
-                                          const ExecOptions& opts,
-                                          ParallelScheduler* scheduler) {
-  Vm vm(lowered, opts, scheduler);
-  vm.run();
-  return vm.result();
-}
-
 ExecResult execute_lowered(const LoweredProgram& lowered,
                            const ExecOptions& opts) {
-  if (opts.cores <= 1)
-    return execute_lowered_with_scheduler(lowered, opts, nullptr);
-  ParallelScheduler scheduler(opts.cores, opts.fast_forward);
-  return execute_lowered_with_scheduler(lowered, opts, &scheduler);
+  Vm vm(lowered, opts);
+  vm.run();
+  return vm.result();
 }
 
 ExecResult execute_compiled(const ir::Program& program,

@@ -5,15 +5,16 @@
 // (interpreter.h) -- same checksums, flop/load/store counts, scalar
 // values, array bases and per-boundary traffic -- while avoiding all
 // per-access name lookups and heap allocation. With a memory hierarchy
-// attached it additionally coalesces stride-1 access runs into
-// line-granular batches (see recorder.h), which preserves boundary
-// traffic byte-for-byte but costs one CacheLevel::access per cache line
-// instead of one per element.
+// attached it always coalesces stride-1 access runs into line-granular
+// batches (see recorder.h), which preserves boundary traffic
+// byte-for-byte but costs one CacheLevel::access per cache line instead
+// of one per element.
 //
-// The reference interpreter remains the semantics oracle; the
-// differential test (tests/compiled_runtime_test.cpp) holds the two
-// engines identical over the paper programs, the extra pipelines and a
-// seeded random-program corpus.
+// The reference interpreter remains the semantics oracle and the
+// per-element simulation; the differential test
+// (tests/compiled_runtime_test.cpp) holds the two engines identical over
+// the paper programs, the extra pipelines and a seeded random-program
+// corpus.
 #pragma once
 
 #include "bwc/ir/program.h"
@@ -22,25 +23,14 @@
 
 namespace bwc::runtime {
 
-class ParallelScheduler;
-
 /// Lower and execute in one call. Semantically identical to execute(),
-/// faster; honors ExecOptions::coalesce_accesses and ExecOptions::cores
-/// (cores > 1 hands stream loops to a ParallelScheduler, see parallel.h).
+/// faster.
 ExecResult execute_compiled(const ir::Program& program,
                             const ExecOptions& opts = {});
 
 /// Execute an already-lowered program (amortizes lower() across repeated
-/// runs, e.g. steady-state measurement or benchmarking loops). Honors
-/// ExecOptions::cores like execute_compiled().
+/// runs, e.g. steady-state measurement or benchmarking loops).
 ExecResult execute_lowered(const LoweredProgram& lowered,
                            const ExecOptions& opts = {});
-
-/// Execute with an explicit parallel scheduler (null runs every fused
-/// loop inline on the calling thread). Most callers want
-/// execute_lowered(), which builds the scheduler from ExecOptions::cores.
-ExecResult execute_lowered_with_scheduler(const LoweredProgram& lowered,
-                                          const ExecOptions& opts,
-                                          ParallelScheduler* scheduler);
 
 }  // namespace bwc::runtime

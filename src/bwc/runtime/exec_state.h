@@ -5,9 +5,9 @@
 //
 // Both executors of lowered bytecode -- the VM (compiled.cpp) and the
 // native dlopen backend (codegen.cpp) -- build this identical state, so
-// option validation, deterministic initial array contents and checksum
-// composition can never drift between them. It mirrors the reference
-// interpreter's Machine exactly for the same reason.
+// deterministic initial array contents and checksum composition can
+// never drift between them. It mirrors the reference interpreter's
+// Machine exactly for the same reason.
 #pragma once
 
 #include <cstdint>
@@ -16,13 +16,11 @@
 #include "bwc/runtime/interpreter.h"
 #include "bwc/runtime/lowering.h"
 #include "bwc/runtime/recorder.h"
-#include "bwc/support/error.h"
 
 namespace bwc::runtime {
 
 struct ExecState {
-  ExecState(const LoweredProgram& lp, const ExecOptions& opts) : lp(lp) {
-    BWC_CHECK(opts.cores >= 1, "core count must be at least 1");
+  explicit ExecState(const LoweredProgram& lp) : lp(lp) {
     storage.reserve(lp.arrays.size());
     for (const LoweredArray& decl : lp.arrays) {
       std::vector<double>& d = storage.emplace_back();

@@ -112,6 +112,15 @@ bool try_stream_values_fast(const StreamLoop& sl, std::int64_t lower,
   return false;
 }
 
+/// True when `sl` against `rec`'s hierarchy satisfies the fast-forward
+/// preconditions: a uniform per-iteration byte step and a
+/// translation-invariant hierarchy. Necessary, not sufficient -- the
+/// periodic fixpoint must still be certified at run time.
+bool stream_fast_forwardable(const StreamLoop& sl, const Recorder& rec) {
+  return sl.uniform_step_bytes != 0 && rec.hierarchy() != nullptr &&
+         rec.hierarchy()->translation_invariant();
+}
+
 /// The VM's own kernels behind the StreamRangeExec interface.
 class DefaultRangeExec final : public StreamRangeExec {
  public:
@@ -140,11 +149,6 @@ void run_stream_values(const StreamLoop& sl, std::int64_t lower,
   run_stream_range(sl, lower, upper, ctx, null);
 }
 
-bool stream_fast_forwardable(const StreamLoop& sl, const Recorder& rec) {
-  return sl.uniform_step_bytes != 0 && rec.hierarchy() != nullptr &&
-         rec.hierarchy()->translation_invariant();
-}
-
 void run_stream_serial(const StreamLoop& sl, const StreamContext& ctx,
                        Recorder& rec, bool fast_forward,
                        StreamRangeExec& exec) {
@@ -160,13 +164,12 @@ void run_stream_serial(const StreamLoop& sl, const StreamContext& ctx,
   const std::uint64_t fpi = stream_flops_per_iter(sl);
   if (fpi != 0)
     rec.flops(fpi * static_cast<std::uint64_t>(sl.upper - sl.lower + 1));
-  replay_stream_accesses(sl, sl.lower, sl.upper, ctx.bases, rec,
-                         /*fast_forward=*/true);
+  replay_stream_accesses(sl, sl.lower, sl.upper, ctx.bases, rec);
 }
 
 void replay_stream_accesses(const StreamLoop& sl, std::int64_t lower,
                             std::int64_t upper, const std::uint64_t* bases,
-                            Recorder& rec, bool fast_forward) {
+                            Recorder& rec) {
   const std::int64_t trips = upper - lower + 1;
   if (trips <= 0) return;
   if (rec.hierarchy() == nullptr) {
@@ -213,7 +216,7 @@ void replay_stream_accesses(const StreamLoop& sl, std::int64_t lower,
     }
   };
 
-  if (!fast_forward || !stream_fast_forwardable(sl, rec)) {
+  if (!stream_fast_forwardable(sl, rec)) {
     emit(trips);
     return;
   }

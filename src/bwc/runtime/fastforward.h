@@ -15,13 +15,11 @@
 // replay_stream_accesses() is the one period loop: it regenerates a
 // loop's access stream from the loop metadata, period by period, until
 // the certifier accepts, skips, and replays the tail. Both engines reach
-// it the same way -- the values of the iterations run first as a bare
-// loop (exec.values), then the accesses replay -- whether the loop runs
-// serially (run_stream_serial) or in parallel chunks, whose values the
-// workers compute and whose accesses replay in chunk order (parallel.h).
-// That split is exact because a stream loop's addresses are affine in the
-// loop variable and never depend on values, and its flops per iteration
-// are constant.
+// it the same way, through run_stream_serial: the values of the
+// iterations run first as a bare loop (exec.values), then the accesses
+// replay. That split is exact because a stream loop's addresses are
+// affine in the loop variable and never depend on values, and its flops
+// per iteration are constant.
 //
 // Every observable is bit-identical to full simulation by construction:
 // the certified delta *is* what one more period does, induction extends
@@ -37,9 +35,8 @@
 // the rows' fixpoint with the same PeriodDetector and then detaches the
 // hierarchy for the remaining full periods of the segment. The rows still
 // run -- values, dispatch and every access -- but the recorder only
-// counts them, and so do the stream loops, parallel chunk replays and
-// native hooks inside, which all reach the simulator through
-// Recorder::hierarchy().
+// counts them, and so do the stream loops and native hooks inside, which
+// all reach the simulator through Recorder::hierarchy().
 #pragma once
 
 #include <cstdint>
@@ -55,17 +52,11 @@ namespace bwc::runtime {
 /// by stream_loop_parallel_safe) run as tight specialized loops the
 /// compiler vectorizes; everything else falls back to run_stream_range
 /// over a NullRecorder, which preserves iteration order for dependent
-/// loops. This is the values-first pass of a fast-forwardable loop and
-/// of every parallel chunk: the arithmetic runs at native speed, and the
-/// access replay that follows is all that touches the recorder.
+/// loops. This is the values-first pass of a fast-forwardable loop: the
+/// arithmetic runs at native speed, and the access replay that follows
+/// is all that touches the recorder.
 void run_stream_values(const StreamLoop& sl, std::int64_t lower,
                        std::int64_t upper, const StreamContext& ctx);
-
-/// True when `sl` against `rec`'s hierarchy satisfies the fast-forward
-/// preconditions: a uniform per-iteration byte step and a
-/// translation-invariant hierarchy. Necessary, not sufficient -- the
-/// periodic fixpoint must still be certified at run time.
-bool stream_fast_forwardable(const StreamLoop& sl, const Recorder& rec);
 
 /// How a stream-loop driver executes sub-ranges of a fused loop. The
 /// bytecode VM's drivers run them through run_stream_range /
@@ -74,10 +65,8 @@ bool stream_fast_forwardable(const StreamLoop& sl, const Recorder& rec);
 /// implementation must be observably identical to the default: same
 /// values in the same order, same per-access stream into the recorder,
 /// same bulk flop charge at the end of a range. That contract is what
-/// lets the fast-forward protocol below and the parallel scheduler
-/// (parallel.h) drive either engine without knowing which one runs.
-/// `values` must be safe to call concurrently on disjoint chunks of a
-/// loop stream_loop_parallel_safe() accepts.
+/// lets run_stream_serial and the fast-forward protocol below drive
+/// either engine without knowing which one runs.
 class StreamRangeExec {
  public:
   virtual ~StreamRangeExec() = default;
@@ -96,14 +85,15 @@ StreamRangeExec& default_range_exec();
 
 /// Run the whole trip range of `sl` on the calling thread, exactly like
 /// run_stream_range(), through `exec`'s kernels. With `fast_forward` set
-/// and the preconditions met (stream_fast_forwardable), the values run
-/// first (exec.values), the flops are charged in bulk, and
-/// replay_stream_accesses() replays the access stream with steady-state
-/// fast-forward; otherwise exec.range() runs the whole range. Checksums,
-/// flop/load/store counts and boundary traffic are bit-identical either
-/// way. Keep the parameters few: the VM's dispatch loop calls this, and
-/// an argument passed on the stack costs that loop its frame-pointer
-/// register (~15% slower 1-D replay on a 4-vCPU x86-64 host).
+/// and the preconditions met (a uniform per-iteration byte step and a
+/// translation-invariant hierarchy), the values run first (exec.values),
+/// the flops are charged in bulk, and replay_stream_accesses() replays
+/// the access stream with steady-state fast-forward; otherwise
+/// exec.range() runs the whole range. Checksums, flop/load/store counts
+/// and boundary traffic are bit-identical either way. Keep the
+/// parameters few: the VM's dispatch loop calls this, and an argument
+/// passed on the stack costs that loop its frame-pointer register (~15%
+/// slower 1-D replay on a 4-vCPU x86-64 host).
 void run_stream_serial(const StreamLoop& sl, const StreamContext& ctx,
                        Recorder& rec, bool fast_forward,
                        StreamRangeExec& exec = default_range_exec());
@@ -111,15 +101,16 @@ void run_stream_serial(const StreamLoop& sl, const StreamContext& ctx,
 /// Replay only the *access stream* of iterations [lower, upper] of `sl`
 /// into `rec` -- no values, no flops. With no hierarchy attached the
 /// accesses are only counted, in bulk. Otherwise they issue one by one,
-/// except that with `fast_forward` set, the preconditions met
-/// (stream_fast_forwardable) and a range spanning at least a few periods,
-/// it replays period by period until memsim::PeriodDetector certifies the
-/// fixpoint, skips the remaining full periods analytically (bulk-counted
-/// in `rec`) and replays the tail. The serial driver calls it for a whole
-/// loop, the parallel scheduler once per chunk, in chunk order. `bases`
-/// is the per-array simulated base table.
+/// except that with the preconditions met (as for run_stream_serial) and
+/// a range spanning at least a few periods, it replays period by period
+/// until memsim::PeriodDetector certifies the fixpoint, skips the
+/// remaining full periods analytically (bulk-counted in `rec`) and
+/// replays the tail. run_stream_serial calls it for a whole loop when
+/// fast-forward is on, and the native range executor to bulk-count a
+/// range without a hierarchy. `bases` is the per-array simulated base
+/// table.
 void replay_stream_accesses(const StreamLoop& sl, std::int64_t lower,
                             std::int64_t upper, const std::uint64_t* bases,
-                            Recorder& rec, bool fast_forward);
+                            Recorder& rec);
 
 }  // namespace bwc::runtime

@@ -5,7 +5,10 @@
 //     declared outputs), which every compiler transformation must preserve.
 //  2. Measurement: feeds the exact access stream into a memory-hierarchy
 //     simulator and counts flops, yielding the ExecutionProfile that the
-//     balance model consumes.
+//     balance model consumes. It simulates every access element by
+//     element, so it is the oracle the compiled engines (compiled.h,
+//     codegen.h), which coalesce runs and fast-forward periods, are held
+//     bit-identical to.
 //
 // Intrinsics f and g are fixed pure functions; input streams return
 // deterministic values keyed by (stream, element index), so results are
@@ -26,21 +29,11 @@ namespace bwc::runtime {
 
 struct ExecOptions {
   /// Optional hierarchy; when null only semantics and flops are computed.
+  /// The compiled engines (execute_compiled, execute_native) batch
+  /// stride-1 access runs into line-granular hierarchy accesses, which
+  /// preserves boundary traffic byte-for-byte (see recorder.h); the
+  /// reference interpreter simulates every element.
   memsim::MemoryHierarchy* hierarchy = nullptr;
-  /// Compiled engine only (execute_compiled): batch stride-1 access runs
-  /// into line-granular hierarchy accesses. Boundary traffic is preserved
-  /// byte-for-byte (see recorder.h); disable to force per-element
-  /// simulation. The reference interpreter ignores this flag.
-  bool coalesce_accesses = true;
-  /// Compiled engine only: worker threads for the parallel executor
-  /// (parallel.h); must be at least 1. With cores > 1, fused stream loops
-  /// certified free of cross-iteration dependences are chunked across a
-  /// thread pool that computes their values, and the chunks' accesses
-  /// replay into the shared hierarchy in chunk-index order -- results
-  /// (checksums, scalars, counters, per-boundary traffic) are
-  /// bit-identical to serial execution at any core count. The reference
-  /// interpreter ignores this.
-  int cores = 1;
   /// Compiled engine only: steady-state fast-forward for fused stream
   /// loops and for the rows of certified outer loops
   /// (runtime/fastforward.h). A stream loop's values run first, then its
@@ -56,6 +49,11 @@ struct ExecOptions {
   /// machines) and on loops without a uniform access step. The reference
   /// interpreter ignores this flag.
   bool fast_forward = true;
+  /// Ignored by every engine: replay runs on the calling thread at any
+  /// core count, and a machine's core count is a timing-model parameter
+  /// only (machine::MachineModel::core_count). The field stays so that
+  /// callers which still set it keep compiling.
+  int cores = 1;
 };
 
 struct ExecResult {
@@ -71,9 +69,9 @@ struct ExecResult {
   /// Base address assigned to each array (by ArrayId).
   std::vector<std::uint64_t> array_bases;
   /// Steady-state fast-forward observability (compiled engine only):
-  /// certified fast-forward events (one per stream loop, parallel chunk
-  /// or row segment) and total loop iterations they skipped past
-  /// simulation, a skipped row counting as one iteration of its loop.
+  /// certified fast-forward events (one per stream loop or row segment)
+  /// and total loop iterations they skipped past simulation, a skipped
+  /// row counting as one iteration of its loop.
   /// Zero when fast-forward is off, refused, or never certified.
   std::uint64_t fast_forward_events = 0;
   std::uint64_t fast_forwarded_iterations = 0;

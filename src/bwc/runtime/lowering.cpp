@@ -450,7 +450,7 @@ class Lowerer {
     return true;
   }
 
-  /// Static parallel-safety certificate of a stream loop: feed every
+  /// Static order-free certificate of a stream loop: feed every
   /// array access (bytes [base + coeff*i, base + coeff*i + elem) per
   /// iteration, keyed by array slot as the non-aliasing address space)
   /// to the symbolic prover. Reductions are order-carried by construction

@@ -124,14 +124,15 @@ struct StreamLoop {
   /// translates by this constant each iteration -- the precondition for
   /// steady-state fast-forward (runtime/fastforward.h).
   std::int64_t uniform_step_bytes = 0;
-  /// Static parallel-safety certificate, computed once at lowering time
+  /// Static order-free certificate, computed once at lowering time
   /// (verify::certify_parallel_accesses over the loop's byte-linear
   /// accesses): kIndependent proves no two distinct iterations touch
-  /// overlapping bytes with a write involved, so *any* chunking of the
-  /// trip range is race-free and order-preserving; kDependent carries a
-  /// concrete cross-iteration conflict. Only kIndependent loops are
-  /// chunked (stream_loop_parallel_safe, stream_exec.h); kDependent and
-  /// kUnknown loops run serially.
+  /// overlapping bytes with a write involved, so the iterations may run
+  /// in any order; kDependent carries a concrete cross-iteration
+  /// conflict. Only kIndependent loops take the vectorized values kernels
+  /// of the values-first pass (stream_loop_parallel_safe, stream_exec.h;
+  /// run_stream_values, fastforward.h), which walk a descending loop
+  /// ascending; kDependent and kUnknown loops keep iteration order.
   verify::Verdict parallel_safety = verify::Verdict::kUnknown;
 };
 

@@ -15,7 +15,10 @@
 // 64 B lines of doubles) while every observable -- load/store counts and
 // per-boundary traffic bytes -- stays exactly the same: only accesses that
 // are *adjacent in stream order* merge, so fills, writebacks, write-through
-// forwarding and LRU ordering are unchanged. See docs/runtime.md.
+// forwarding and LRU ordering are unchanged. The compiled engines (the
+// VM and the native engine) always coalesce; the reference interpreter
+// never does, and stays the per-element simulation the differential tests
+// compare them against. See docs/runtime.md.
 #pragma once
 
 #include <cstdint>
@@ -184,8 +187,8 @@ class Recorder {
   }
 
   /// Fast-forward events recorded through count_fast_forward() (one per
-  /// certified stream loop, parallel chunk or row segment) and the
-  /// iterations they skipped.
+  /// certified stream loop or row segment) and the iterations they
+  /// skipped.
   std::uint64_t fast_forward_events() const { return ff_events_; }
   std::uint64_t fast_forwarded_iterations() const { return ff_iterations_; }
   /// Accesses absorbed by the online warm-up detector (0 when detached).

@@ -1,15 +1,13 @@
-// Range execution of fused stream loops, shared by the serial VM and the
-// parallel executor.
+// Range execution of fused stream loops, shared by the VM, the native
+// engine's driver and the fast-forward protocol.
 //
 // A StreamLoop (lowering.h) is an innermost loop whose accesses are all
 // 1-D affine in the loop variable and provably in bounds, so any
 // contiguous sub-range [lower, upper] of its trip space can be run
 // independently given the program state (array storage, bases, scalars)
-// and a recorder. The serial engine runs the full range inline; the
-// parallel engine (parallel.h) splits the range into per-core chunks --
-// legality established by stream_loop_parallel_safe() -- computes each
-// chunk's values on a worker, and replays the chunks' access streams
-// into the shared recorder in chunk order.
+// and a recorder. The engines run the full range inline, or -- when
+// fast-forward applies -- its values first and then its access stream
+// (runtime/fastforward.h).
 #pragma once
 
 #include <algorithm>
@@ -87,9 +85,10 @@ inline std::uint64_t stream_flops_per_iter(const StreamLoop& sl) {
   return 0;
 }
 
-/// The chunk-safety decision the executors consult: the static certificate
-/// computed at lowering time (StreamLoop::parallel_safety). Only a proof
-/// of independence chunks a loop; kDependent and kUnknown run serially.
+/// The order-free decision the values kernels consult: the static
+/// certificate computed at lowering time (StreamLoop::parallel_safety).
+/// Only a proof of independence lets run_stream_values reorder a loop;
+/// kDependent and kUnknown keep iteration order.
 inline bool stream_loop_parallel_safe(const StreamLoop& sl) {
   return sl.parallel_safety == verify::Verdict::kIndependent;
 }

@@ -1,9 +1,12 @@
-// A small fixed-size worker pool for the parallel compiled engine.
+// A small fixed-size fork/join worker pool.
 //
-// One pool lives for the duration of one parallel execution; every fused
-// stream loop becomes one parallel_for batch (fork), and the caller's
-// return from parallel_for is the join barrier that makes the workers'
-// array writes visible to the main thread before the access replay begins.
+// Two owners use it: the bwcd dispatcher (server/daemon.cpp), which runs
+// each batch of queued requests as one parallel_for, and the pipeline
+// autotuner (tune/autotune.cpp), which scores each batch of candidates
+// as one. The caller's return from parallel_for is the join barrier that
+// makes the workers' writes visible to it. Replay never uses a pool: the
+// engines run on the calling thread, and a machine's core count only
+// feeds the timing model.
 #pragma once
 
 #include <condition_variable>

@@ -5,9 +5,8 @@
 //   - one reader thread per connection (frame reassembly, request
 //     parsing, cheap ops inline),
 //   - one dispatcher thread draining a bounded job queue in batches of
-//     up to batch_max onto the existing runtime::ThreadPool -- one
-//     parallel_for per batch, so concurrent optimize requests ride the
-//     same fork/join pool the parallel replay engine uses.
+//     up to batch_max onto a runtime::ThreadPool -- one parallel_for
+//     per batch, the same fork/join pool the autotuner scores on.
 //
 // Robustness contract (tests/server_fault_test.cpp):
 //   - a malformed payload (bad JSON, bad request schema) gets a

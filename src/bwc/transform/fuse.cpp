@@ -5,7 +5,6 @@
 #include <set>
 
 #include "bwc/analysis/access_summary.h"
-#include "bwc/fusion/solvers.h"
 #include "bwc/support/error.h"
 #include "bwc/transform/rewrite.h"
 
@@ -325,12 +324,6 @@ ir::Program apply_fusion(const ir::Program& program, const FusionGraph& graph,
       out.append(std::move(fused[static_cast<std::size_t>(p)]));
   }
   return out;
-}
-
-ir::Program fuse_best(const ir::Program& program) {
-  const FusionGraph graph = fusion::build_fusion_graph(program);
-  const FusionPlan plan = fusion::best_fusion(graph);
-  return apply_fusion(program, graph, plan);
 }
 
 }  // namespace bwc::transform

@@ -19,7 +19,4 @@ ir::Program apply_fusion(const ir::Program& program,
                          const fusion::FusionGraph& graph,
                          const fusion::FusionPlan& plan);
 
-/// Convenience: build the graph, solve with best_fusion, apply.
-ir::Program fuse_best(const ir::Program& program);
-
 }  // namespace bwc::transform

@@ -83,24 +83,6 @@ void for_each_expr(ir::StmtList& body,
   for (auto& s : body) for_each_expr(*s, fn);
 }
 
-void for_each_stmt(ir::StmtList& body,
-                   const std::function<void(ir::Stmt&)>& fn) {
-  for (auto& s : body) {
-    fn(*s);
-    switch (s->kind) {
-      case ir::StmtKind::kIf:
-        for_each_stmt(s->then_body, fn);
-        for_each_stmt(s->else_body, fn);
-        break;
-      case ir::StmtKind::kLoop:
-        for_each_stmt(s->loop->body, fn);
-        break;
-      default:
-        break;
-    }
-  }
-}
-
 namespace {
 
 void replace_in_expr(ir::ExprPtr& slot,

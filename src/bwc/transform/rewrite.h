@@ -20,9 +20,6 @@ void rename_loop_vars(ir::StmtList& body,
 void for_each_expr(ir::StmtList& body, const std::function<void(ir::Expr&)>& fn);
 void for_each_expr(ir::Stmt& stmt, const std::function<void(ir::Expr&)>& fn);
 
-/// Apply `fn` to every statement node (pre-order, including nested).
-void for_each_stmt(ir::StmtList& body, const std::function<void(ir::Stmt&)>& fn);
-
 /// Replace expression nodes for which `pred` holds with `make()`'s result.
 /// Works at any depth, including inside guard bodies and nested loops.
 void replace_exprs(ir::StmtList& body,

@@ -259,7 +259,7 @@ struct DependenceSummary {
 DependenceSummary summarize_dependences(const ir::Program& program);
 
 // ---------------------------------------------------------------------------
-// Parallel-safety certificate for chunked 1-D stream loops.
+// Order-free (parallel-safety) certificate for 1-D stream loops.
 
 /// One byte-linear access of a stream loop: iteration i of [lower, upper]
 /// touches bytes [base + coeff*i, base + coeff*i + elem_bytes).
@@ -272,11 +272,12 @@ struct LinearAccess {
   int space = 0;
 };
 
-/// Can the loop's iterations be split into chunks executed concurrently?
+/// Can the loop's iterations run in any order, or concurrently?
 /// kIndependent: proven safe -- no two *distinct* iterations touch
-/// overlapping bytes with a write involved, so any chunking is
-/// race-free and order-preserving. kDependent: a cross-iteration conflict
-/// witness exists (unsafe). kUnknown: undecided.
+/// overlapping bytes with a write involved, so any reordering or split
+/// of the trip range computes the same values; the stream-loop values
+/// kernels (runtime/fastforward.cpp) rely on it. kDependent: a
+/// cross-iteration conflict witness exists (unsafe). kUnknown: undecided.
 Verdict certify_parallel_accesses(const std::vector<LinearAccess>& accesses,
                                   std::int64_t lower, std::int64_t upper);
 

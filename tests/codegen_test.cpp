@@ -2,21 +2,19 @@
 // the bytecode VM and the reference interpreter: checksums, flop/load/
 // store counts, final scalars, array bases, per-boundary traffic bytes,
 // fast-forward event counts and the hierarchy's own access counters must
-// all match on every paper, extra, optimized and random workload, at
-// cores {1, 2, 4, 8}, with access coalescing and steady-state
-// fast-forward each both on and off. Also covers the backend's
+// all match on every paper, extra, optimized and random workload, with
+// steady-state fast-forward both on and off. Also covers the backend's
 // operational envelope: the content-addressed object cache (second
 // execution is a pure dlopen; stale entries are evicted), the graceful
 // VM fallback when the host compiler is broken or missing, and
 // out-of-bounds errors surfacing with the VM's exact message instead of
-// falling back. The CI thread-sanitizer job runs the Parallel* test
-// here; the sanitize job runs everything over the dlopen'ed objects.
+// falling back. The CI sanitize job runs everything over the dlopen'ed
+// objects.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,8 +39,6 @@ namespace {
 using namespace ir::dsl;  // NOLINT
 using ir::ArrayId;
 using ir::Program;
-
-constexpr int kCoreCounts[] = {1, 2, 4, 8};
 
 /// Shared cache for this test process: every program compiles exactly
 /// once, all later configurations are pure dlopen reuses -- which is
@@ -84,12 +80,11 @@ void expect_identical(const ExecResult& ref, const ExecResult& got,
   }
 }
 
-/// Run `p` natively at every core count on the given machine's hierarchy
-/// and require all observables to match the reference interpreter and
-/// the serial bytecode VM, with coalescing and fast-forward each both on
-/// and off. Fast-forward *event counts* must also match the VM's: the
-/// native engine runs the same period-detection protocol, just with
-/// dlopen'ed kernels under it.
+/// Run `p` natively on the given machine's hierarchy and require all
+/// observables to match the reference interpreter and the bytecode VM,
+/// with fast-forward both on and off. Fast-forward *event counts* must
+/// also match the VM's: the native engine runs the same period-detection
+/// protocol, just with dlopen'ed kernels under it.
 void expect_native_identical(const Program& p,
                              const machine::MachineModel& machine) {
   memsim::MemoryHierarchy href = machine.make_hierarchy();
@@ -97,47 +92,34 @@ void expect_native_identical(const Program& p,
   ref_opts.hierarchy = &href;
   const ExecResult ref = execute(p, ref_opts);
 
-  for (const bool coalesce : {true, false}) {
-    for (const bool fast_forward : {true, false}) {
-      const std::string tag = ", coalesce=" + std::to_string(coalesce) +
-                              ", ff=" + std::to_string(fast_forward) + "]";
-      memsim::MemoryHierarchy hvm = machine.make_hierarchy();
-      ExecOptions vm_opts;
-      vm_opts.hierarchy = &hvm;
-      vm_opts.coalesce_accesses = coalesce;
-      vm_opts.fast_forward = fast_forward;
-      const ExecResult vm = execute_compiled(p, vm_opts);
+  for (const bool fast_forward : {true, false}) {
+    const std::string tag = " [ff=" + std::to_string(fast_forward) + "]";
+    memsim::MemoryHierarchy hvm = machine.make_hierarchy();
+    ExecOptions vm_opts;
+    vm_opts.hierarchy = &hvm;
+    vm_opts.fast_forward = fast_forward;
+    const ExecResult vm = execute_compiled(p, vm_opts);
+    expect_identical(ref, vm, p.name() + " [vm]" + tag);
 
-      for (const int cores : kCoreCounts) {
-        memsim::MemoryHierarchy hnat = machine.make_hierarchy();
-        ExecOptions nat_opts;
-        nat_opts.hierarchy = &hnat;
-        nat_opts.coalesce_accesses = coalesce;
-        nat_opts.cores = cores;
-        nat_opts.fast_forward = fast_forward;
-        NativeReport report;
-        const ExecResult nat =
-            execute_native(p, nat_opts, test_native_opts(), &report);
-        ASSERT_TRUE(report.native) << report.warning;
-        expect_identical(ref, nat,
-                         p.name() + " [native, cores=" +
-                             std::to_string(cores) + tag);
-        if (cores == 1) {
-          // Same fast-forward engagement as the serial VM, not merely
-          // the same totals.
-          EXPECT_EQ(vm.fast_forward_events, nat.fast_forward_events)
-              << p.name() << tag;
-          EXPECT_EQ(vm.fast_forwarded_iterations,
-                    nat.fast_forwarded_iterations)
-              << p.name() << tag;
-        }
-        // The simulator's own access counters agree with the serial VM:
-        // the native engine produces the same access stream, not just
-        // the same counter totals.
-        EXPECT_EQ(hvm.load_count(), hnat.load_count()) << p.name() << tag;
-        EXPECT_EQ(hvm.store_count(), hnat.store_count()) << p.name() << tag;
-      }
-    }
+    memsim::MemoryHierarchy hnat = machine.make_hierarchy();
+    ExecOptions nat_opts;
+    nat_opts.hierarchy = &hnat;
+    nat_opts.fast_forward = fast_forward;
+    NativeReport report;
+    const ExecResult nat =
+        execute_native(p, nat_opts, test_native_opts(), &report);
+    ASSERT_TRUE(report.native) << report.warning;
+    expect_identical(ref, nat, p.name() + " [native]" + tag);
+    // Same fast-forward engagement as the VM, not merely the same totals.
+    EXPECT_EQ(vm.fast_forward_events, nat.fast_forward_events)
+        << p.name() << tag;
+    EXPECT_EQ(vm.fast_forwarded_iterations, nat.fast_forwarded_iterations)
+        << p.name() << tag;
+    // The simulator's own access counters agree with the VM: the native
+    // engine produces the same access stream, not just the same counter
+    // totals.
+    EXPECT_EQ(hvm.load_count(), hnat.load_count()) << p.name() << tag;
+    EXPECT_EQ(hvm.store_count(), hnat.store_count()) << p.name() << tag;
   }
 }
 
@@ -161,9 +143,8 @@ TEST(NativeEngine, ExtraPrograms) {
   expect_native_identical(workloads::jacobi_chain(512, 4));
   expect_native_identical(workloads::adi_like(48));
   expect_native_identical(workloads::blur_sharpen(1024));
-  // Reductions: register-accumulator loops, never parallelized, never
-  // fast-forwarded -- the native reduce kernel must still fold in the
-  // VM's exact order.
+  // Reductions: register-accumulator loops, never fast-forwarded -- the
+  // native reduce kernel must still fold in the VM's exact order.
   expect_native_identical(workloads::reduction_cascade(512, 5));
 }
 
@@ -227,19 +208,14 @@ TEST(NativeEngine, NoHierarchy) {
   if (!compiler_available()) GTEST_SKIP() << "no host C compiler";
   const Program p = workloads::fig7_original(2048);
   const ExecResult ref = execute(p);
-  for (const int cores : kCoreCounts) {
-    ExecOptions opts;
-    opts.cores = cores;
-    NativeReport report;
-    const ExecResult nat =
-        execute_native(p, opts, test_native_opts(), &report);
-    ASSERT_TRUE(report.native) << report.warning;
-    EXPECT_EQ(ref.checksum, nat.checksum);
-    EXPECT_EQ(ref.flops, nat.flops);
-    EXPECT_EQ(ref.loads, nat.loads);
-    EXPECT_EQ(ref.stores, nat.stores);
-    EXPECT_EQ(ref.scalars, nat.scalars);
-  }
+  NativeReport report;
+  const ExecResult nat = execute_native(p, {}, test_native_opts(), &report);
+  ASSERT_TRUE(report.native) << report.warning;
+  EXPECT_EQ(ref.checksum, nat.checksum);
+  EXPECT_EQ(ref.flops, nat.flops);
+  EXPECT_EQ(ref.loads, nat.loads);
+  EXPECT_EQ(ref.stores, nat.stores);
+  EXPECT_EQ(ref.scalars, nat.scalars);
 }
 
 TEST(NativeEngine, FastForwardEngagesIdentically) {
@@ -267,38 +243,6 @@ TEST(NativeEngine, FastForwardEngagesIdentically) {
   EXPECT_EQ(vm.loads, nat.loads);
   EXPECT_EQ(vm.stores, nat.stores);
   EXPECT_EQ(vm.profile.memory_bytes(), nat.profile.memory_bytes());
-}
-
-// Named Parallel* so the CI thread-sanitizer job's test filter picks it
-// up: dlopen'ed values kernels running concurrently on the pool's workers
-// must be race-free, and the chunk-order replay deterministic.
-TEST(ParallelNativeEngine, ChunkedKernelsMatchSerial) {
-  if (!compiler_available()) GTEST_SKIP() << "no host C compiler";
-  const machine::MachineModel m = machine::origin2000_r10k().scaled(16);
-  for (const Program& p : {workloads::fig7_original(4096),
-                           workloads::jacobi_chain(512, 4)}) {
-    memsim::MemoryHierarchy hser = m.make_hierarchy();
-    ExecOptions ser_opts;
-    ser_opts.hierarchy = &hser;
-    NativeReport ser_report;
-    const ExecResult serial =
-        execute_native(p, ser_opts, test_native_opts(), &ser_report);
-    ASSERT_TRUE(ser_report.native) << ser_report.warning;
-    for (const int cores : {2, 8}) {
-      memsim::MemoryHierarchy hpar = m.make_hierarchy();
-      ExecOptions par_opts;
-      par_opts.hierarchy = &hpar;
-      par_opts.cores = cores;
-      NativeReport report;
-      const ExecResult par =
-          execute_native(p, par_opts, test_native_opts(), &report);
-      ASSERT_TRUE(report.native) << report.warning;
-      expect_identical(serial, par,
-                       p.name() + " cores=" + std::to_string(cores));
-      EXPECT_EQ(hser.load_count(), hpar.load_count());
-      EXPECT_EQ(hser.store_count(), hpar.store_count());
-    }
-  }
 }
 
 TEST(NativeFallback, BrokenCompilerFallsBackToVm) {
@@ -376,41 +320,6 @@ TEST(NativeFallback, OutOfBoundsThrowsVmErrorNoFallback) {
     FAIL() << "native engine did not throw";
   } catch (const Error& e) {
     EXPECT_EQ(vm2, std::string(e.what()));
-  }
-}
-
-TEST(NativeEngine, CoreCountBelowOneThrowsLikeTheVm) {
-  // Option validation lives in the state both executors build, so every
-  // entry point refuses a core count below one with the same message.
-  const Program p = workloads::sec21_both_loops(256);
-  const LoweredProgram lowered = lower(p);
-  std::unique_ptr<CompiledWorkload> workload;
-  if (compiler_available()) {
-    workload = std::make_unique<CompiledWorkload>(
-        compile_workload(lowered, test_native_opts()));
-  }
-  const auto error_of = [](const auto& run) {
-    try {
-      run();
-    } catch (const Error& e) {
-      return std::string(e.what());
-    }
-    return std::string("no error");
-  };
-  for (const int cores : {0, -1}) {
-    SCOPED_TRACE("cores=" + std::to_string(cores));
-    ExecOptions opts;
-    opts.cores = cores;
-    const std::string vm = error_of([&] { execute_compiled(p, opts); });
-    EXPECT_NE(vm.find("core count must be at least 1"), std::string::npos)
-        << vm;
-    EXPECT_EQ(error_of([&] { execute_lowered(lowered, opts); }), vm);
-    if (workload != nullptr) {
-      EXPECT_EQ(error_of([&] {
-                  execute_lowered_native(lowered, opts, *workload);
-                }),
-                vm);
-    }
   }
 }
 

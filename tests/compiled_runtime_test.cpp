@@ -1,8 +1,8 @@
 // Differential test holding the compiled engine (lowering + bytecode VM +
-// coalesced cache access) bit-identical to the reference interpreter:
-// checksums, flop/load/store counts, final scalar values, array bases and
-// per-boundary traffic bytes must all match on every program, with
-// coalescing both on and off.
+// coalesced cache access) bit-identical to the reference interpreter, the
+// per-element oracle: checksums, flop/load/store counts, final scalar
+// values, array bases and per-boundary traffic bytes must all match on
+// every program.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -31,11 +31,9 @@ ExecResult run_reference(const Program& p, memsim::MemoryHierarchy* h) {
   return execute(p, opts);
 }
 
-ExecResult run_compiled(const Program& p, memsim::MemoryHierarchy* h,
-                        bool coalesce) {
+ExecResult run_compiled(const Program& p, memsim::MemoryHierarchy* h) {
   ExecOptions opts;
   opts.hierarchy = h;
-  opts.coalesce_accesses = coalesce;
   return execute_compiled(p, opts);
 }
 
@@ -62,21 +60,17 @@ void expect_identical(const ExecResult& ref, const ExecResult& got,
   }
 }
 
-/// Run `p` through the reference interpreter and the compiled engine
-/// (coalescing on and off) on the given machine's hierarchy, and require
-/// every observable to match. Also checks the hierarchy's own access
-/// counters survive coalescing unchanged.
+/// Run `p` through the reference interpreter and the compiled engine on
+/// the given machine's hierarchy, and require every observable to match.
+/// Also checks the hierarchy's own access counters survive coalescing
+/// unchanged.
 void expect_engines_agree(const Program& p,
                           const machine::MachineModel& machine) {
   memsim::MemoryHierarchy href = machine.make_hierarchy();
   const ExecResult ref = run_reference(p, &href);
 
-  memsim::MemoryHierarchy hraw = machine.make_hierarchy();
-  const ExecResult raw = run_compiled(p, &hraw, /*coalesce=*/false);
-  expect_identical(ref, raw, p.name() + " [compiled, per-element]");
-
   memsim::MemoryHierarchy hco = machine.make_hierarchy();
-  const ExecResult coalesced = run_compiled(p, &hco, /*coalesce=*/true);
+  const ExecResult coalesced = run_compiled(p, &hco);
   expect_identical(ref, coalesced, p.name() + " [compiled, coalesced]");
   EXPECT_EQ(href.load_count(), hco.load_count()) << p.name();
   EXPECT_EQ(href.store_count(), hco.store_count()) << p.name();

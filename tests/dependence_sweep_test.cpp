@@ -169,28 +169,25 @@ INSTANTIATE_TEST_SUITE_P(Stride2Window, DistributionSweep,
 
 /// Randomized full-pipeline sweep: every fusion solver crossed with every
 /// combination of {shifted fusion, interchange, storage reduction, store
-/// elimination}, each run at a (deterministically) randomized core count.
-/// Each run is certified by the independent verifier (on inside
-/// core::optimize), differentially executed against the interpreter's
-/// checksum of the original program, and its *merged parallel* traffic
-/// measurement is checked against the static traffic lower bound from
-/// bwc::verify -- the bound must hold no matter how many cores replayed
-/// the program. Seed 2 runs with static verification off: the optimizer's
-/// legality queries and the static provers share one dependence engine,
-/// so there the trace validator, which shares no code with it, must
-/// certify every fusion, shift and interchange choice, with no check
-/// skipped.
+/// elimination}. Each run is certified by the independent verifier (on
+/// inside core::optimize), differentially executed against the
+/// interpreter's checksum of the original program, and its compiled
+/// replay's traffic measurement is checked against the static traffic
+/// lower bound from bwc::verify. Seed 2 runs with static verification
+/// off: the optimizer's legality queries and the static provers share one
+/// dependence engine, so there the trace validator, which shares no code
+/// with it, must certify every fusion, shift and interchange choice, with
+/// no check skipped.
 using PipelineParam = std::tuple<int /*solver*/, int /*option bitmask*/>;
 
 class PipelineSweep : public ::testing::TestWithParam<PipelineParam> {};
 
-/// Replay `p` with the parallel compiled engine at `cores` on a
-/// scaled-down hierarchy -- once with steady-state fast-forward, once
-/// without. Both legs must agree byte-for-byte (fast-forward is an exact
-/// macrosimulation, not an approximation) and both must respect the
-/// verifier's static traffic lower bound. Returns the checksum.
-double run_parallel_with_bound_check(const Program& p, int cores,
-                                     const std::string& label) {
+/// Replay `p` with the compiled engine on a scaled-down hierarchy -- once
+/// with steady-state fast-forward, once without. Both legs must agree
+/// byte-for-byte (fast-forward is an exact macrosimulation, not an
+/// approximation) and both must respect the verifier's static traffic
+/// lower bound. Returns the checksum.
+double run_with_bound_check(const Program& p, const std::string& label) {
   const verify::TrafficBound bound = verify::compute_traffic_bound(p);
   runtime::ExecResult runs[2];
   for (const bool fast_forward : {false, true}) {
@@ -198,12 +195,11 @@ double run_parallel_with_bound_check(const Program& p, int cores,
         machine::origin2000_r10k().scaled(16).make_hierarchy();
     runtime::ExecOptions exec_opts;
     exec_opts.hierarchy = &h;
-    exec_opts.cores = cores;
     exec_opts.fast_forward = fast_forward;
     runtime::ExecResult run = runtime::execute_compiled(p, exec_opts);
     EXPECT_LE(static_cast<std::uint64_t>(bound.lower_bound_bytes),
               run.profile.memory_bytes())
-        << label << " cores=" << cores << " ff=" << fast_forward << "\n"
+        << label << " ff=" << fast_forward << "\n"
         << bound.render();
     runs[fast_forward ? 1 : 0] = std::move(run);
   }
@@ -237,14 +233,7 @@ TEST_P(PipelineSweep, RandomProgramsVerifiedAndChecksumPreserved) {
           ((mask & 1) != 0 ? ",shift=1)" : ")");
   if ((mask & 4) != 0) spec += ",reduce-storage";
   if ((mask & 8) != 0) spec += ",eliminate-stores";
-  // Core count varies with the parameter point but is deterministic, so
-  // every pipeline combination eventually meets every core count.
-  const int core_choices[] = {1, 2, 4, 8};
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    const int cores =
-        core_choices[(static_cast<std::uint64_t>(solver_index) + mask +
-                      seed) %
-                     4];
     pass::PipelineOptions opts;
     if (seed == 2) opts.static_verify = pass::StaticVerifyMode::kOff;
     Prng rng(seed);
@@ -258,10 +247,9 @@ TEST_P(PipelineSweep, RandomProgramsVerifiedAndChecksumPreserved) {
     ASSERT_NEAR(before, after, 1e-9 * (std::abs(before) + 1.0))
         << "seed=" << seed << " solver=" << solver_index << " mask=" << mask
         << "\n" << result.pipeline.to_text();
-    const double par =
-        run_parallel_with_bound_check(result.program, cores, "1d");
-    ASSERT_NEAR(before, par, 1e-9 * (std::abs(before) + 1.0))
-        << "parallel seed=" << seed << " cores=" << cores;
+    const double replayed = run_with_bound_check(result.program, "1d");
+    ASSERT_NEAR(before, replayed, 1e-9 * (std::abs(before) + 1.0))
+        << "compiled seed=" << seed;
 
     Prng rng2(seed);
     const Program p2 = workloads::random_program_2d(rng2, 10, 3);
@@ -272,10 +260,9 @@ TEST_P(PipelineSweep, RandomProgramsVerifiedAndChecksumPreserved) {
     ASSERT_NEAR(before2, after2, 1e-9 * (std::abs(before2) + 1.0))
         << "2d seed=" << seed << " solver=" << solver_index
         << " mask=" << mask << "\n" << result2.pipeline.to_text();
-    const double par2 =
-        run_parallel_with_bound_check(result2.program, cores, "2d");
-    ASSERT_NEAR(before2, par2, 1e-9 * (std::abs(before2) + 1.0))
-        << "2d parallel seed=" << seed << " cores=" << cores;
+    const double replayed2 = run_with_bound_check(result2.program, "2d");
+    ASSERT_NEAR(before2, replayed2, 1e-9 * (std::abs(before2) + 1.0))
+        << "2d compiled seed=" << seed;
   }
 }
 

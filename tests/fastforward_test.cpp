@@ -438,10 +438,9 @@ TEST(LoweringMetadata, RowCertificates) {
 
 // -- Compiled engine: differential exactness ------------------------------
 
-/// Run `p` with fast-forward off and on, serially and at 4 cores, and hold
-/// every observable identical to the serial full simulation, the final
-/// resident state included; returns the ff-on serial result for
-/// engagement checks.
+/// Run `p` with fast-forward off and on, and hold every observable
+/// identical to the full simulation, the final resident state included;
+/// returns the ff-on result for engagement checks.
 ExecResult expect_fast_forward_exact(const Program& p,
                                      const machine::MachineModel& machine) {
   memsim::MemoryHierarchy h_off = machine.make_hierarchy();
@@ -455,25 +454,10 @@ ExecResult expect_fast_forward_exact(const Program& p,
   on.hierarchy = &h_on;
   on.fast_forward = true;
   const ExecResult r_on = runtime::execute_compiled(p, on);
-  expect_result_eq(r_off, r_on, p.name() + " [serial ff]");
+  expect_result_eq(r_off, r_on, p.name() + " [ff]");
   // The final resident state must match too: a wrong shift_state() after
   // a program's last loop changes no counter.
-  expect_same_resident_state(h_off, h_on, p.name() + " [serial ff]");
-
-  // Both 4-core runs take the chunked path: values on the workers, each
-  // chunk's accesses replayed in chunk order, fast-forwarded or not.
-  for (const bool fast_forward : {true, false}) {
-    memsim::MemoryHierarchy h_par = machine.make_hierarchy();
-    ExecOptions par;
-    par.hierarchy = &h_par;
-    par.fast_forward = fast_forward;
-    par.cores = 4;
-    const ExecResult r_par = runtime::execute_compiled(p, par);
-    const std::string label =
-        p.name() + (fast_forward ? " [ff cores=4]" : " [no ff cores=4]");
-    expect_result_eq(r_off, r_par, label);
-    expect_same_resident_state(h_off, h_par, label);
-  }
+  expect_same_resident_state(h_off, h_on, p.name() + " [ff]");
   return r_on;
 }
 
@@ -613,18 +597,14 @@ TEST(DescendingRuns, ReversedTraversalExact) {
   ref_opts.hierarchy = &href;
   const ExecResult ref = runtime::execute(p, ref_opts);
 
-  for (const bool coalesce : {true, false}) {
-    for (const bool fast_forward : {true, false}) {
-      memsim::MemoryHierarchy h = bench::o2k().make_hierarchy();
-      ExecOptions opts;
-      opts.hierarchy = &h;
-      opts.coalesce_accesses = coalesce;
-      opts.fast_forward = fast_forward;
-      const ExecResult got = runtime::execute_compiled(p, opts);
-      expect_result_eq(ref, got,
-                       "reversed [coalesce=" + std::to_string(coalesce) +
-                           ", ff=" + std::to_string(fast_forward) + "]");
-    }
+  for (const bool fast_forward : {true, false}) {
+    memsim::MemoryHierarchy h = bench::o2k().make_hierarchy();
+    ExecOptions opts;
+    opts.hierarchy = &h;
+    opts.fast_forward = fast_forward;
+    const ExecResult got = runtime::execute_compiled(p, opts);
+    expect_result_eq(ref, got,
+                     "reversed [ff=" + std::to_string(fast_forward) + "]");
   }
   expect_fast_forward_exact(p, bench::o2k());
 }

@@ -6,12 +6,17 @@
 #include <functional>
 #include <limits>
 
+#include "bwc/core/optimizer.h"
 #include "bwc/fusion/fusion_graph.h"
 #include "bwc/fusion/solvers.h"
 #include "bwc/graph/hypergraph.h"
 #include "bwc/ir/dsl.h"
+#include "bwc/machine/machine_model.h"
+#include "bwc/runtime/compiled.h"
+#include "bwc/runtime/interpreter.h"
 #include "bwc/support/error.h"
 #include "bwc/support/prng.h"
+#include "bwc/workloads/extra_programs.h"
 #include "bwc/workloads/paper_programs.h"
 #include "bwc/workloads/random_programs.h"
 
@@ -532,6 +537,67 @@ TEST(Solvers, PreventingPairAlwaysSeparated) {
             << plan.solver;
       }
     }
+  }
+}
+
+// -- >12-loop exact-solver capacity fallback on a real program -------------
+
+TEST(ParallelFusionFallback, ExactSolverThrowsBeyondCapacity) {
+  // 14 sweeps + a norm reduction: beyond the exact search's 12-loop cap.
+  const Program p = workloads::jacobi_chain(256, 14);
+  const FusionGraph graph = build_fusion_graph(p);
+  ASSERT_GT(graph.node_count(), 12);
+  try {
+    exact_enumeration(graph);
+    FAIL() << "expected FusionCapacityError";
+  } catch (const FusionCapacityError& e) {
+    EXPECT_EQ(e.loop_count(), graph.node_count());
+    EXPECT_EQ(e.max_nodes(), 12);
+    EXPECT_EQ(e.suggested_solver(), "bisection");
+  }
+}
+
+TEST(ParallelFusionFallback, MulticoreOptimizeDegradesToHeuristic) {
+  // Asking the pipeline for kExact on a >12-loop program is a structured
+  // failure...
+  const Program p = workloads::jacobi_chain(256, 14);
+  EXPECT_THROW(
+      core::optimize(p, "fuse(solver=exact),reduce-storage,eliminate-stores"),
+      FusionCapacityError);
+
+  // ...while kBest degrades to the suggested heuristic, and the compiled
+  // replay of its result matches the reference interpreter bit for bit,
+  // with fast-forward on and off (docs/TRANSFORMS.md documents this
+  // fallback).
+  const core::OptimizeResult result = core::optimize(p);
+  EXPECT_EQ(result.plan.solver.rfind("best(", 0), 0u) << result.plan.solver;
+  const machine::MachineModel m = machine::origin2000_r10k().scaled(16);
+  memsim::MemoryHierarchy href = m.make_hierarchy();
+  runtime::ExecOptions ref_opts;
+  ref_opts.hierarchy = &href;
+  const runtime::ExecResult ref = runtime::execute(result.program, ref_opts);
+  for (const bool fast_forward : {true, false}) {
+    SCOPED_TRACE("ff=" + std::to_string(fast_forward));
+    memsim::MemoryHierarchy h = m.make_hierarchy();
+    runtime::ExecOptions opts;
+    opts.hierarchy = &h;
+    opts.fast_forward = fast_forward;
+    const runtime::ExecResult got =
+        runtime::execute_compiled(result.program, opts);
+    EXPECT_EQ(ref.checksum, got.checksum);
+    EXPECT_EQ(ref.flops, got.flops);
+    EXPECT_EQ(ref.loads, got.loads);
+    EXPECT_EQ(ref.stores, got.stores);
+    EXPECT_EQ(ref.scalars, got.scalars);
+    ASSERT_EQ(ref.profile.boundaries.size(), got.profile.boundaries.size());
+    for (std::size_t b = 0; b < ref.profile.boundaries.size(); ++b) {
+      EXPECT_EQ(ref.profile.boundaries[b].bytes_toward_cpu,
+                got.profile.boundaries[b].bytes_toward_cpu);
+      EXPECT_EQ(ref.profile.boundaries[b].bytes_from_cpu,
+                got.profile.boundaries[b].bytes_from_cpu);
+    }
+    EXPECT_EQ(href.load_count(), h.load_count());
+    EXPECT_EQ(href.store_count(), h.store_count());
   }
 }
 

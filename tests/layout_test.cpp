@@ -5,8 +5,8 @@
 // proof, the per-array PassReport breakdown, the lint-conflict-stride
 // diagnostic, and -- the core contract -- a differential matrix holding
 // every layout pipeline bit-identical across the reference interpreter,
-// the bytecode VM and the native engine, at 1 and 4 cores, with
-// steady-state fast-forward both on and off.
+// the bytecode VM and the native engine, with steady-state fast-forward
+// both on and off.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -88,8 +88,8 @@ memsim::MemoryHierarchy default_hierarchy() {
 
 /// The differential matrix: `transformed` (some layout pipeline's output)
 /// must preserve `original`'s semantics on the reference interpreter and
-/// then replay bit-identically on the VM and the native engine at cores
-/// {1, 4} with fast-forward on and off.
+/// then replay bit-identically on the VM and the native engine with
+/// fast-forward on and off.
 void expect_layout_equivalent(const Program& original,
                               const Program& transformed) {
   memsim::MemoryHierarchy hbase = default_hierarchy();
@@ -104,30 +104,25 @@ void expect_layout_equivalent(const Program& original,
   expect_same_semantics(base, ref, transformed.name() + " [interpreter]");
 
   for (const bool fast_forward : {true, false}) {
-    for (const int cores : {1, 4}) {
-      const std::string tag = transformed.name() + " [cores=" +
-                              std::to_string(cores) +
-                              ", ff=" + std::to_string(fast_forward) + "]";
-      memsim::MemoryHierarchy hvm = default_hierarchy();
-      runtime::ExecOptions vm_opts;
-      vm_opts.hierarchy = &hvm;
-      vm_opts.cores = cores;
-      vm_opts.fast_forward = fast_forward;
-      const runtime::ExecResult vm =
-          runtime::execute_compiled(transformed, vm_opts);
-      expect_identical(ref, vm, tag + " [vm]");
+    const std::string tag = transformed.name() +
+                            " [ff=" + std::to_string(fast_forward) + "]";
+    memsim::MemoryHierarchy hvm = default_hierarchy();
+    runtime::ExecOptions vm_opts;
+    vm_opts.hierarchy = &hvm;
+    vm_opts.fast_forward = fast_forward;
+    const runtime::ExecResult vm =
+        runtime::execute_compiled(transformed, vm_opts);
+    expect_identical(ref, vm, tag + " [vm]");
 
-      memsim::MemoryHierarchy hnat = default_hierarchy();
-      runtime::ExecOptions nat_opts;
-      nat_opts.hierarchy = &hnat;
-      nat_opts.cores = cores;
-      nat_opts.fast_forward = fast_forward;
-      runtime::NativeReport report;
-      const runtime::ExecResult nat = runtime::execute_native(
-          transformed, nat_opts, test_native_opts(), &report);
-      ASSERT_TRUE(report.native) << report.warning;
-      expect_identical(ref, nat, tag + " [native]");
-    }
+    memsim::MemoryHierarchy hnat = default_hierarchy();
+    runtime::ExecOptions nat_opts;
+    nat_opts.hierarchy = &hnat;
+    nat_opts.fast_forward = fast_forward;
+    runtime::NativeReport report;
+    const runtime::ExecResult nat = runtime::execute_native(
+        transformed, nat_opts, test_native_opts(), &report);
+    ASSERT_TRUE(report.native) << report.warning;
+    expect_identical(ref, nat, tag + " [native]");
   }
 }
 

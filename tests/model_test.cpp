@@ -151,20 +151,30 @@ TEST(Scaling, CurveKneesAtTheSaturationPoint) {
   EXPECT_NE(rendered.find("saturates at 10 cores"), std::string::npos);
 }
 
-TEST(Scaling, MeasuredCurveKeepsTrafficInvariant) {
-  // measure_scaling replays the program with the parallel engine at each
-  // core count: simulated traffic must not depend on the core count, and
-  // predicted time must be non-increasing.
-  const machine::MachineModel m = machine::origin2000_r10k().scaled(16);
-  const auto curve = measure_scaling(workloads::fig7_original(20000), m,
-                                     {1, 2, 4, 8});
-  ASSERT_EQ(curve.size(), 4u);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_EQ(curve[i].exec.checksum, curve[0].exec.checksum);
-    EXPECT_EQ(curve[i].profile.memory_bytes(),
-              curve[0].profile.memory_bytes());
-    EXPECT_LE(curve[i].time.total_s, curve[0].time.total_s);
+TEST(Scaling, MeasureHonorsMachineCores) {
+  // model::measure replays serially at every core count: the profile,
+  // the checksum and the fast-forward engagement must equal the
+  // single-core measurement exactly, and the multicore prediction can
+  // only be faster.
+  const ir::Program p = workloads::fig7_original(20000);
+  const machine::MachineModel m1 = machine::origin2000_r10k().scaled(16);
+  const machine::MachineModel m8 = m1.with_cores(8);
+  const Measurement one = measure(p, m1);
+  const Measurement eight = measure(p, m8);
+  ASSERT_GT(one.exec.fast_forward_events, 0u);
+  EXPECT_EQ(one.exec.checksum, eight.exec.checksum);
+  EXPECT_EQ(one.exec.fast_forward_events, eight.exec.fast_forward_events);
+  EXPECT_EQ(one.exec.fast_forwarded_iterations,
+            eight.exec.fast_forwarded_iterations);
+  EXPECT_EQ(one.profile.flops, eight.profile.flops);
+  ASSERT_EQ(one.profile.boundaries.size(), eight.profile.boundaries.size());
+  for (std::size_t b = 0; b < one.profile.boundaries.size(); ++b) {
+    EXPECT_EQ(one.profile.boundaries[b].bytes_toward_cpu,
+              eight.profile.boundaries[b].bytes_toward_cpu);
+    EXPECT_EQ(one.profile.boundaries[b].bytes_from_cpu,
+              eight.profile.boundaries[b].bytes_from_cpu);
   }
+  EXPECT_LE(eight.time.total_s, one.time.total_s);
 }
 
 }  // namespace

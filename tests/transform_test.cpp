@@ -85,7 +85,8 @@ TEST(Fuse, IdenticalBoundsConcatenatesBodies) {
 
 TEST(Fuse, ScalarInitHoistedBeforeItsPartition) {
   const Program p = workloads::fig7_original(32);
-  const Program fused = fuse_best(p);
+  const auto graph = fusion::build_fusion_graph(p);
+  const Program fused = apply_fusion(p, graph, fusion::best_fusion(graph));
   // sum = 0 must execute before the fused loop.
   ASSERT_GE(fused.top().size(), 2u);
   EXPECT_EQ(fused.top()[0]->kind, ir::StmtKind::kScalarAssign);
@@ -143,7 +144,8 @@ TEST(Fuse, RandomProgramsPreserveSemantics) {
 
 TEST(StoreElim, Figure7RemovesResWritebacks) {
   const Program p = workloads::fig7_original(64);
-  const Program fused = fuse_best(p);
+  const auto graph = fusion::build_fusion_graph(p);
+  const Program fused = apply_fusion(p, graph, fusion::best_fusion(graph));
   const StoreEliminationResult r = eliminate_stores(fused);
   ASSERT_EQ(r.eliminated.size(), 1u);
   EXPECT_EQ(r.program.array(r.eliminated[0]).name, "res");
@@ -420,7 +422,8 @@ TEST(StorageReduction, ShrinksTwoDimensionalSweep) {
 
 TEST(StorageReduction, Figure6FullPipeline) {
   const Program p = workloads::fig6_original(20);
-  const Program fused = fuse_best(p);
+  const auto graph = fusion::build_fusion_graph(p);
+  const Program fused = apply_fusion(p, graph, fusion::best_fusion(graph));
   const StorageReductionResult r = reduce_storage(fused);
   expect_same_semantics(p, r.program);
   // Both N^2 arrays must be gone from the referenced set: only 1-D buffers
@@ -658,8 +661,10 @@ TEST(StorageReduction, RandomGuardedSweepsKeepChecksum) {
 TEST(StorageReduction, ExactDomainsStillContract) {
   // Figure 6: b's write under j >= 2 vouches for the j == N fix-up and the
   // j >= 2 read.
-  const StorageReductionResult fig6 =
-      reduce_storage(fuse_best(workloads::fig6_original(20)));
+  const Program original = workloads::fig6_original(20);
+  const auto graph = fusion::build_fusion_graph(original);
+  const StorageReductionResult fig6 = reduce_storage(
+      apply_fusion(original, graph, fusion::best_fusion(graph)));
   EXPECT_NE(std::find(fig6.actions.begin(), fig6.actions.end(),
                       "contracted array b to scalar b_s"),
             fig6.actions.end());

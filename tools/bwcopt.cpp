@@ -111,7 +111,7 @@ const Flag kFlags[] = {
      }},
     {"--cores", "<int>",
      "core count for the multicore shared-bandwidth model (default 1); "
-     "runs the parallel compiled engine and prints the scaling curve with "
+     "the replay stays serial, and the model prints the scaling curve with "
      "the bus-saturation point",
      [](Options& o, const std::string& v) {
        o.cores = number<int>(v);
