@@ -26,6 +26,9 @@ using ir::StmtKind;
 using ir::StmtList;
 using verify::AffineRef;
 using verify::VarDomain;
+using verify::names_element;
+using verify::pinned_value;
+using verify::runs_within;
 
 /// The references of every top-level statement (verify::collect_refs): the
 /// pass manager's summaries hand them in, and the pass recollects each
@@ -87,64 +90,6 @@ std::vector<TopRef> refs_to(const RefSets& sets, const std::string& name) {
     for (const AffineRef& r : sets[static_cast<std::size_t>(t)]->refs)
       if (r.array == name) out.push_back({t, &r});
   return out;
-}
-
-/// The one value `a` takes wherever a loop context runs, when its domains
-/// pin every variable `a` uses; nullopt otherwise. An over-approximated
-/// domain still pins soundly: the context runs inside it.
-std::optional<std::int64_t> pinned_value(
-    const Affine& a, const std::vector<std::string>& vars,
-    const std::vector<VarDomain>& domains) {
-  std::int64_t value = a.constant_term();
-  for (const auto& [name, coeff] : a.terms()) {
-    const auto it = std::find(vars.begin(), vars.end(), name);
-    if (it == vars.end()) return std::nullopt;
-    const VarDomain& d = domains[static_cast<std::size_t>(it - vars.begin())];
-    if (d.size() != 1) return std::nullopt;
-    value += coeff * d.ranges.front().lo;
-  }
-  return value;
-}
-
-/// Is every value of `inner` also a value of `outer`?
-bool within(const VarDomain& inner, const VarDomain& outer) {
-  for (const verify::Interval& piece : inner.ranges) {
-    std::int64_t covered = 0;
-    for (const verify::Interval& o : outer.ranges)
-      covered += verify::Interval{std::max(piece.lo, o.lo),
-                                  std::min(piece.hi, o.hi)}
-                     .size();
-    if (covered != piece.size()) return false;
-  }
-  return true;
-}
-
-/// Does `r` run only at iterations where `w` runs? Each of w's loop
-/// variables must bound one of r's, whose domain lies inside w's. A
-/// domain that over-approximates (a guard the splitter cannot refine)
-/// vouches for nothing.
-bool runs_within(const AffineRef& r, const AffineRef& w) {
-  if (!w.exact_domain) return false;
-  for (std::size_t l = 0; l < w.loop_vars.size(); ++l) {
-    const auto it =
-        std::find(r.loop_vars.begin(), r.loop_vars.end(), w.loop_vars[l]);
-    if (it == r.loop_vars.end() ||
-        !within(r.domains[static_cast<std::size_t>(it - r.loop_vars.begin())],
-                w.domains[l]))
-      return false;
-  }
-  return true;
-}
-
-/// Does `r` name the element `canonical` wherever it runs?
-bool names_element(const AffineRef& r, const std::vector<Affine>& canonical) {
-  if (canonical.size() != r.subscripts.size()) return false;
-  for (std::size_t d = 0; d < canonical.size(); ++d) {
-    const auto v =
-        pinned_value(r.subscripts[d] - canonical[d], r.loop_vars, r.domains);
-    if (!v.has_value() || *v != 0) return false;
-  }
-  return true;
 }
 
 /// The spine loop vars of a top-level loop statement.

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -211,13 +212,20 @@ int parse_budget(const std::string& text) {
   return value;
 }
 
+int scoring_threads(int requested, int budget, unsigned hardware) {
+  const int host = static_cast<int>(std::clamp(hardware, 1u, 1u << 16));
+  return std::max(1, std::min({requested, budget, host}));
+}
+
 TuneResult tune(const ir::Program& program, const TuneOptions& options) {
   if (options.budget < 1) throw Error("tune budget must be at least 1");
   if (options.gap_percent < 0)
     throw Error("tune gap tolerance must be non-negative");
-  const int threads = std::max(1, options.threads);
+  const int threads = scoring_threads(options.threads, options.budget,
+                                      std::thread::hardware_concurrency());
 
   TuneResult out;
+  out.threads = threads;
   out.floor = verify::compute_data_floor(program);
   out.default_spec = canonical_spec(core::kDefaultPipeline);
   out.certificate.floor_bytes = out.floor.floor_bytes;

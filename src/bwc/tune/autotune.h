@@ -59,7 +59,8 @@ struct TuneOptions {
   /// Maximum candidates scored (parse_budget; default "medium").
   int budget = 48;
   std::uint64_t seed = 0;
-  /// Scoring pool width. Results are bit-identical at any value.
+  /// Requested scoring pool width (scoring_threads caps it). Results are
+  /// bit-identical at any value.
   int threads = 1;
   /// Extra starting population (e.g. winners from a daemon record log).
   /// Malformed or over-long entries are ignored.
@@ -69,6 +70,12 @@ struct TuneOptions {
   machine::MachineModel machine;
   model::ExecEngine engine = model::ExecEngine::kCompiled;
 };
+
+/// Width of the scoring pool tune() starts: the requested threads, but no
+/// more than the `budget` candidates it may score or the `hardware`
+/// threads of the host (std::thread::hardware_concurrency(), 0 when
+/// unknown), and at least one.
+int scoring_threads(int requested, int budget, unsigned hardware);
 
 /// One memsim-validated candidate.
 struct Validated {
@@ -102,6 +109,8 @@ struct TuneResult {
   /// failing to compile.
   int evaluated = 0;
   int infeasible = 0;
+  /// Width of the scoring pool the search ran on (scoring_threads).
+  int threads = 1;
   /// Search stopped before exhausting the budget because the best
   /// predicted traffic was already within the gap.
   bool early_stop = false;

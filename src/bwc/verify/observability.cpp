@@ -192,17 +192,24 @@ Report validate_storage_reduction(const ir::Program& pre,
   const TraceTouch pre_touch = touch_of(ta, space);
   const TraceTouch post_touch = touch_of(tb, space);
 
-  // Arrays the pass retired: referenced by pre, unreferenced by post.
+  // Arrays the pass retired: written by pre, never written by post. Their
+  // memory holds nothing post maintains, so post may not read it either.
   std::set<int> reduced;
   for (const int slot : pre_touch.written) {
-    if (post_touch.written.count(slot) == 0 &&
-        post_touch.read.count(slot) == 0) {
-      reduced.insert(slot);
-    }
+    if (post_touch.written.count(slot) == 0) reduced.insert(slot);
   }
   if (reduced.empty()) {
     report.info("no-op", "no array was retired; nothing to certify");
     return report;
+  }
+  for (const int slot : reduced) {
+    if (post_touch.read.count(slot) != 0) {
+      report.error("storage-reduction-retired-read",
+                   "array '" + space.array_name(slot) +
+                       "' was reduced away, but the post-pass program still "
+                       "reads it: those reads see contents nothing writes "
+                       "any more");
+    }
   }
 
   const std::set<std::string> outputs_pre = output_array_names(pre);

@@ -20,7 +20,8 @@
 //     every value-observing read must have been forwarded off memory.
 //
 // validate_storage_reduction(pre, post) certifies, for every array whose
-// references disappeared:
+// writes disappeared (the retired arrays):
+//   - post never reads it: nothing maintains its contents any more;
 //   - the array is not an observable output;
 //   - no element's initial contents are observed (a read preceding every
 //     write of that element cannot be reproduced by fresh buffers);

@@ -594,6 +594,63 @@ RefSet collect_refs(const ir::Program& program, const ir::Stmt& top) {
 }
 
 // ---------------------------------------------------------------------------
+// Element identity on exact domains.
+
+std::optional<std::int64_t> pinned_value(
+    const ir::Affine& a, const std::vector<std::string>& vars,
+    const std::vector<VarDomain>& domains) {
+  std::int64_t value = a.constant_term();
+  for (const auto& [name, coeff] : a.terms()) {
+    const auto it = std::find(vars.begin(), vars.end(), name);
+    if (it == vars.end()) return std::nullopt;
+    const VarDomain& d = domains[static_cast<std::size_t>(it - vars.begin())];
+    if (d.size() != 1) return std::nullopt;
+    value += coeff * d.ranges.front().lo;
+  }
+  return value;
+}
+
+namespace {
+
+/// Is every value of `inner` also a value of `outer`?
+bool within(const VarDomain& inner, const VarDomain& outer) {
+  for (const Interval& piece : inner.ranges) {
+    std::int64_t covered = 0;
+    for (const Interval& o : outer.ranges)
+      covered +=
+          Interval{std::max(piece.lo, o.lo), std::min(piece.hi, o.hi)}.size();
+    if (covered != piece.size()) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool runs_within(const AffineRef& r, const AffineRef& w) {
+  if (!w.exact_domain) return false;
+  for (std::size_t l = 0; l < w.loop_vars.size(); ++l) {
+    const auto it =
+        std::find(r.loop_vars.begin(), r.loop_vars.end(), w.loop_vars[l]);
+    if (it == r.loop_vars.end() ||
+        !within(r.domains[static_cast<std::size_t>(it - r.loop_vars.begin())],
+                w.domains[l]))
+      return false;
+  }
+  return true;
+}
+
+bool names_element(const AffineRef& r,
+                   const std::vector<ir::Affine>& canonical) {
+  if (canonical.size() != r.subscripts.size()) return false;
+  for (std::size_t d = 0; d < canonical.size(); ++d) {
+    const auto v =
+        pinned_value(r.subscripts[d] - canonical[d], r.loop_vars, r.domains);
+    if (!v.has_value() || *v != 0) return false;
+  }
+  return true;
+}
+
+// ---------------------------------------------------------------------------
 // summarize_dependences
 
 namespace {

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -230,6 +231,27 @@ struct RefSet {
 };
 
 RefSet collect_refs(const ir::Program& program, const ir::Stmt& top);
+
+// ---------------------------------------------------------------------------
+// Element identity on exact domains: the storage passes decide with these,
+// and the static provers re-check the passes' decisions with the same code.
+
+/// The one value `a` takes wherever a loop context runs, when its domains
+/// pin every variable `a` uses; nullopt otherwise. An over-approximated
+/// domain still pins soundly: the context runs inside it.
+std::optional<std::int64_t> pinned_value(
+    const ir::Affine& a, const std::vector<std::string>& vars,
+    const std::vector<VarDomain>& domains);
+
+/// Does `r` run only at iterations where `w` runs? Each of w's loop
+/// variables must bound one of r's, whose domain lies inside w's. A
+/// domain that over-approximates (a guard the splitter cannot refine)
+/// vouches for nothing.
+bool runs_within(const AffineRef& r, const AffineRef& w);
+
+/// Does `r` name the element `canonical` wherever it runs?
+bool names_element(const AffineRef& r,
+                   const std::vector<ir::Affine>& canonical);
 
 /// Statement-pair dependence fact: can some instance of top-level statement
 /// `stmt_a` and some instance of `stmt_b` touch a common element of `array`

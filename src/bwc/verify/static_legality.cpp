@@ -307,6 +307,28 @@ class RescheduleMatcher {
       }
       if (want != fa.constant_term()) return std::nullopt;
     }
+    // A level no pair binds is one whose variable the statement never
+    // reads (a fused `acc = (acc + (1 * 0.5))`): its instances touch the
+    // same locations and compute the same value, so any bijection between
+    // them and an after level's instances is a valid instance map. Pair it
+    // with an unclaimed after level, the same variable first; the domains
+    // must correspond under the shift (checked below), and the pair-order
+    // check decides every conflict under the chosen map.
+    for (int m = 0; m < nb; ++m) {
+      if (map.to_after[m] >= 0 || b_.site.domains[m].size() == 1) continue;
+      int pick = -1;
+      for (int p = 0; p < na; ++p)
+        if (!after_claimed[p] &&
+            (pick < 0 || a_.site.loop_vars[p] == b_.site.loop_vars[m]))
+          pick = p;
+      if (pick < 0 || b_.site.domains[m].empty() ||
+          a_.site.domains[pick].empty())
+        continue;
+      map.to_after[m] = pick;
+      map.shift[m] = a_.site.domains[pick].hull().lo -
+                     b_.site.domains[m].hull().lo;
+      after_claimed[pick] = true;
+    }
     // Unmapped levels on either side must be singletons (one instance).
     for (int m = 0; m < nb; ++m)
       if (map.to_after[m] < 0 && b_.site.domains[m].size() != 1)
@@ -658,114 +680,220 @@ LegalityResult prove_reschedule(const ir::Program& before,
 }
 
 // ---------------------------------------------------------------------------
-// Store elimination / storage contraction: lockstep comparison modulo
-// array-to-scalar substitution.
+// Store elimination and storage reduction: lockstep comparison modulo fresh
+// storage, then the passes' own rules decided on `before`'s exact domains.
 
 namespace {
 
-struct SubstSpec {
-  /// Array name -> replacement scalar. For store elimination only *writes*
-  /// and forwarded reads change; for contraction every reference changes.
-  std::map<std::string, std::string> array_to_scalar;
-
-  struct RewrittenRef {
-    std::string array;
-    std::vector<ir::Affine> tuple;
-    bool write = false;
-    const Atom* atom = nullptr;
-  };
-  std::vector<RewrittenRef> rewritten;
+/// One array reference of `before`, with the storage `after` gives it:
+/// `to` is empty when `after` keeps the reference as it is, else the fresh
+/// scalar (`to_scalar`) or the fresh 1-D buffer (row subscript kept) that
+/// replaces it. Within one iteration of a nest, static order -- an atom's
+/// reads, then its write -- is execution order.
+struct MappedRef {
+  const Atom* atom = nullptr;
+  AffineRef ref;
+  std::string to;
+  bool to_scalar = false;
 };
 
-/// Structural equality of before/after expressions where a before read
-/// A[tuple] (A in spec) may appear as the replacement scalar in after.
-bool equal_modulo(const ir::Program& pb, const ir::Program& pa,
-                  const ir::Expr& eb, const ir::Expr& ea, const Atom& atom,
-                  SubstSpec* spec) {
-  if (eb.kind == ir::ExprKind::kArrayRef) {
-    auto it = spec->array_to_scalar.find(pb.array(eb.array).name);
-    if (it != spec->array_to_scalar.end()) {
-      if (ea.kind == ir::ExprKind::kScalarRef && ea.scalar == it->second) {
-        spec->rewritten.push_back(
-            {pb.array(eb.array).name, eb.subscripts, false, &atom});
-        return true;
-      }
-      // A surviving read must stay intact; fall through to the strict
-      // comparison below.
-    }
-  }
-  if (eb.kind != ea.kind) return false;
-  switch (eb.kind) {
-    case ir::ExprKind::kConst:
-      return eb.value == ea.value;
-    case ir::ExprKind::kScalarRef:
-      return eb.scalar == ea.scalar;
-    case ir::ExprKind::kLoopVar:
-      return eb.loop_var == ea.loop_var;
-    case ir::ExprKind::kArrayRef:
-      return pb.array(eb.array).name == pa.array(ea.array).name &&
-             eb.subscripts == ea.subscripts;
-    case ir::ExprKind::kInput:
-      return eb.input_key == ea.input_key &&
-             eb.input_extents == ea.input_extents &&
-             eb.subscripts == ea.subscripts;
-    case ir::ExprKind::kBinary:
-    case ir::ExprKind::kCall: {
-      if (eb.kind == ir::ExprKind::kBinary && eb.op != ea.op) return false;
-      if (eb.kind == ir::ExprKind::kCall &&
-          (eb.callee != ea.callee || eb.call_flops != ea.call_flops))
+bool same_domains(const std::vector<VarDomain>& x,
+                  const std::vector<VarDomain>& y) {
+  if (x.size() != y.size()) return false;
+  for (std::size_t l = 0; l < x.size(); ++l) {
+    if (x[l].ranges.size() != y[l].ranges.size()) return false;
+    for (std::size_t k = 0; k < x[l].ranges.size(); ++k)
+      if (x[l].ranges[k].lo != y[l].ranges[k].lo ||
+          x[l].ranges[k].hi != y[l].ranges[k].hi)
         return false;
-      if (eb.operands.size() != ea.operands.size()) return false;
-      for (std::size_t k = 0; k < eb.operands.size(); ++k)
-        if (!equal_modulo(pb, pa, *eb.operands[k], *ea.operands[k], atom,
-                          spec))
-          return false;
-      return true;
-    }
   }
-  return false;
+  return true;
 }
 
-/// Compare one before/after atom pair in lockstep: identical loop context
-/// and path, statements equal modulo the substitution.
-bool atoms_equal_modulo(const ir::Program& pb, const ir::Program& pa,
-                        const Atom& b, const Atom& a, SubstSpec* spec) {
-  if (b.top != a.top || b.site.path != a.site.path) return false;
-  if (b.site.loop_vars != a.site.loop_vars) return false;
-  if (!b.site.exact_domain || !a.site.exact_domain) return false;
-  if (b.site.domains.size() != a.site.domains.size()) return false;
-  for (std::size_t l = 0; l < b.site.domains.size(); ++l) {
-    if (b.site.domains[l].ranges.size() != a.site.domains[l].ranges.size())
-      return false;
-    for (std::size_t k = 0; k < b.site.domains[l].ranges.size(); ++k)
-      if (b.site.domains[l].ranges[k].lo != a.site.domains[l].ranges[k].lo ||
-          b.site.domains[l].ranges[k].hi != a.site.domains[l].ranges[k].hi)
-        return false;
-  }
-  const ir::Stmt& sb = *b.site.stmt;
-  const ir::Stmt& sa = *a.site.stmt;
-  if (sb.kind == ir::StmtKind::kArrayAssign) {
-    auto it = spec->array_to_scalar.find(pb.array(sb.lhs_array).name);
-    if (it != spec->array_to_scalar.end()) {
-      // Write rewritten to the scalar.
-      if (sa.kind != ir::StmtKind::kScalarAssign ||
-          sa.lhs_scalar != it->second)
-        return false;
-      spec->rewritten.push_back(
-          {pb.array(sb.lhs_array).name, sb.lhs_subscripts, true, &b});
-      return equal_modulo(pb, pa, *sb.rhs, *sa.rhs, b, spec);
-    }
-  }
-  if (sb.kind != sa.kind) return false;
-  if (sb.kind == ir::StmtKind::kArrayAssign) {
-    if (pb.array(sb.lhs_array).name != pa.array(sa.lhs_array).name)
-      return false;
-    if (sb.lhs_subscripts != sa.lhs_subscripts) return false;
-  } else {
-    if (sb.lhs_scalar != sa.lhs_scalar) return false;
-  }
-  return equal_modulo(pb, pa, *sb.rhs, *sa.rhs, b, spec);
+/// Does `x` run inside every loop of `w` (the same loop statements)?
+bool inside(const Atom& x, const Atom& w) {
+  return x.top == w.top &&
+         common_levels(x, w) == static_cast<int>(w.site.loop_vars.size());
 }
+
+/// Do distinct iterations of `w`'s domain name distinct elements?
+Verdict injective(const AffineRef& w) {
+  const int depth = static_cast<int>(w.loop_vars.size());
+  const VarDomain differ{{{-kSpan, -1}, {1, kSpan}}};
+  return lex_conflict(w, w, same_levels(depth), differ).verdict;
+}
+
+/// The storage passes' rewrites side by side: `after`'s atoms must match
+/// `before`'s one for one -- same top statement, path and exact loop
+/// context -- and agree everywhere but in array references, each kept as
+/// it is or replaced by storage `before` does not declare. An array is
+/// replaced by one scalar, or by 1-D buffers only.
+class Lockstep {
+ public:
+  Lockstep(const ir::Program& before, const ir::Program& after)
+      : pb_(before), pa_(after) {}
+
+  /// Compare; false with `reason` set on the first mismatch.
+  bool run(std::string* reason) {
+    bool exact_b = true, exact_a = true;
+    atoms_ = collect_atoms(pb_, &exact_b);
+    const std::vector<Atom> after = collect_atoms(pa_, &exact_a);
+    if (!exact_b || !exact_a) {
+      *reason = "unrefinable-guard";
+      return false;
+    }
+    if (atoms_.size() != after.size()) {
+      *reason = "atom-count-mismatch";
+      return false;
+    }
+    if (outputs(pb_) != outputs(pa_)) {
+      *reason = "outputs-differ";
+      return false;
+    }
+    for (std::size_t i = 0; i < atoms_.size(); ++i) {
+      if (!atom(atoms_[i], after[i])) {
+        *reason = "atom-mismatch";
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Every reference to each array `after` replaces somewhere, in static
+  /// order; empty when nothing was replaced.
+  std::map<std::string, std::vector<const MappedRef*>> replaced() const {
+    std::map<std::string, std::vector<const MappedRef*>> out;
+    for (const auto& [fresh, use] : uses_) out.try_emplace(use.array);
+    for (const MappedRef& r : refs_) {
+      const auto it = out.find(r.ref.array);
+      if (it != out.end()) it->second.push_back(&r);
+    }
+    return out;
+  }
+
+  /// Does a replaced write of `before` store into `buffer`?
+  bool written(const std::string& buffer) const {
+    return std::any_of(refs_.begin(), refs_.end(), [&](const MappedRef& r) {
+      return r.ref.write && r.to == buffer;
+    });
+  }
+
+ private:
+  struct Use {
+    std::string array;
+    bool scalar = false;
+  };
+
+  static std::set<std::string> outputs(const ir::Program& p) {
+    std::set<std::string> out(p.output_scalars().begin(),
+                              p.output_scalars().end());
+    for (ir::ArrayId id : p.output_arrays()) out.insert(p.array(id).name);
+    return out;
+  }
+
+  bool atom(const Atom& b, const Atom& a) {
+    if (b.top != a.top || b.site.path != a.site.path ||
+        b.site.loop_vars != a.site.loop_vars ||
+        !same_domains(b.site.domains, a.site.domains))
+      return false;
+    const ir::Stmt& sb = *b.site.stmt;
+    const ir::Stmt& sa = *a.site.stmt;
+    if (!expr(*sb.rhs, *sa.rhs, b)) return false;  // reads, then the write
+    if (sb.kind == ir::StmtKind::kScalarAssign)
+      return sa.kind == ir::StmtKind::kScalarAssign &&
+             sa.lhs_scalar == sb.lhs_scalar;
+    const std::string& name = pb_.array(sb.lhs_array).name;
+    if (sa.kind == ir::StmtKind::kScalarAssign)
+      return replace(b, name, sb.lhs_subscripts, true, sa.lhs_scalar, true);
+    return access(b, name, sb.lhs_subscripts, true,
+                  pa_.array(sa.lhs_array).name, sa.lhs_subscripts);
+  }
+
+  /// Before's array reference against after's: kept, or a fresh buffer
+  /// indexed by the reference's row.
+  bool access(const Atom& b, const std::string& name,
+              const std::vector<ir::Affine>& subs, bool write,
+              const std::string& to, const std::vector<ir::Affine>& to_subs) {
+    if (to == name && to_subs == subs) {
+      refs_.push_back({&b, ref_at(b, name, subs, write), "", false});
+      return true;
+    }
+    if (pb_.has_array(to) || subs.size() != 2 || to_subs.size() != 1 ||
+        !(to_subs.front() == subs.front()))
+      return false;
+    return replace(b, name, subs, write, to, false);
+  }
+
+  bool replace(const Atom& b, const std::string& name,
+               const std::vector<ir::Affine>& subs, bool write,
+               const std::string& to, bool scalar) {
+    if (scalar ? pb_.has_scalar(to) : pb_.has_array(to)) return false;
+    const auto [it, inserted] = uses_.emplace(to, Use{name, scalar});
+    if (!inserted && (it->second.array != name || it->second.scalar != scalar))
+      return false;
+    for (const auto& [fresh, use] : uses_)
+      if (use.array == name && (use.scalar || scalar) && fresh != to)
+        return false;  // one scalar, or buffers only
+    refs_.push_back({&b, ref_at(b, name, subs, write), to, scalar});
+    return true;
+  }
+
+  static AffineRef ref_at(const Atom& at, const std::string& array,
+                          const std::vector<ir::Affine>& subs, bool write) {
+    AffineRef r;
+    r.loop_vars = at.site.loop_vars;
+    r.domains = at.site.domains;
+    r.subscripts = subs;
+    r.array = array;
+    r.write = write;
+    r.exact_domain = at.site.exact_domain;
+    return r;
+  }
+
+  bool expr(const ir::Expr& eb, const ir::Expr& ea, const Atom& b) {
+    if (eb.kind == ir::ExprKind::kArrayRef) {
+      const std::string& name = pb_.array(eb.array).name;
+      if (ea.kind == ir::ExprKind::kScalarRef)
+        return replace(b, name, eb.subscripts, false, ea.scalar, true);
+      return ea.kind == ir::ExprKind::kArrayRef &&
+             access(b, name, eb.subscripts, false, pa_.array(ea.array).name,
+                    ea.subscripts);
+    }
+    if (eb.kind != ea.kind) return false;
+    switch (eb.kind) {
+      case ir::ExprKind::kConst:
+        return eb.value == ea.value;
+      case ir::ExprKind::kScalarRef:
+        return eb.scalar == ea.scalar;
+      case ir::ExprKind::kLoopVar:
+        return eb.loop_var == ea.loop_var;
+      case ir::ExprKind::kInput:
+        return eb.input_key == ea.input_key &&
+               eb.input_extents == ea.input_extents &&
+               eb.subscripts == ea.subscripts;
+      case ir::ExprKind::kBinary:
+      case ir::ExprKind::kCall: {
+        if (eb.kind == ir::ExprKind::kBinary && eb.op != ea.op) return false;
+        if (eb.kind == ir::ExprKind::kCall &&
+            (eb.callee != ea.callee || eb.call_flops != ea.call_flops))
+          return false;
+        if (eb.operands.size() != ea.operands.size()) return false;
+        for (std::size_t k = 0; k < eb.operands.size(); ++k)
+          if (!expr(*eb.operands[k], *ea.operands[k], b)) return false;
+        return true;
+      }
+      case ir::ExprKind::kArrayRef:
+        break;
+    }
+    return false;
+  }
+
+  const ir::Program& pb_;
+  const ir::Program& pa_;
+  std::vector<Atom> atoms_;  // before's atoms, which refs_ point into
+  std::vector<MappedRef> refs_;
+  std::map<std::string, Use> uses_;  // fresh name -> the array it replaces
+};
 
 /// `w` (a write) strictly before `r` in event order, touching a common
 /// element: infeasible? Both refs belong to atoms of the same program.
@@ -789,71 +917,264 @@ Verdict write_before_read_conflict(const Atom& wa, const AffineRef& w,
   return earlier == Verdict::kUnknown ? earlier : same;
 }
 
-/// How one storage prover names its rewrite in `reason` strings.
-struct SubstNames {
-  const char* count_mismatch;  // reason when the atom counts differ
-  const char* scalar;          // "<scalar>-scalar-not-fresh", ...
-  const char* array;           // "no-<array>-array", ...
+/// Contraction to one scalar, by reduce-storage's own rule: the first
+/// reference is a write whose domains contain every reference's, every
+/// reference names that write's element wherever it runs, and distinct
+/// iterations of the write name distinct elements. Within one iteration
+/// the scalar then carries exactly the element's value; no value crosses
+/// iterations.
+bool contraction_holds(const std::vector<const MappedRef*>& occ,
+                       LegalityResult* res) {
+  const MappedRef& first = *occ.front();
+  if (!first.ref.write) {
+    res->reason = "contraction-reads-first";
+    return false;
+  }
+  for (const MappedRef* o : occ) {
+    if (!inside(*o->atom, *first.atom)) {
+      res->reason = "refs-span-nests";
+      return false;
+    }
+    if (!runs_within(o->ref, first.ref) ||
+        !names_element(o->ref, first.ref.subscripts)) {
+      res->reason = "contraction-ref-outside-first-write";
+      return false;
+    }
+    if (!o->ref.write) ++res->pairs_checked;
+  }
+  ++res->pairs_checked;
+  if (injective(first.ref) != Verdict::kIndependent) {
+    res->reason = "contraction-tuple-not-injective";
+    return false;
+  }
+  return true;
+}
+
+/// The copies reduce-storage's shrink adds to `after`, recorded while
+/// stripping them: the rotation `prev[i] = cur[i]` ending a sweep's inner
+/// body, and the dual write `if (j == C) colC[r] = cur[r]` after each
+/// write of `cur`.
+struct ShrinkCopies {
+  struct Prev {
+    std::string cur;
+    int top = -1;
+  };
+  struct Peel {
+    std::string cur;
+    std::string var;
+    std::int64_t column = 0;
+  };
+  std::map<std::string, Prev> prev;  // by prev buffer
+  std::map<std::string, Peel> peel;  // by peel buffer
+  /// Every other write of a fresh array, with the peel buffers copied
+  /// right after it.
+  std::vector<std::pair<std::string, std::set<std::string>>> writes;
 };
 
-/// The storage provers' shared prologue: collect both programs' atoms
-/// (exact domains only), discover the array-to-scalar map from positional
-/// atom pairs (a before write to an array against an after write to a
-/// scalar), require every scalar fresh and every array not an output, and
-/// compare the atoms in lockstep modulo the map. Returns false with
-/// `res->reason` set when a step fails; `ba` gets the before atoms that
-/// `spec->rewritten` points into.
-bool match_scalar_substitution(const ir::Program& before,
-                               const ir::Program& after,
-                               const SubstNames& names, std::vector<Atom>* ba,
-                               SubstSpec* spec, LegalityResult* res) {
-  const std::string scalar = names.scalar, array = names.array;
-  bool exact_b = true, exact_a = true;
-  *ba = collect_atoms(before, &exact_b);
-  const std::vector<Atom> aa = collect_atoms(after, &exact_a);
-  if (!exact_b || !exact_a) {
-    res->reason = "unrefinable-guard";
-    return false;
-  }
-  if (ba->size() != aa.size()) {
-    res->reason = names.count_mismatch;
-    return false;
-  }
-  for (std::size_t i = 0; i < ba->size(); ++i) {
-    const ir::Stmt& sb = *(*ba)[i].site.stmt;
-    const ir::Stmt& sa = *aa[i].site.stmt;
-    if (sb.kind == ir::StmtKind::kArrayAssign &&
-        sa.kind == ir::StmtKind::kScalarAssign) {
-      const std::string& arr = before.array(sb.lhs_array).name;
-      auto it = spec->array_to_scalar.find(arr);
-      if (it != spec->array_to_scalar.end() && it->second != sa.lhs_scalar) {
-        res->reason = "inconsistent-" + scalar + "-scalar";
-        return false;
+class CopyStripper {
+ public:
+  CopyStripper(const ir::Program& before, ir::Program* after, ShrinkCopies* out)
+      : before_(before), after_(*after), out_(*out) {}
+
+  bool run() {
+    for (int t = 0; t < static_cast<int>(after_.top().size()); ++t) {
+      ir::Stmt& s = *after_.top()[static_cast<std::size_t>(t)];
+      if (s.kind != ir::StmtKind::kLoop || s.loop->body.size() != 1 ||
+          s.loop->body.front()->kind != ir::StmtKind::kLoop)
+        continue;
+      ir::StmtList& body = s.loop->body.front()->loop->body;
+      const ir::Affine row = ir::Affine::var(s.loop->body.front()->loop->var);
+      std::string dst, src;
+      while (!body.empty() && copy(*body.back(), row, &dst, &src)) {
+        if (!out_.prev.emplace(dst, ShrinkCopies::Prev{src, t}).second)
+          return false;
+        body.pop_back();
       }
-      spec->array_to_scalar[arr] = sa.lhs_scalar;
     }
+    return peels(after_.top());
   }
-  if (spec->array_to_scalar.empty()) {
-    res->reason = "no-" + array + "-array";
+
+ private:
+  /// Is `s` the copy `dst[sub] = src[sub]` between two fresh arrays?
+  bool copy(const ir::Stmt& s, const ir::Affine& sub, std::string* dst,
+            std::string* src) const {
+    if (s.kind != ir::StmtKind::kArrayAssign || s.lhs_subscripts.size() != 1 ||
+        !(s.lhs_subscripts.front() == sub))
+      return false;
+    const ir::Expr& e = *s.rhs;
+    if (e.kind != ir::ExprKind::kArrayRef || e.subscripts.size() != 1 ||
+        !(e.subscripts.front() == sub))
+      return false;
+    *dst = after_.array(s.lhs_array).name;
+    *src = after_.array(e.array).name;
+    return *dst != *src && !before_.has_array(*dst) &&
+           !before_.has_array(*src);
+  }
+
+  bool peels(ir::StmtList& body) {
+    int last = -1;  // out_.writes entry of the write this list just ran
+    ir::Affine row;
+    for (std::size_t k = 0; k < body.size();) {
+      ir::Stmt& s = *body[k];
+      std::string dst, src, var;
+      std::int64_t column = 0;
+      if (last >= 0 && s.kind == ir::StmtKind::kIf && s.else_body.empty() &&
+          s.then_body.size() == 1 && equality(s, &var, &column) &&
+          copy(*s.then_body.front(), row, &dst, &src) &&
+          src == out_.writes[static_cast<std::size_t>(last)].first) {
+        const auto [it, inserted] =
+            out_.peel.emplace(dst, ShrinkCopies::Peel{src, var, column});
+        if (!inserted && (it->second.cur != src || it->second.var != var ||
+                          it->second.column != column))
+          return false;
+        out_.writes[static_cast<std::size_t>(last)].second.insert(dst);
+        body.erase(body.begin() + static_cast<std::ptrdiff_t>(k));
+        continue;
+      }
+      last = -1;
+      if (s.kind == ir::StmtKind::kArrayAssign &&
+          !before_.has_array(after_.array(s.lhs_array).name)) {
+        out_.writes.push_back({after_.array(s.lhs_array).name, {}});
+        last = static_cast<int>(out_.writes.size()) - 1;
+        row = s.lhs_subscripts.empty() ? ir::Affine() : s.lhs_subscripts[0];
+      } else if (s.kind == ir::StmtKind::kIf) {
+        if (!peels(s.then_body) || !peels(s.else_body)) return false;
+      } else if (s.kind == ir::StmtKind::kLoop) {
+        if (!peels(s.loop->body)) return false;
+      }
+      ++k;
+    }
+    return true;
+  }
+
+  /// Is `s`'s guard `var == column`?
+  static bool equality(const ir::Stmt& s, std::string* var,
+                       std::int64_t* column) {
+    if (s.cmp != ir::CmpOp::kEq) return false;
+    const ir::Affine d = s.cmp_lhs - s.cmp_rhs;
+    const auto v = d.single_var();
+    if (!v.has_value() || (d.coeff(*v) != 1 && d.coeff(*v) != -1))
+      return false;
+    *var = *v;
+    *column = -d.constant_term() * d.coeff(*v);
+    return true;
+  }
+
+  const ir::Program& before_;
+  ir::Program& after_;
+  ShrinkCopies& out_;
+};
+
+/// The values `a` takes over a context's domains, or nullopt when it uses
+/// a variable outside the context.
+std::optional<Interval> affine_range(const AffineRef& r, const ir::Affine& a) {
+  Interval out{a.constant_term(), a.constant_term()};
+  for (const auto& [name, coeff] : a.terms()) {
+    const auto it = std::find(r.loop_vars.begin(), r.loop_vars.end(), name);
+    if (it == r.loop_vars.end()) return std::nullopt;
+    const Interval h =
+        r.domains[static_cast<std::size_t>(it - r.loop_vars.begin())].hull();
+    out.lo += coeff * (coeff > 0 ? h.lo : h.hi);
+    out.hi += coeff * (coeff > 0 ? h.hi : h.lo);
+  }
+  return out;
+}
+
+/// Shrink and peel of a 2-D array to column buffers, by the facts
+/// reduce-storage's plan relies on, decided on `before`'s exact domains.
+/// The first write W0 fixes the sweep nest (j outer over [lo, hi], i inner)
+/// and the `cur` buffer. Every write names A[i, j], so row r of column c is
+/// written only at iteration (c, r), and W0 runs at every iteration:
+///   - cur[i] equals A[i, j] from W0 on in each iteration, so a read of
+///     A[i, j] after W0 may read cur;
+///   - the rotation ending the inner body leaves column j - 1 in prev, so
+///     A[i, j - 1] may read prev wherever j > lo;
+///   - every write of cur is followed by `if (j == C) colC[r] = cur[r]`,
+///     so once column C is done colC holds it: a read of A[r, C] for rows
+///     the sweep writes may read colC at j > C, in a later statement, or
+///     as A[i, j] after W0 at j == C.
+bool shrink_holds(const ir::Program& before, const ir::Program& after,
+                  const std::vector<const MappedRef*>& occ,
+                  const ShrinkCopies& copies, LegalityResult* res) {
+  const auto fail = [&](const char* why) {
+    res->reason = why;
     return false;
-  }
-  for (const auto& [arr, s] : spec->array_to_scalar) {
-    if (before.has_scalar(s)) {
-      res->reason = scalar + "-scalar-not-fresh";
-      return false;
+  };
+  const ir::ArrayDecl& decl =
+      before.array(before.array_id(occ.front()->ref.array));
+  if (decl.extents.size() != 2) return fail("shrink-array-not-2d");
+  std::size_t k0 = 0;
+  while (k0 < occ.size() && !occ[k0]->ref.write) ++k0;
+  if (k0 == occ.size()) return fail("shrink-without-write");
+  const MappedRef& w0 = *occ[k0];
+  const int top = w0.atom->top;
+  const ir::Stmt& sweep = *before.top()[static_cast<std::size_t>(top)];
+  if (sweep.kind != ir::StmtKind::kLoop || sweep.loop->body.size() != 1 ||
+      sweep.loop->body.front()->kind != ir::StmtKind::kLoop)
+    return fail("shrink-sweep-not-2-deep");
+  const ir::Loop& outer = *sweep.loop;
+  const ir::Loop& inner = *outer.body.front()->loop;
+  const ir::Affine row = ir::Affine::var(inner.var);
+  const ir::Affine column = ir::Affine::var(outer.var);
+
+  const auto in_sweep = [&](const MappedRef& o) {
+    return o.ref.loop_vars.size() == 2 && inside(*o.atom, *w0.atom);
+  };
+  // Does `o` name A[i, j + off] wherever it runs in the sweep?
+  const auto names = [&](const MappedRef& o, std::int64_t off) {
+    const auto v = pinned_value(o.ref.subscripts[1] - column,
+                                o.ref.loop_vars, o.ref.domains);
+    return in_sweep(o) && o.ref.subscripts[0] == row && v.has_value() &&
+           *v == off;
+  };
+  if (!w0.ref.exact_domain || !in_sweep(w0) ||
+      !same_domains(w0.ref.domains,
+                    {VarDomain::range(outer.lower, outer.upper),
+                     VarDomain::range(inner.lower, inner.upper)}))
+    return fail("shrink-first-write-not-total");
+
+  const std::string& cur = w0.to;
+  for (std::size_t k = 0; k < occ.size(); ++k) {
+    const MappedRef& o = *occ[k];
+    ++res->pairs_checked;
+    const ir::ArrayDecl& buffer = after.array(after.array_id(o.to));
+    if (buffer.extents != std::vector<std::int64_t>{decl.extents[0]} ||
+        buffer.elem_bytes != decl.elem_bytes)
+      return fail("shrink-buffer-shape");
+    if (o.ref.write || o.to == cur) {
+      if (o.to != cur || !names(o, 0) || (!o.ref.write && k <= k0))
+        return fail("shrink-cur-ref-unmodelled");
+      continue;
     }
-    const ir::ArrayId id = before.array_id(arr);
-    if (id >= 0 && before.is_output_array(id)) {
-      res->reason = array + "-array-is-output";
-      return false;
+    const auto prev = copies.prev.find(o.to);
+    if (prev != copies.prev.end()) {
+      if (prev->second.cur != cur || prev->second.top != top || !names(o, -1) ||
+          o.ref.domains[0].hull().lo <= outer.lower)
+        return fail("shrink-prev-read-unmodelled");
+      continue;
     }
+    const auto peel = copies.peel.find(o.to);
+    if (peel == copies.peel.end()) return fail("shrink-buffer-unknown");
+    const std::int64_t c = peel->second.column;
+    const ir::Affine& col = o.ref.subscripts[1];
+    const auto rows = affine_range(o.ref, o.ref.subscripts[0]);
+    const bool copied = peel->second.cur == cur &&
+                        peel->second.var == outer.var && c >= outer.lower &&
+                        c <= outer.upper && col.is_constant() &&
+                        col.constant_term() == c && rows.has_value() &&
+                        rows->lo >= inner.lower && rows->hi <= inner.upper;
+    const bool done = o.atom->top > top ||
+                      (in_sweep(o) && o.ref.domains[0].hull().lo > c) ||
+                      (names(o, 0) && k > k0);
+    if (!copied || !done) return fail("shrink-peel-read-unmodelled");
   }
-  for (std::size_t i = 0; i < ba->size(); ++i) {
-    if (!atoms_equal_modulo(before, after, (*ba)[i], aa[i], spec)) {
-      res->reason = "atom-mismatch";
-      return false;
-    }
-  }
+  // Every write of cur carries the dual write of every peel of cur.
+  std::set<std::string> peels;
+  for (const auto& [buffer, p] : copies.peel)
+    if (p.cur == cur) peels.insert(buffer);
+  for (const auto& [buffer, copied] : copies.writes)
+    if (buffer == cur && copied != peels)
+      return fail("shrink-peel-copy-missing");
   return true;
 }
 
@@ -862,88 +1183,94 @@ bool match_scalar_substitution(const ir::Program& before,
 LegalityResult prove_store_elimination(const ir::Program& before,
                                        const ir::Program& after) {
   LegalityResult res;
-  // Arrays written in before but never written in after were eliminated;
-  // their forwarding scalars are the after-only scalars.
-  const SubstNames names{"atom-count-mismatch", "forwarding", "eliminated"};
-  std::vector<Atom> ba;
-  SubstSpec spec;
-  if (!match_scalar_substitution(before, after, names, &ba, &spec, &res))
+  Lockstep lockstep(before, after);
+  if (!lockstep.run(&res.reason)) return res;
+  const auto arrays = lockstep.replaced();
+  if (arrays.empty()) {
+    res.reason = "no-eliminated-array";
     return res;
-  // Per eliminated array: single writer statement; rewritten reads are in
-  // the writer's iteration with the identical tuple, after the write; the
-  // write tuple is injective across iterations; surviving reads never
-  // observe an eliminated write.
-  for (const auto& [arr, scalar] : spec.array_to_scalar) {
-    const SubstSpec::RewrittenRef* writer = nullptr;
-    for (const auto& rw : spec.rewritten) {
-      if (rw.array != arr || !rw.write) continue;
-      if (writer != nullptr) {
-        res.reason = "multiple-writers";
+  }
+  // Per eliminated array: its writes all become the forwarding scalar and
+  // sit in one nest with one tuple, injective across iterations; each
+  // forwarded read has that tuple and follows, in the same iteration, a
+  // writer whose domain contains its own; surviving reads never observe
+  // any write.
+  for (const auto& [arr, occ] : arrays) {
+    if (before.is_output_array(before.array_id(arr))) {
+      res.reason = "eliminated-array-is-output";
+      return res;
+    }
+    std::vector<const MappedRef*> writers;
+    for (const MappedRef* o : occ) {
+      if (!o->to.empty() && !o->to_scalar) {
+        res.reason = "forwarded-through-array";
         return res;
       }
-      writer = &rw;
+      if (!o->ref.write) continue;
+      if (o->to.empty()) {
+        res.reason = "eliminated-array-still-written";
+        return res;
+      }
+      writers.push_back(o);
     }
-    if (!writer) {
+    if (writers.empty()) {
       res.reason = "no-writer";
       return res;
     }
-    AffineRef wref;
-    wref.array = arr;
-    wref.subscripts = writer->tuple;
-    wref.write = true;
-    wref.loop_vars = writer->atom->site.loop_vars;
-    wref.domains = writer->atom->site.domains;
-    // Injectivity: distinct iterations write distinct elements.
+    const MappedRef& w0 = *writers.front();
+    const auto in_nest = [&](const MappedRef& o) {
+      return inside(*o.atom, *w0.atom) &&
+             o.ref.loop_vars.size() == w0.ref.loop_vars.size();
+    };
+    AffineRef span = w0.ref;  // the writers' domains, hulled per level
+    for (const MappedRef* w : writers) {
+      if (!in_nest(*w)) {
+        res.reason = "writers-span-nests";
+        return res;
+      }
+      if (w->ref.subscripts != w0.ref.subscripts) {
+        res.reason = "writer-tuples-differ";
+        return res;
+      }
+      for (std::size_t l = 0; l < span.domains.size(); ++l) {
+        const Interval a = span.domains[l].hull(), b = w->ref.domains[l].hull();
+        span.domains[l] =
+            VarDomain::range(std::min(a.lo, b.lo), std::max(a.hi, b.hi));
+      }
+    }
     ++res.pairs_checked;
-    if (lex_conflict(wref, wref,
-                     same_levels(static_cast<int>(wref.loop_vars.size())),
-                     {{{-kSpan, -1}, {1, kSpan}}})
-            .verdict != Verdict::kIndependent) {
+    if (injective(span) != Verdict::kIndependent) {
       res.reason = "write-tuple-not-injective";
       return res;
     }
-    // Rewritten reads: same statement context as the writer, same tuple,
-    // executed after the write in the same iteration.
-    for (const auto& rw : spec.rewritten) {
-      if (rw.array != arr || rw.write) continue;
-      const Atom& rat = *rw.atom;
-      if (rat.top != writer->atom->top ||
-          common_levels(rat, *writer->atom) !=
-              static_cast<int>(rat.site.loop_vars.size()) ||
-          rat.site.loop_vars.size() !=
-              writer->atom->site.loop_vars.size()) {
-        res.reason = "forwarded-read-outside-writer-nest";
-        return res;
-      }
-      if (path_order(*writer->atom, rat) > 0) {
-        res.reason = "forwarded-read-before-write";
-        return res;
-      }
-      if (!(rw.tuple == writer->tuple)) {
-        res.reason = "forwarded-read-tuple-mismatch";
-        return res;
-      }
-      ++res.pairs_checked;
-    }
-    // Surviving reads of the array in `before` (and, identically, in
-    // `after`): must never read an element some write instance has
-    // already produced -- otherwise removing the writes changes them.
-    for (const auto& at : ba) {
-      for (const auto& ref : site_refs(before, at.site)) {
-        if (ref.write || ref.array != arr) continue;
-        // Skip reads that were rewritten (they match the writer's own
-        // statement tuple records).
-        bool rewritten = false;
-        for (const auto& rw : spec.rewritten) {
-          if (rw.array != arr || rw.write) continue;
-          if (rw.atom->top == at.top && rw.atom->site.path == at.site.path &&
-              rw.tuple == ref.subscripts)
-            rewritten = true;
+    for (std::size_t k = 0; k < occ.size(); ++k) {
+      const MappedRef& r = *occ[k];
+      if (r.ref.write) continue;
+      if (!r.to.empty()) {
+        if (!in_nest(r)) {
+          res.reason = "forwarded-read-outside-writer-nest";
+          return res;
         }
-        if (rewritten) continue;
+        if (r.ref.subscripts != w0.ref.subscripts) {
+          res.reason = "forwarded-read-tuple-mismatch";
+          return res;
+        }
+        const bool dominated = std::any_of(
+            occ.begin(), occ.begin() + static_cast<std::ptrdiff_t>(k),
+            [&](const MappedRef* w) {
+              return w->ref.write && runs_within(r.ref, w->ref);
+            });
+        if (!dominated) {
+          res.reason = "forwarded-read-not-dominated";
+          return res;
+        }
         ++res.pairs_checked;
-        Verdict v = write_before_read_conflict(*writer->atom, wref, at, ref);
-        if (v != Verdict::kIndependent) {
+        continue;
+      }
+      for (const MappedRef* w : writers) {
+        ++res.pairs_checked;
+        if (write_before_read_conflict(*w->atom, w->ref, *r.atom, r.ref) !=
+            Verdict::kIndependent) {
           res.reason = "surviving-read-observes-write";
           return res;
         }
@@ -957,82 +1284,47 @@ LegalityResult prove_store_elimination(const ir::Program& before,
 LegalityResult prove_storage_reduction(const ir::Program& before,
                                        const ir::Program& after) {
   LegalityResult res;
-  // Shrinking/peeling insert copy statements, so the atom counts differ;
-  // only pure contraction is modelled statically.
-  const SubstNames names{"not-pure-contraction", "contraction", "contracted"};
-  std::vector<Atom> ba;
-  SubstSpec spec;
-  if (!match_scalar_substitution(before, after, names, &ba, &spec, &res))
+  // Strip the shrink's copies; what remains must match `before` in
+  // lockstep, every reference of a reduced array replaced.
+  ir::Program stripped = after.clone();
+  ShrinkCopies copies;
+  if (!CopyStripper(before, &stripped, &copies).run()) {
+    res.reason = "inconsistent-copies";
     return res;
-  // Every read of a contracted array must be dominated, within the same
-  // iteration of a common full-depth nest, by the nearest preceding write,
-  // with the identical subscript tuple (live range inside one iteration).
-  for (const auto& [arr, scalar] : spec.array_to_scalar) {
-    // Collect refs of `before` in execution order.
-    struct Occ {
-      const Atom* atom;
-      std::vector<ir::Affine> tuple;
-      bool write;
-    };
-    std::vector<Occ> occs;
-    for (const auto& at : ba) {
-      // site_refs returns rhs reads (pre-order) then the lhs write, which
-      // is exactly the within-statement event order.
-      for (const auto& ref : site_refs(before, at.site)) {
-        if (ref.array != arr) continue;
-        occs.push_back({&at, ref.subscripts, ref.write});
-      }
-    }
-    if (occs.empty()) continue;
-    const Atom* anchor = occs.front().atom;
-    for (const auto& o : occs) {
-      if (o.atom->top != anchor->top ||
-          o.atom->site.loop_vars != anchor->site.loop_vars ||
-          common_levels(*o.atom, *anchor) !=
-              static_cast<int>(anchor->site.loop_vars.size())) {
-        res.reason = "refs-span-nests";
-        return res;
-      }
-      // Guarded refs would make "preceding write in every iteration"
-      // unsound; require full-domain contexts identical to the anchor's.
-      if (o.atom->site.domains.size() != anchor->site.domains.size()) {
-        res.reason = "refs-span-nests";
-        return res;
-      }
-      for (std::size_t l = 0; l < anchor->site.domains.size(); ++l) {
-        const auto& da = o.atom->site.domains[l];
-        const auto& db = anchor->site.domains[l];
-        if (da.ranges.size() != db.ranges.size()) {
-          res.reason = "guarded-contraction-ref";
-          return res;
-        }
-        for (std::size_t k = 0; k < da.ranges.size(); ++k)
-          if (da.ranges[k].lo != db.ranges[k].lo ||
-              da.ranges[k].hi != db.ranges[k].hi) {
-            res.reason = "guarded-contraction-ref";
-            return res;
-          }
-      }
-    }
-    // Body-order simulation: the scalar must hold the value of the element
-    // each read expects.
-    const std::vector<ir::Affine>* last_write = nullptr;
-    for (const auto& o : occs) {
-      if (o.write) {
-        last_write = &o.tuple;
-      } else {
-        if (last_write == nullptr || !(*last_write == o.tuple)) {
-          res.reason = "read-not-dominated-by-same-tuple-write";
-          return res;
-        }
-        ++res.pairs_checked;
-      }
-    }
-    if (last_write == nullptr) {
-      res.reason = "no-write";
+  }
+  Lockstep lockstep(before, stripped);
+  if (!lockstep.run(&res.reason)) return res;
+  const auto arrays = lockstep.replaced();
+  if (arrays.empty()) {
+    res.reason = "no-reduced-array";
+    return res;
+  }
+  // A copy may only fill a prev or peel buffer, never storage a rewritten
+  // write maintains.
+  bool clash = false;
+  for (const auto& entry : copies.prev)
+    clash = clash || lockstep.written(entry.first) ||
+            copies.peel.count(entry.first) > 0;
+  for (const auto& entry : copies.peel)
+    clash = clash || lockstep.written(entry.first);
+  if (clash) {
+    res.reason = "inconsistent-copies";
+    return res;
+  }
+  for (const auto& [arr, occ] : arrays) {
+    if (before.is_output_array(before.array_id(arr))) {
+      res.reason = "reduced-array-is-output";
       return res;
     }
-    ++res.pairs_checked;
+    for (const MappedRef* o : occ)
+      if (o->to.empty()) {
+        res.reason = "reduced-array-survives";
+        return res;
+      }
+    const bool holds = occ.front()->to_scalar
+                           ? contraction_holds(occ, &res)
+                           : shrink_holds(before, stripped, occ, copies, &res);
+    if (!holds) return res;
   }
   res.verdict = LegalityVerdict::kProven;
   return res;

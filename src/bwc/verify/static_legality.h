@@ -9,7 +9,9 @@
 //
 //   prove_reschedule        fusion / interchange / distribution: matches
 //                           assignment "atoms" bijectively (inferring the
-//                           per-loop-level shift/permutation instance map),
+//                           per-loop-level shift/permutation instance map;
+//                           a level no subscript binds pairs with an after
+//                           level whose domain is the same set shifted),
 //                           then shows every conflicting reference pair
 //                           executes in the same order before and after,
 //                           enumerating direction classes over the shared
@@ -17,16 +19,21 @@
 //                           same order exemption the trace validator grants.
 //
 //   prove_store_elimination writebacks to a dead array forwarded through a
-//                           scalar: re-derives single-writer / injective
-//                           subscripts / no-later-reads from the IR, and
-//                           proves surviving reads never observe an
-//                           eliminated write.
+//                           scalar: the writers share one nest and one
+//                           tuple, injective across iterations; each
+//                           forwarded read follows a writer whose domain
+//                           contains its own; surviving reads never
+//                           observe any writer.
 //
-//   prove_storage_reduction array-to-scalar contraction: every read is
-//                           dominated, in the same iteration, by a write
-//                           of the identical subscript tuple (live range
-//                           provably inside one iteration). Shrinking and
-//                           peeling rewrites answer kUnknown by design.
+//   prove_storage_reduction contraction to a scalar, and shrinking and
+//                           peeling to column buffers: strips the copies
+//                           the shrink inserts, compares the rest with
+//                           the original in lockstep modulo the buffer
+//                           map, and re-decides each rewritten array by
+//                           reduce-storage's own rule on the original's
+//                           exact domains. The boundary dispatch
+//                           (`if (j == lo) ... else ...`) stays outside
+//                           the model and answers kUnknown.
 //
 // kProven is a certificate valid for all problem sizes the bounds encode;
 // kRefuted carries a concrete dependence-reversal witness; kUnknown means
@@ -69,8 +76,9 @@ LegalityResult prove_reschedule(const ir::Program& before,
 LegalityResult prove_store_elimination(const ir::Program& before,
                                        const ir::Program& after);
 
-/// Prove a storage-reduction rewrite. Only full array-to-scalar
-/// contraction is modelled; shrinking/peeling rewrites return kUnknown.
+/// Prove a storage-reduction rewrite: arrays contracted to fresh scalars,
+/// and 2-D arrays shrunk to fresh column buffers (cur, prev, peeled
+/// columns), any number of each in one rewrite.
 LegalityResult prove_storage_reduction(const ir::Program& before,
                                        const ir::Program& after);
 

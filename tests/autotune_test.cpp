@@ -65,6 +65,18 @@ TEST(AutotuneHelpers, StrategyNamesRoundTrip) {
             Strategy::kGenetic);
 }
 
+// A daemon tune request may ask for 1024 cores; the scoring pool never
+// outgrows the host or the candidates it may score. Only the width is
+// computed here: no pool is started.
+TEST(AutotuneHelpers, ScoringPoolWidthIsCapped) {
+  EXPECT_EQ(scoring_threads(1024, 48, 4), 4);    // the host's threads
+  EXPECT_EQ(scoring_threads(1024, 16, 64), 16);  // the budget
+  EXPECT_EQ(scoring_threads(3, 48, 64), 3);      // the request
+  EXPECT_EQ(scoring_threads(1024, 48, 0), 1);    // host count unknown
+  EXPECT_EQ(scoring_threads(0, 48, 4), 1);
+  EXPECT_EQ(scoring_threads(-5, 48, 4), 1);
+}
+
 // The data-movement floor chain the certificate rests on:
 //   floor <= static bound <= memsim-measured traffic
 // on a workload whose arrays are whole L2 lines (n = 128 doubles =

@@ -400,8 +400,8 @@ int run_tune(const Options& o, const ir::Program& original) {
   std::cout << "autotune: " << tune::strategy_name(topts.strategy)
             << " search, budget " << topts.budget << ", gap "
             << o.tune_gap << "%, seed " << o.tune_seed << ", "
-            << topts.threads
-            << (topts.threads == 1 ? " thread\n" : " threads\n");
+            << result.threads
+            << (result.threads == 1 ? " thread\n" : " threads\n");
   std::cout << "evaluated " << result.evaluated << " candidates ("
             << result.infeasible << " infeasible)"
             << (result.early_stop ? "; stopped early within the gap"
