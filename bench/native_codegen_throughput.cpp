@@ -3,16 +3,17 @@
 // stride-1 stream kernels at fig3 scale.
 //
 // Two legs per kernel. The `values` leg replays without a memory
-// hierarchy: both engines compute the same values and bulk counters, so
-// the ratio isolates loop-kernel quality -- the VM's templated cursor
-// walk vs a host-compiled plain `for` loop -- and carries the hard >= 2x
-// regression floor in --smoke. The `sim` leg replays against the O2K
-// hierarchy with coalescing and fast-forward in the measurement
+// hierarchy: both engines compute the same values and counters (the VM
+// counts access by access, the native kernels in bulk), so the ratio
+// isolates loop-kernel quality -- the VM's per-iteration stream
+// interpreter vs a host-compiled plain `for` loop -- and carries the hard
+// >= 2x regression floor in --smoke. The `sim` leg replays against the
+// O2K hierarchy with coalescing and fast-forward in the measurement
 // configuration; per-access simulation dominates there, so its speedup
 // is modest and is guarded by the 20% regression check against
 // BENCH_baseline.json rather than an absolute floor. The reduce kernel
-// is the non-periodic representative: register-accumulator loops are
-// never fast-forwarded, so its sim leg is honest end-to-end replay.
+// is the non-periodic representative: store-free reductions are never
+// fast-forwarded, so its sim leg is honest end-to-end replay.
 //
 //   native_codegen_throughput [--smoke] [--json]
 //
@@ -66,8 +67,9 @@ ir::Program stride1_1w2r(std::int64_t n, std::int64_t reps) {
   return p;
 }
 
-/// Repeated full-array sum into a register accumulator: lowers to the
-/// kReduce stream shape, which neither parallelizes nor fast-forwards.
+/// Repeated full-array sum into a scalar: a one-statement reduction
+/// stream loop, which has no store, so it never fast-forwards and always
+/// replays per iteration.
 ir::Program stride1_reduce(std::int64_t n, std::int64_t reps) {
   using namespace ir::dsl;  // NOLINT
   ir::Program p("stride1 reduce x" + std::to_string(reps));

@@ -40,6 +40,7 @@ struct BwcNativeCtx {
   double* const* data;
   const std::uint64_t* bases;
   double* scalars;
+  const long long* iters;
   void* sink;
   void (*rec_load)(void* sink, std::uint64_t addr, std::uint64_t bytes);
   void (*rec_store)(void* sink, std::uint64_t addr, std::uint64_t bytes);
@@ -47,7 +48,7 @@ struct BwcNativeCtx {
   double (*input)(int key, long long linear);
   double (*call_f)(double x, double y);
   double (*call_g)(double x, double y);
-  int (*stream)(void* host, int loop_id);
+  int (*stream)(void* host, int loop_id, const long long* iters);
   int (*row_end)(void* host, int row, long long v);
   void* host;
   int err_array;
@@ -281,6 +282,7 @@ BwcNativeCtx make_base_ctx(const StreamContext& ctx) {
   c.data = ctx.data;
   c.bases = ctx.bases;
   c.scalars = ctx.scalars;
+  c.iters = reinterpret_cast<const long long*>(ctx.iters);
   c.input = input_tramp;
   c.call_f = call_f_tramp;
   c.call_g = call_g_tramp;
@@ -304,9 +306,9 @@ class NativeRangeExec final : public StreamRangeExec {
     if (rec.hierarchy() == nullptr) {
       if (upper < lower) return;
       values(sl, lower, upper, ctx);
-      rec.flops(stream_flops_per_iter(sl) *
+      rec.flops(stream_flops_per_iter(sl, stream_active(sl, ctx.iters)) *
                 static_cast<std::uint64_t>(upper - lower + 1));
-      replay_stream_accesses(sl, lower, upper, ctx.bases, rec);
+      replay_stream_accesses(sl, lower, upper, ctx, rec);
       return;
     }
     BwcNativeCtx c = make_base_ctx(ctx);
@@ -333,7 +335,7 @@ class NativeRangeExec final : public StreamRangeExec {
 };
 
 /// Everything the generated code's stream callback needs to dispatch a
-/// fused loop back through the host engine tiers. C++ exceptions must
+/// stream loop back through the host engine tiers. C++ exceptions must
 /// not unwind through the generated C frames, so the callback catches
 /// everything, parks the exception here, and aborts bwc_run with a
 /// nonzero status; the driver rethrows after bwc_run returns.
@@ -346,13 +348,14 @@ struct HostDriver {
   std::exception_ptr error;
 };
 
-int stream_callback(void* host, int loop_id) {
+int stream_callback(void* host, int loop_id, const long long* iters) {
   auto* d = static_cast<HostDriver*>(host);
   try {
     const StreamLoop& sl =
         d->lp->stream_loops[static_cast<std::size_t>(loop_id)];
     const StreamContext ctx{d->st->data.data(), d->st->lp.bases.data(),
-                            d->st->scalars.data()};
+                            d->st->scalars.data(),
+                            reinterpret_cast<const std::int64_t*>(iters)};
     run_stream_serial(sl, ctx, *d->rec, d->fast_forward, *d->exec);
     return 0;
   } catch (...) {

@@ -4,11 +4,13 @@
 // The backend walks the slot-resolved bytecode (runtime/lowering.h) and
 // emits one self-contained C translation unit per workload: the generic
 // op sequence becomes labeled straight-line C driven by gotos, and every
-// fused stream loop becomes a pair of plain `for` loops over raw slot
-// arrays -- a `range` kernel with the Recorder hooks compiled in as
-// direct calls through the context struct (the instrumented access
-// stream, byte-for-byte the VM's), and a bare `values` kernel that the
-// host C compiler can vectorize. The TU is compiled out of process with
+// stream loop becomes a pair of plain `for` loops over raw slot arrays,
+// its statements under guards evaluated once per entry from the
+// enclosing iteration values the generic code passes along -- a `range`
+// kernel with the Recorder hooks compiled in as direct calls through the
+// context struct (the instrumented access stream, byte-for-byte the
+// VM's), and a bare `values` kernel that the host C compiler can
+// vectorize. The TU is compiled out of process with
 // the host C compiler, dlopen'ed, and cached in a content-addressed
 // on-disk cache keyed by bwc::content_fingerprint (support/files.h) of
 // the generated source (which embeds the ABI version and compile flags),
@@ -145,7 +147,7 @@ inline constexpr char kNativeCFlags[] =
     "-O2 -fPIC -shared -ffp-contract=off -w";
 /// Bumped whenever the emitted ABI (context struct, entry-point
 /// signatures) changes; embedded in the source and checked after dlopen.
-inline constexpr int kNativeAbiVersion = 2;
+inline constexpr int kNativeAbiVersion = 3;
 }  // namespace detail
 
 }  // namespace bwc::runtime

@@ -1,8 +1,8 @@
 // C source emission for the native backend (runtime/codegen.h).
 //
 // The generated translation unit is deliberately primitive C99: every
-// bytecode op becomes a labeled statement (jumps are gotos), every fused
-// stream loop becomes a pair of flat `for` loops, and every value that
+// bytecode op becomes a labeled statement (jumps are gotos), every stream
+// loop becomes a pair of flat `for` loops, and every value that
 // must match the VM bit-for-bit is either a hexfloat literal (%a round-
 // trips doubles exactly) or comes back through a host function pointer
 // (inputs, intrinsics), so the C and C++ sides can never disagree on a
@@ -123,8 +123,8 @@ std::string array_addr_c(const Op& op, const std::string& offset) {
 
 /// Emit `int bwc_run(bwc_native_ctx*)`: the generic bytecode walked as
 /// labeled C with the recorder hooks compiled in. Stream loops call back
-/// into the host (ctx->stream), which drives the per-loop kernels below
-/// through the scheduler / fast-forward protocol.
+/// into the host (ctx->stream) with the enclosing iteration values, and
+/// the host drives the per-loop kernels below through run_stream_serial.
 void emit_run(std::string& out, const LoweredProgram& lp) {
   out += "int bwc_run(bwc_native_ctx* ctx) {\n";
   out += "  double* const S = ctx->scalars;\n";
@@ -255,13 +255,21 @@ void emit_run(std::string& out, const LoweredProgram& lp) {
         out += "  if (++" + it + " <= " + lit_i64(op.upper) + ") goto " + tgt +
                ";\n";
         break;
-      case OpCode::kStreamLoop:
+      case OpCode::kStreamLoop: {
+        // The kernels read the enclosing iteration values through
+        // ctx->iters, which the host sets from this array.
+        std::string its;
+        for (std::int32_t k = 0; k < lp.iter_slot_count; ++k)
+          its += (k == 0 ? "it" : ", it") + std::to_string(k);
         out += "  {\n";
+        out += its.empty() ? "    const i64* its = 0;\n"
+                           : "    const i64 its[] = {" + its + "};\n";
         out += "    const int rc = ctx->stream(ctx->host, " +
-               std::to_string(op.slot) + ");\n";
+               std::to_string(op.slot) + ", its);\n";
         out += "    if (rc != 0) return rc;\n";
         out += "  }\n";
         break;
+      }
       case OpCode::kHalt:
         out += "  return 0;\n";
         break;
@@ -271,78 +279,41 @@ void emit_run(std::string& out, const LoweredProgram& lp) {
   out += "}\n";
 }
 
-bool is_array(const StreamOperand& o) {
-  return o.kind == StreamOperand::Kind::kArray;
-}
-
-/// Emit the cursor setup for one stream operand, mirroring
-/// make_stream_cursor (stream_exec.h): constants and scalars hoist to a
-/// value local, arrays get a walking pointer (plus the simulated address
-/// in hooked kernels), the iteration variable reads inline.
-void emit_cursor(std::string& out, const StreamOperand& o, const char* name,
-                 bool hooks) {
-  const std::string n = name;
-  switch (o.kind) {
-    case StreamOperand::Kind::kConst:
-      out += "  const double " + n + "_v = " + lit_double(o.imm) + ";\n";
-      break;
-    case StreamOperand::Kind::kScalar:
-      out += "  const double " + n + "_v = S[" + std::to_string(o.slot) +
-             "];\n";
-      break;
-    case StreamOperand::Kind::kIter:
-      break;
-    case StreamOperand::Kind::kArray: {
-      const std::string slot = std::to_string(o.slot);
-      out += "  const i64 " + n + "_lin0 = " + lit_i64(o.lin_base) + " + " +
-             lit_i64(o.lin_coeff) + " * lower - 1;\n";
-      out += "  double* " + n + "_p = A" + slot + " + " + n + "_lin0;\n";
-      if (hooks) {
-        out += "  u64 " + n + "_addr = B" + slot + " + (u64)" + n +
-               "_lin0 * " + lit_u64(o.addr_scale) + ";\n";
-      }
-      break;
-    }
+/// C expression for a stream LinExpr over the entry's iteration values
+/// `I[slot]`.
+std::string stream_lin_c(const StreamLoop& sl, const LinExpr& e) {
+  std::string s = "(" + lit_i64(e.base);
+  const LinTerm* t = sl.terms.data() + e.first_term;
+  for (std::uint32_t k = 0; k < e.term_count; ++k) {
+    s += " + " + lit_i64(t[k].coeff) + " * I[" + std::to_string(t[k].slot) +
+         "]";
   }
+  return s + ")";
 }
 
-/// The read expression for an operand inside the loop body (after any
-/// hook call has been emitted).
-std::string cursor_read(const StreamOperand& o, const char* name) {
-  switch (o.kind) {
-    case StreamOperand::Kind::kConst:
-    case StreamOperand::Kind::kScalar: return std::string(name) + "_v";
-    case StreamOperand::Kind::kIter: return "(double)i";
-    case StreamOperand::Kind::kArray: return std::string("*") + name + "_p";
+/// C expression for a value-kernel operand inside the loop body. Scalars
+/// live in locals `s<slot>` for the whole range (nothing else runs while
+/// the kernel does), so reductions keep their accumulator in a register.
+std::string stream_src_c(const StreamSrc& s) {
+  const std::string n = std::to_string(s.index);
+  switch (s.kind) {
+    case StreamSrc::Kind::kReg: return "r" + n;
+    case StreamSrc::Kind::kConst: return lit_double(s.imm);
+    case StreamSrc::Kind::kScalar: return "s" + n;
+    case StreamSrc::Kind::kIter: return "(double)i";
+    case StreamSrc::Kind::kOuter: return "(double)I[" + n + "]";
+    case StreamSrc::Kind::kLoad: return "*p" + n;
+    case StreamSrc::Kind::kInput: return "ctx->input(k" + n + ", n" + n + ")";
   }
   return "0.0";
 }
 
-void emit_load_hook(std::string& out, const StreamOperand& o,
-                    const char* name) {
-  if (!is_array(o)) return;
-  out += "    ctx->rec_load(ctx->sink, " + std::string(name) + "_addr, " +
-         lit_u64(o.elem_bytes) + ");\n";
-}
-
-void emit_advance(std::string& out, const StreamOperand& o, const char* name,
-                  bool hooks) {
-  if (!is_array(o)) return;
-  const std::string n = name;
-  out += "    " + n + "_p += " + lit_i64(o.lin_coeff) + ";\n";
-  if (hooks) {
-    const std::int64_t step_bytes =
-        o.lin_coeff * static_cast<std::int64_t>(o.addr_scale);
-    out += "    " + n + "_addr += (u64)" + lit_i64(step_bytes) + ";\n";
-  }
-}
-
 /// Emit one stream-loop kernel. `hooks` selects the instrumented variant
-/// (per-access recorder calls in the VM's exact a, b, store order plus
-/// the bulk flop charge at the end) versus the bare values kernel that
-/// run_stream_values is replaced by. Both replay iterations [lower,
+/// (per-access recorder calls in tuple order, the flops of the active
+/// statements charged in bulk at the end) versus the bare values kernel
+/// that run_stream_values is replaced by. Both run iterations [lower,
 /// upper] only -- range semantics, so the fast-forward protocol can drive
-/// them.
+/// them -- with the statement set chosen once from the guards.
 void emit_stream_kernel(std::string& out, const LoweredProgram& lp,
                         std::size_t k, bool hooks) {
   const StreamLoop& sl = lp.stream_loops[k];
@@ -351,67 +322,145 @@ void emit_stream_kernel(std::string& out, const LoweredProgram& lp,
          "(bwc_native_ctx* ctx, i64 lower, i64 upper) {\n";
   out += "  const i64 trips = upper - lower + 1;\n";
   out += "  if (trips <= 0) return;\n";
+  out += "  const i64* const I = ctx->iters;\n";
+  out += "  (void)I;\n";
 
-  // Hoist the touched slots.
-  bool needs_scalars = sl.lhs.kind == StreamOperand::Kind::kScalar ||
-                       sl.a.kind == StreamOperand::Kind::kScalar ||
-                       sl.b.kind == StreamOperand::Kind::kScalar;
-  if (needs_scalars) out += "  double* const S = ctx->scalars;\n";
-  std::set<std::int32_t> slots;
-  for (const StreamOperand* o : {&sl.lhs, &sl.a, &sl.b})
-    if (is_array(*o)) slots.insert(o->slot);
-  for (std::int32_t a : slots) {
+  // Hoist the touched slots; scalars move into locals.
+  std::set<std::int32_t> arrays, scalars, written;
+  for (const StreamAccess& a : sl.accesses) arrays.insert(a.array);
+  const auto note = [&](const StreamSrc& s) {
+    if (s.kind == StreamSrc::Kind::kScalar) scalars.insert(s.index);
+  };
+  for (const StreamOp& op : sl.ops) {
+    note(op.a);
+    note(op.b);
+  }
+  for (const StreamStmt& st : sl.stmts) {
+    note(st.value);
+    if (st.to_scalar) {
+      scalars.insert(st.dest);
+      written.insert(st.dest);
+    }
+  }
+  if (!scalars.empty()) out += "  double* const S = ctx->scalars;\n";
+  for (std::int32_t s : scalars) {
+    const std::string n = std::to_string(s);
+    out += "  double s" + n + " = S[" + n + "];\n";
+  }
+  for (std::int32_t a : arrays) {
     const std::string n = std::to_string(a);
     out += "  double* const A" + n + " = ctx->data[" + n + "];\n";
     if (hooks) out += "  const u64 B" + n + " = ctx->bases[" + n + "];\n";
   }
 
-  if (sl.body == StreamLoop::Body::kReduce) {
-    // `s = s <op> a`: accumulator carried in a register, scalar written
-    // back once after the loop, load stream is a alone.
-    emit_cursor(out, sl.a, "a", hooks);
-    out += "  double acc = S[" + std::to_string(sl.lhs.slot) + "];\n";
-    out += "  for (i64 i = lower; i <= upper; ++i) {\n";
-    if (hooks) emit_load_hook(out, sl.a, "a");
-    out += "    const double x = " + cursor_read(sl.a, "a") + ";\n";
-    out += "    acc = " + bin_c(sl.bin_op, "acc", "x") + ";\n";
-    emit_advance(out, sl.a, "a", hooks);
-    out += "  }\n";
-    out += "  S[" + std::to_string(sl.lhs.slot) + "] = acc;\n";
-  } else {
-    emit_cursor(out, sl.lhs, "l", hooks);
-    emit_cursor(out, sl.a, "a", hooks);
-    if (stream_reads_b(sl)) emit_cursor(out, sl.b, "b", hooks);
-    out += "  for (i64 i = lower; i <= upper; ++i) {\n";
-    if (hooks) emit_load_hook(out, sl.a, "a");
-    out += "    const double x = " + cursor_read(sl.a, "a") + ";\n";
-    if (stream_reads_b(sl)) {
-      if (hooks) emit_load_hook(out, sl.b, "b");
-      out += "    const double y = " + cursor_read(sl.b, "b") + ";\n";
+  // The statement set of this entry.
+  for (std::size_t s = 0; s < sl.stmts.size(); ++s) {
+    const StreamStmt& st = sl.stmts[s];
+    std::string cond = "1";
+    for (std::uint32_t g = 0; g < st.guard_count; ++g) {
+      const StreamGuard& guard = sl.guards[st.first_guard + g];
+      cond += " && " + stream_lin_c(sl, guard.diff) + " " + cmp_c(guard.cmp) +
+              " 0";
     }
-    std::string r;
-    switch (sl.body) {
-      case StreamLoop::Body::kCopy: r = "x"; break;
-      case StreamLoop::Body::kBinary: r = bin_c(sl.bin_op, "x", "y"); break;
-      case StreamLoop::Body::kCallF: r = "ctx->call_f(x, y)"; break;
-      default: r = "ctx->call_g(x, y)"; break;  // kCallG; kReduce above
+    out += "  const int g" + std::to_string(s) + " = " + cond + ";\n";
+  }
+  if (hooks) {
+    out += "  u64 fpi = 0;\n";
+    for (std::size_t s = 0; s < sl.stmts.size(); ++s) {
+      if (sl.stmts[s].flops == 0) continue;
+      out += "  if (g" + std::to_string(s) + ") fpi += " +
+             lit_u64(sl.stmts[s].flops) + ";\n";
     }
-    out += "    const double r = " + r + ";\n";
+  }
+
+  // Cursors at iteration `lower`.
+  for (std::size_t a = 0; a < sl.accesses.size(); ++a) {
+    const StreamAccess& acc = sl.accesses[a];
+    const std::string n = std::to_string(a);
+    const std::string arr = std::to_string(acc.array);
+    out += "  double* p" + n + " = A" + arr + " + (" +
+           stream_lin_c(sl, acc.elem) + " + " + lit_i64(acc.elem_step) +
+           " * lower);\n";
     if (hooks) {
-      out += "    ctx->rec_store(ctx->sink, l_addr, " +
-             lit_u64(sl.lhs.elem_bytes) + ");\n";
+      out += "  u64 ad" + n + " = B" + arr + " + (u64)(" +
+             stream_lin_c(sl, acc.byte) + " + " + lit_i64(acc.byte_step) +
+             " * lower);\n";
     }
-    out += "    *l_p = r;\n";
-    emit_advance(out, sl.lhs, "l", hooks);
-    emit_advance(out, sl.a, "a", hooks);
-    if (stream_reads_b(sl)) emit_advance(out, sl.b, "b", hooks);
-    out += "  }\n";
   }
-  const std::uint64_t flops_per_iter = stream_flops_per_iter(sl);
-  if (hooks && flops_per_iter != 0) {
-    out += "  ctx->rec_flops(ctx->sink, " + lit_u64(flops_per_iter) +
-           " * (u64)trips);\n";
+  for (std::size_t in = 0; in < sl.inputs.size(); ++in) {
+    const StreamInput& input = sl.inputs[in];
+    const std::string n = std::to_string(in);
+    out += "  const int k" + n + " = " + std::to_string(input.key) + ";\n";
+    out += "  i64 n" + n + " = " + stream_lin_c(sl, input.elem) + " + " +
+           lit_i64(input.elem_step) + " * lower;\n";
   }
+  out += "  for (i64 i = lower; i <= upper; ++i) {\n";
+  for (std::size_t s = 0; s < sl.stmts.size(); ++s) {
+    const StreamStmt& st = sl.stmts[s];
+    out += "    if (g" + std::to_string(s) + ") {\n";
+    if (hooks) {
+      for (std::size_t a = 0; a < sl.accesses.size(); ++a) {
+        const StreamAccess& acc = sl.accesses[a];
+        if (acc.stmt != static_cast<std::int32_t>(s) || acc.is_store) continue;
+        out += "      ctx->rec_load(ctx->sink, ad" + std::to_string(a) + ", " +
+               lit_u64(acc.elem_bytes) + ");\n";
+      }
+    }
+    for (std::uint32_t o = st.first_op; o < st.first_op + st.op_count; ++o) {
+      const StreamOp& op = sl.ops[o];
+      const std::string n = std::to_string(o);
+      out += "      const double x" + n + " = " + stream_src_c(op.a) + ";\n";
+      out += "      const double y" + n + " = " + stream_src_c(op.b) + ";\n";
+      std::string r;
+      switch (op.code) {
+        case StreamOp::Code::kBinary:
+          r = bin_c(op.bin_op, "x" + n, "y" + n);
+          break;
+        case StreamOp::Code::kCallF:
+          r = "ctx->call_f(x" + n + ", y" + n + ")";
+          break;
+        case StreamOp::Code::kCallG:
+          r = "ctx->call_g(x" + n + ", y" + n + ")";
+          break;
+      }
+      out += "      const double r" + n + " = " + r + ";\n";
+    }
+    const std::string v = stream_src_c(st.value);
+    if (st.to_scalar) {
+      out += "      s" + std::to_string(st.dest) + " = " + v + ";\n";
+    } else {
+      const std::string d = std::to_string(st.dest);
+      out += "      const double v = " + v + ";\n";
+      if (hooks) {
+        const StreamAccess& a = sl.accesses[static_cast<std::size_t>(st.dest)];
+        out += "      ctx->rec_store(ctx->sink, ad" + d + ", " +
+               lit_u64(a.elem_bytes) + ");\n";
+      }
+      out += "      *p" + d + " = v;\n";
+    }
+    out += "    }\n";
+  }
+  for (std::size_t a = 0; a < sl.accesses.size(); ++a) {
+    const StreamAccess& acc = sl.accesses[a];
+    const std::string n = std::to_string(a);
+    if (acc.elem_step != 0)
+      out += "    p" + n + " += " + lit_i64(acc.elem_step) + ";\n";
+    if (hooks && acc.byte_step != 0)
+      out += "    ad" + n + " += (u64)" + lit_i64(acc.byte_step) + ";\n";
+  }
+  for (std::size_t in = 0; in < sl.inputs.size(); ++in) {
+    if (sl.inputs[in].elem_step != 0) {
+      out += "    n" + std::to_string(in) + " += " +
+             lit_i64(sl.inputs[in].elem_step) + ";\n";
+    }
+  }
+  out += "  }\n";
+  for (std::int32_t s : written) {
+    const std::string n = std::to_string(s);
+    out += "  S[" + n + "] = s" + n + ";\n";
+  }
+  if (hooks)
+    out += "  if (fpi != 0) ctx->rec_flops(ctx->sink, fpi * (u64)trips);\n";
   out += "}\n";
 }
 
@@ -432,6 +481,7 @@ std::string emit_c_source(const LoweredProgram& lowered) {
   out += "  double* const* data;\n";
   out += "  const u64* bases;\n";
   out += "  double* scalars;\n";
+  out += "  const i64* iters;\n";
   out += "  void* sink;\n";
   out += "  void (*rec_load)(void* sink, u64 addr, u64 bytes);\n";
   out += "  void (*rec_store)(void* sink, u64 addr, u64 bytes);\n";
@@ -439,7 +489,7 @@ std::string emit_c_source(const LoweredProgram& lowered) {
   out += "  double (*input)(int key, i64 linear);\n";
   out += "  double (*call_f)(double x, double y);\n";
   out += "  double (*call_g)(double x, double y);\n";
-  out += "  int (*stream)(void* host, int loop_id);\n";
+  out += "  int (*stream)(void* host, int loop_id, const i64* iters);\n";
   out += "  int (*row_end)(void* host, int row, i64 v);\n";
   out += "  void* host;\n";
   out += "  int err_array;\n";

@@ -65,16 +65,16 @@ class Vm {
     return linear;
   }
 
-  // -- Fused stream loops ---------------------------------------------------
+  // -- Stream loops ---------------------------------------------------------
   // One kStreamLoop op replaces the whole innermost loop (see
-  // stream_exec.h for the range executor shared with the native
-  // engine). The per-element access stream is byte-for-byte the one the
-  // generic op sequence would produce, so coalescing and the cache
-  // simulation see no difference.
+  // stream_exec.h for the kernels shared with the native engine). The
+  // per-element access stream is byte-for-byte the one the generic op
+  // sequence would produce, so coalescing and the cache simulation see no
+  // difference.
 
   void run_stream_loop(const StreamLoop& sl) {
     const StreamContext ctx{st_.data.data(), st_.lp.bases.data(),
-                            st_.scalars.data()};
+                            st_.scalars.data(), iters_.data()};
     run_stream_serial(sl, ctx, recorder_, fast_forward_);
   }
 

@@ -34,7 +34,7 @@ struct ExecOptions {
   /// preserves boundary traffic byte-for-byte (see recorder.h); the
   /// reference interpreter simulates every element.
   memsim::MemoryHierarchy* hierarchy = nullptr;
-  /// Compiled engine only: steady-state fast-forward for fused stream
+  /// Compiled engine only: steady-state fast-forward for stream
   /// loops and for the rows of certified outer loops
   /// (runtime/fastforward.h). A stream loop's values run first, then its
   /// access stream replays period by period until memsim::PeriodDetector

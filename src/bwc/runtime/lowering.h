@@ -17,13 +17,23 @@
 //                       locate() becomes a few integer multiply-adds
 //  * statement tree  -> a compact Op array with explicit jump targets,
 //                       executed by a tight dispatch loop (compiled.h)
-//  * loops           -> StreamLoop (fused innermost loops) and RowLoop
-//                       (rows that repeat one byte step apart) side
-//                       tables, the periods of fast-forward
+//  * innermost loops -> StreamLoop: every innermost loop whose body is
+//                       assignments under guards on enclosing variables
+//                       only, with every access provably in bounds,
+//                       becomes one kStreamLoop op -- K statements, each a
+//                       register-form value kernel, plus one access tuple
+//                       in VM order whose byte bases are affine in the
+//                       enclosing iteration slots
+//  * outer loops     -> RowLoop (rows that repeat one byte step apart),
+//                       with the stream loops inside read through their
+//                       base expressions; the periods of fast-forward
 //
-// Lowering validates what the interpreter would only discover at run
-// time: references to undeclared scalars, unbound loop variables and
-// malformed intrinsic calls all throw bwc::Error here.
+// Anything else stays generic ops: guards that read the inner variable,
+// `else` arms, and accesses whose bounds cannot be proven (so the VM
+// raises its exact out-of-bounds error). Lowering validates what the
+// interpreter would only discover at run time: references to undeclared
+// scalars, unbound loop variables and malformed intrinsic calls all throw
+// bwc::Error here.
 #pragma once
 
 #include <cstdint>
@@ -80,59 +90,125 @@ enum class OpCode : std::uint8_t {
   kLoopBegin,    // if lower > upper goto target; else iters[slot] = lower
   kLoopEnd,      // if ++iters[slot] <= upper goto target (body start);
                  // a certified loop (row >= 0) reports each row end first
-  kStreamLoop,   // run stream_loops[slot] natively (fused innermost loop)
+  kStreamLoop,   // run stream_loops[slot] (a whole innermost loop)
   kHalt,         // end of program
 };
 
-/// One operand of a fused stream loop: a constant, a scalar read, the loop
-/// variable itself, or a 1-D array reference whose subscript is
-/// `lin_base + lin_coeff * i` in the fused loop's variable.
-struct StreamOperand {
-  enum class Kind : std::uint8_t { kConst, kScalar, kIter, kArray };
+/// A value operand of a stream statement's kernel.
+struct StreamSrc {
+  enum class Kind : std::uint8_t {
+    kReg,     // the result of op `index` of the loop (StreamLoop::ops)
+    kConst,   // imm
+    kScalar,  // scalars[index]; the body may also write it
+    kIter,    // the inner loop variable
+    kOuter,   // iters[index], an enclosing loop's variable (fixed per entry)
+    kLoad,    // the value of access `index` of the tuple (a load)
+    kInput,   // input read `index` (StreamLoop::inputs): not an access
+  };
   Kind kind = Kind::kConst;
-  double imm = 0.0;            // kConst
-  std::int32_t slot = 0;       // kScalar: scalar slot; kArray: array id
-  std::int64_t lin_base = 0;   // kArray subscript intercept
-  std::int64_t lin_coeff = 0;  // kArray subscript slope in the loop var
-  std::uint64_t elem_bytes = 8;
-  /// Simulated bytes between consecutive layout slots (elem_bytes when the
-  /// array is not interleaved); the cursor step is lin_coeff * addr_scale.
-  std::uint64_t addr_scale = 8;
+  std::int32_t index = 0;
+  double imm = 0.0;
 };
 
-/// A fused innermost loop: `for i = lower..upper` around one streaming
-/// statement. Lowering only builds one when every access is a 1-D affine
-/// subscript in the loop variable alone and provably in bounds over the
-/// whole trip range, so the executor can run the body as a tight native
-/// loop -- pointers advanced incrementally, no per-iteration dispatch,
-/// bounds checks hoisted out -- while producing the identical access
-/// stream, element order and flop totals as the generic op sequence.
+/// One arithmetic op of a value kernel, `a <bin_op> b` or an intrinsic
+/// call f(a, b) / g(a, b). Op k of a loop leaves its result in register k,
+/// which later operands name as {kReg, k}. Ops are in the VM's evaluation
+/// order, so their loads are the tuple's loads in order.
+struct StreamOp {
+  enum class Code : std::uint8_t { kBinary, kCallF, kCallG };
+  Code code = Code::kBinary;
+  ir::BinOp bin_op = ir::BinOp::kAdd;  // kBinary
+  std::int32_t flops = 0;              // charged per execution
+  StreamSrc a, b;
+};
+
+/// One entry of a stream loop's access tuple. Offsets are affine: at
+/// inner-variable value i the access touches storage element
+/// `elem + elem_step * i` and simulated address
+/// `bases[array] + byte + byte_step * i`, where `elem` and `byte` are
+/// LinExprs over the enclosing loops' iteration slots (terms in
+/// StreamLoop::terms), evaluated once per entry. The byte forms come from
+/// the dims' layout_stride * addr_scale, so declared layouts need no
+/// special case.
+struct StreamAccess {
+  std::int32_t array = 0;
+  std::int32_t stmt = 0;  // the statement issuing it
+  bool is_store = false;
+  std::uint64_t elem_bytes = 8;
+  LinExpr elem, byte;
+  std::int64_t elem_step = 0, byte_step = 0;
+};
+
+/// An input read ir::input_value(key, elem + elem_step * i), linearized
+/// against the stream's original extents like kPushInput.
+struct StreamInput {
+  std::int32_t key = 0;
+  LinExpr elem;
+  std::int64_t elem_step = 0;
+};
+
+/// One conjunct of a statement's guard: `diff <cmp> 0`, where diff is
+/// the guard's lhs - rhs over enclosing iteration slots only.
+struct StreamGuard {
+  ir::CmpOp cmp = ir::CmpOp::kEq;
+  LinExpr diff;
+};
+
+/// One assignment of a stream loop's body: its guards (a conjunction over
+/// the enclosing loops' variables, fixed for the whole entry), its value
+/// kernel (ops [first_op, first_op + op_count) followed by `value`), and
+/// its destination: a store access of the tuple or a scalar slot.
+struct StreamStmt {
+  std::uint32_t first_guard = 0, guard_count = 0;
+  std::uint32_t first_op = 0, op_count = 0;
+  StreamSrc value;
+  bool to_scalar = false;
+  std::int32_t dest = 0;  // access index, or scalar slot when to_scalar
+  std::uint64_t flops = 0;  // per iteration: the sum over its ops
+};
+
+/// Size limits of one stream loop: the executors keep their per-entry
+/// state in fixed arrays, and a loop over any limit stays generic.
+inline constexpr std::size_t kMaxStreamStmts = 64;
+inline constexpr std::size_t kMaxStreamOps = 128;
+inline constexpr std::size_t kMaxStreamAccesses = 64;
+inline constexpr std::size_t kMaxStreamInputs = 16;
+
+/// An innermost loop `for i = lower..upper` whose body is K assignments,
+/// each under a conjunction of guards on enclosing loop variables only.
+/// Lowering builds one only when every access of every statement is
+/// provably in bounds over the box of the enclosing loops' ranges
+/// (narrowed by the statement's single-variable guards), so the executors
+/// run it without per-access bounds checks: the statement set is chosen
+/// once at entry, the value kernels run per iteration (or column by column
+/// where the loop is order-free), and the accesses replay from one fixed
+/// tuple -- byte-for-byte the stream the generic op sequence would issue.
 struct StreamLoop {
-  /// Statement shape. kReduce is `s = s <bin_op> operand_a` with the
-  /// accumulator carried in a register across iterations.
-  enum class Body : std::uint8_t { kCopy, kBinary, kCallF, kCallG, kReduce };
-  Body body = Body::kCopy;
-  ir::BinOp bin_op = ir::BinOp::kAdd;  // kBinary/kReduce
-  std::int32_t call_flops = 0;         // kCallF/kCallG per-iteration charge
   std::int64_t lower = 0, upper = 0;
-  bool lhs_is_array = false;
-  StreamOperand lhs;       // kArray destination, or kScalar for kReduce
-  StreamOperand a, b;      // rhs operands (b unused for kCopy/kReduce)
-  /// Per-iteration byte shift shared by *every* array access of the body,
-  /// or 0 when no such uniform shift exists (reductions, mixed strides,
-  /// stride-0 destinations). Nonzero means the loop's whole access tuple
-  /// translates by this constant each iteration -- the precondition for
-  /// steady-state fast-forward (runtime/fastforward.h).
+  /// The inner variable's iteration slot (its nesting depth); the
+  /// enclosing loops own the slots below it.
+  std::int32_t slot = 0;
+  std::vector<StreamStmt> stmts;  // program order
+  std::vector<StreamGuard> guards;
+  std::vector<StreamOp> ops;
+  /// The access tuple in VM order: for each statement, its rhs loads left
+  /// to right, then its store.
+  std::vector<StreamAccess> accesses;
+  std::vector<StreamInput> inputs;
+  /// Terms of every LinExpr above.
+  std::vector<LinTerm> terms;
+  /// The byte step shared by *every* access of the tuple, or 0 when no
+  /// such uniform step exists (mixed strides, stride-0 accesses) or the
+  /// tuple has no store (pure reductions stay out). Nonzero means the
+  /// tuple translates by this constant each iteration -- the
+  /// precondition for steady-state fast-forward (runtime/fastforward.h).
   std::int64_t uniform_step_bytes = 0;
-  /// Static order-free certificate, computed once at lowering time
-  /// (verify::certify_parallel_accesses over the loop's byte-linear
-  /// accesses): kIndependent proves no two distinct iterations touch
-  /// overlapping bytes with a write involved, so the iterations may run
-  /// in any order; kDependent carries a concrete cross-iteration
-  /// conflict. Only kIndependent loops take the vectorized values kernels
-  /// of the values-first pass (stream_loop_parallel_safe, stream_exec.h;
-  /// run_stream_values, fastforward.h), which walk a descending loop
-  /// ascending; kDependent and kUnknown loops keep iteration order.
+  /// Static order-free certificate of the tuple, computed once at
+  /// lowering time (verify::certify_parallel_accesses; accesses of one
+  /// array are only comparable when their outer coefficients agree):
+  /// kIndependent proves no two distinct iterations touch overlapping
+  /// bytes with a write involved. Only such loops run their values column
+  /// by column (stream_exec.h); the others keep iteration order.
   verify::Verdict parallel_safety = verify::Verdict::kUnknown;
 };
 

@@ -178,6 +178,11 @@ class Recorder {
   /// so their state never becomes translation-stationary.
   void end_row(const RowLoop& loop, std::int64_t v);
 
+  /// True while end_row has detached the hierarchy for certified rows:
+  /// the accesses issued now are only counted, so a stream loop may run
+  /// its values first and count its tuple in bulk.
+  bool skipping_rows() const { return rows_.detached != nullptr; }
+
   /// Record one fast-forward event that skipped `iterations` loop
   /// iterations past simulation: stream-loop iterations, or rows of a
   /// certified loop (each row counts as one iteration of that loop).

@@ -28,6 +28,7 @@ using verify::AffineRef;
 using verify::VarDomain;
 using verify::names_element;
 using verify::pinned_value;
+using verify::reads_written_rows;
 using verify::runs_within;
 
 /// The references of every top-level statement (verify::collect_refs): the
@@ -203,6 +204,7 @@ std::optional<ShrinkPlan> plan_shrink(const Program& p, ArrayId array,
   // Variable-column refs must all live in one two-deep loop.
   ShrinkPlan plan;
   std::int64_t inner_trips = 0;
+  const AffineRef* sweep_write = nullptr;  // the first variable-column write
   for (const auto& [top, r] : refs) {
     if (r->subscripts.size() != 2) return std::nullopt;
     if (r->subscripts[1].is_constant()) continue;  // constant column: peel
@@ -221,11 +223,20 @@ std::optional<ShrinkPlan> plan_shrink(const Program& p, ArrayId array,
     } else if (plan.loop_top != top) {
       return std::nullopt;
     }
+    if (r->write && sweep_write == nullptr) sweep_write = r;
   }
   if (plan.loop_top < 0) return std::nullopt;  // only constant columns
+  // The sweep leaves column c as its first write does at j == c (the
+  // checks below reject the plan unless that write covers the nest).
+  const auto sweep_write_at = [&](std::int64_t c) {
+    AffineRef at = *sweep_write;
+    at.domains.front() = VarDomain::range(c, c);
+    return at;
+  };
 
   // Validate every reference.
   int first_write = -1;
+  std::vector<std::size_t> boundary_reads;  // offset -1 reads at j == lo
   int first_read0 = -1;
   for (std::size_t k = 0; k < refs.size(); ++k) {
     const int top = refs[k].top;
@@ -246,15 +257,13 @@ std::optional<ShrinkPlan> plan_shrink(const Program& p, ArrayId array,
         if (!off.has_value() || (*off != 0 && *off != -1)) {
           // ...otherwise the column outlives the cur/prev rotation and
           // must be peeled, with the sweep's write at j == c duplicated
-          // into the peel array. Safe only for reads that execute after
-          // the column was written: in the sweep loop at iterations > c,
-          // or in a later top-level statement.
-          if (r.write) return std::nullopt;
-          if (top == plan.loop_top) {
-            if (first_outer(r.domains) <= c) return std::nullopt;
-          } else if (top < plan.loop_top) {
+          // into the peel array. Safe only for reads of rows the sweep
+          // writes, after it wrote them: in the sweep loop at iterations
+          // > c, or in a later top-level statement.
+          if (r.write || sweep_write == nullptr ||
+              !reads_written_rows(r, top, sweep_write_at(c), plan.loop_top,
+                                  /*r_after_w=*/false))
             return std::nullopt;
-          }
           plan.peel_columns.insert(c);
           plan.dual_write_columns.insert(c);
           continue;
@@ -287,8 +296,10 @@ std::optional<ShrinkPlan> plan_shrink(const Program& p, ArrayId array,
       plan.reads_prev = true;
       // Can this read execute at the first outer iteration? Then it needs
       // the peeled previous column.
-      if (first_outer(r.domains) <= plan.outer_lo)
+      if (first_outer(r.domains) <= plan.outer_lo) {
         plan.boundary_dispatch = true;
+        boundary_reads.push_back(k);
+      }
     } else {
       return std::nullopt;  // reads further back than one iteration
     }
@@ -301,6 +312,38 @@ std::optional<ShrinkPlan> plan_shrink(const Program& p, ArrayId array,
   if (plan.boundary_dispatch &&
       plan.peel_columns.count(plan.outer_lo - 1) == 0) {
     return std::nullopt;  // boundary value would be lost
+  }
+
+  // A peeled column outside the sweep range holds only what the program
+  // writes to it, never the array's initial contents: its first reference
+  // (it has one: only constant-column references add peels) must be a
+  // write W, and every read must see only W's rows -- the reads of the
+  // column, and for column lo - 1 the sweep's boundary reads at j == lo.
+  for (const std::int64_t c : plan.peel_columns) {
+    if (plan.dual_write_columns.count(c) != 0) continue;
+    std::optional<std::size_t> w;
+    for (std::size_t k = 0; k < refs.size(); ++k) {
+      const auto& [top, r] = refs[k];
+      if (!r->subscripts[1].is_constant() ||
+          r->subscripts[1].constant_term() != c)
+        continue;
+      if (!w) {
+        if (!r->write) return std::nullopt;
+        w = k;
+      } else if (!r->write &&
+                 !reads_written_rows(*r, top, *refs[*w].ref, refs[*w].top,
+                                     /*r_after_w=*/true)) {
+        return std::nullopt;
+      }
+    }
+    if (c != plan.outer_lo - 1 || !plan.boundary_dispatch) continue;
+    for (const std::size_t k : boundary_reads) {
+      AffineRef at_lo = *refs[k].ref;
+      at_lo.domains.front() = VarDomain::range(plan.outer_lo, plan.outer_lo);
+      if (!reads_written_rows(at_lo, plan.loop_top, *refs[*w].ref,
+                              refs[*w].top, /*r_after_w=*/k > *w))
+        return std::nullopt;
+    }
   }
   return plan;
 }

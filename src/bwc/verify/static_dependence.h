@@ -253,6 +253,21 @@ bool runs_within(const AffineRef& r, const AffineRef& w);
 bool names_element(const AffineRef& r,
                    const std::vector<ir::Affine>& canonical);
 
+/// The values `a` takes over the hulls of `r`'s domains, or nullopt when
+/// it uses a variable outside r's context.
+std::optional<Interval> affine_range(const AffineRef& r, const ir::Affine& a);
+
+/// Does read `r` (in top-level statement `r_top`) of one column of a 2-D
+/// array see only values that write `w` (in statement `w_top`) stored to
+/// it? `w` must cover whole rows -- its row subscript is one of its loop
+/// variables, whose exact domain is one interval -- and `r` must read rows
+/// within those, after `w`: in a later statement, in w's statement at an
+/// iteration of the outermost loop after w's last, or, when `r_after_w`
+/// (r follows w in program order), at w's element wherever r runs. The
+/// peel fact reduce-storage plans with and its static proof re-checks.
+bool reads_written_rows(const AffineRef& r, int r_top, const AffineRef& w,
+                        int w_top, bool r_after_w);
+
 /// Statement-pair dependence fact: can some instance of top-level statement
 /// `stmt_a` and some instance of `stmt_b` touch a common element of `array`
 /// (or of scalar `scalar`) with at least one side writing, in distinct

@@ -1065,21 +1065,6 @@ class CopyStripper {
   ShrinkCopies& out_;
 };
 
-/// The values `a` takes over a context's domains, or nullopt when it uses
-/// a variable outside the context.
-std::optional<Interval> affine_range(const AffineRef& r, const ir::Affine& a) {
-  Interval out{a.constant_term(), a.constant_term()};
-  for (const auto& [name, coeff] : a.terms()) {
-    const auto it = std::find(r.loop_vars.begin(), r.loop_vars.end(), name);
-    if (it == r.loop_vars.end()) return std::nullopt;
-    const Interval h =
-        r.domains[static_cast<std::size_t>(it - r.loop_vars.begin())].hull();
-    out.lo += coeff * (coeff > 0 ? h.lo : h.hi);
-    out.hi += coeff * (coeff > 0 ? h.hi : h.lo);
-  }
-  return out;
-}
-
 /// Shrink and peel of a 2-D array to column buffers, by the facts
 /// reduce-storage's plan relies on, decided on `before`'s exact domains.
 /// The first write W0 fixes the sweep nest (j outer over [lo, hi], i inner)
@@ -1092,7 +1077,8 @@ std::optional<Interval> affine_range(const AffineRef& r, const ir::Affine& a) {
 ///   - every write of cur is followed by `if (j == C) colC[r] = cur[r]`,
 ///     so once column C is done colC holds it: a read of A[r, C] for rows
 ///     the sweep writes may read colC at j > C, in a later statement, or
-///     as A[i, j] after W0 at j == C.
+///     as A[i, j] after W0 at j == C (reads_written_rows, the fact
+///     reduce-storage's plan checks too).
 bool shrink_holds(const ir::Program& before, const ir::Program& after,
                   const std::vector<const MappedRef*>& occ,
                   const ShrinkCopies& copies, LegalityResult* res) {
@@ -1157,16 +1143,16 @@ bool shrink_holds(const ir::Program& before, const ir::Program& after,
     if (peel == copies.peel.end()) return fail("shrink-buffer-unknown");
     const std::int64_t c = peel->second.column;
     const ir::Affine& col = o.ref.subscripts[1];
-    const auto rows = affine_range(o.ref, o.ref.subscripts[0]);
     const bool copied = peel->second.cur == cur &&
                         peel->second.var == outer.var && c >= outer.lower &&
                         c <= outer.upper && col.is_constant() &&
-                        col.constant_term() == c && rows.has_value() &&
-                        rows->lo >= inner.lower && rows->hi <= inner.upper;
-    const bool done = o.atom->top > top ||
-                      (in_sweep(o) && o.ref.domains[0].hull().lo > c) ||
-                      (names(o, 0) && k > k0);
-    if (!copied || !done) return fail("shrink-peel-read-unmodelled");
+                        col.constant_term() == c;
+    if (!copied) return fail("shrink-peel-read-unmodelled");
+    // The peel holds column c as W0 leaves it at j == c.
+    AffineRef at_c = w0.ref;
+    at_c.domains.front() = VarDomain::range(c, c);
+    if (!reads_written_rows(o.ref, o.atom->top, at_c, top, k > k0))
+      return fail("shrink-peel-read-unmodelled");
   }
   // Every write of cur carries the dual write of every peel of cur.
   std::set<std::string> peels;

@@ -181,6 +181,20 @@ TEST(NativeEngine, RandomPrograms2D) {
   }
 }
 
+TEST(NativeEngine, OptimizedRandomPrograms) {
+  if (!compiler_available()) GTEST_SKIP() << "no host C compiler";
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Prng rng(seed);
+    expect_native_identical(
+        core::optimize(workloads::random_program(rng)).program);
+  }
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Prng rng(seed);
+    expect_native_identical(
+        core::optimize(workloads::random_program_2d(rng, 16, 3)).program);
+  }
+}
+
 TEST(NativeEngine, RowFastForward2D) {
   // The 16-48-wide nests above never arm row fast-forward; at n = 256 the
   // rows certify, so the native engine's row hook must skip exactly the

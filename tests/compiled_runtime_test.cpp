@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "bwc/core/optimizer.h"
 #include "bwc/ir/dsl.h"
 #include "bwc/machine/machine_model.h"
 #include "bwc/runtime/compiled.h"
@@ -118,6 +119,21 @@ TEST(CompiledEngine, RandomPrograms2D) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Prng rng(seed);
     expect_engines_agree(workloads::random_program_2d(rng, 16, 3));
+  }
+}
+
+/// The default pipeline's outputs: fused multi-statement bodies, guards
+/// on outer variables and contracted storage, which lower to K-statement
+/// stream loops.
+TEST(CompiledEngine, OptimizedRandomPrograms) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Prng rng(seed);
+    expect_engines_agree(core::optimize(workloads::random_program(rng)).program);
+  }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Prng rng(seed);
+    expect_engines_agree(
+        core::optimize(workloads::random_program_2d(rng, 16, 3)).program);
   }
 }
 

@@ -594,6 +594,85 @@ TEST(StorageReduction, PinnedColumnOfALaterLoopIsPeeled) {
   expect_same_semantics(p, r.program);
 }
 
+/// The optimized program with verification on: no shrink of `a`, and the
+/// checksum of `p`.
+void expect_shrink_declined(const Program& p) {
+  const StorageReductionResult r = reduce_storage(p);
+  for (const std::string& action : r.actions)
+    EXPECT_EQ(action.find("shrank array a"), std::string::npos) << action;
+  core::OptimizeResult result;
+  ASSERT_NO_THROW(result = core::optimize(p));
+  for (int a = 0; a < result.program.array_count(); ++a)
+    EXPECT_NE(result.program.array(a).name, "a_cur");
+  expect_same_semantics(p, result.program);
+}
+
+TEST(StorageReduction, UnwrittenPeelColumnIsDeclined) {
+  // The sweep starts at j = 2 and a later loop reads column 1, which
+  // nothing writes: a peel buffer for it would start with other contents
+  // than the array.
+  Program p("peel outside the sweep");
+  const ArrayId a = p.add_array("a", {8, 8});
+  p.add_scalar("s");
+  p.mark_output_scalar("s");
+  p.append(loop("j", 2, 8,
+                loop("i", 1, 8,
+                     assign(a, {v("i"), v("j")},
+                            at(a, v("i"), v("j", -1)) + lit(1.0)))));
+  p.append(assign("s", lit(0.0)));
+  p.append(loop("i", 1, 8, assign("s", sref("s") + at(a, v("i"), k(1)))));
+  expect_shrink_declined(p);
+  // The same without the j - 1 read: column 1 is still never written.
+  Program q("peel outside the sweep, no boundary read");
+  const ArrayId b = q.add_array("a", {8, 8});
+  q.add_scalar("s");
+  q.mark_output_scalar("s");
+  q.append(loop("j", 2, 8,
+                loop("i", 1, 8,
+                     assign(b, {v("i"), v("j")},
+                            input2(2, v("i"), v("j"), 8, 8) + lit(1.0)),
+                     assign("s", sref("s") + at(b, v("i"), v("j"))))));
+  q.append(loop("i", 1, 8, assign("s", sref("s") + at(b, v("i"), k(1)))));
+  expect_shrink_declined(q);
+}
+
+TEST(StorageReduction, BoundaryReadBeforeThePeelWriteIsDeclined) {
+  // The sweep writes column 1 itself at j == 2, but after the j - 1 read
+  // that reaches column 1 at j == 2: the peel buffer would be read before
+  // its first write.
+  Program p("boundary read before the peel write");
+  const ArrayId a = p.add_array("a", {8, 8});
+  p.add_scalar("s");
+  p.mark_output_scalar("s");
+  p.append(loop(
+      "j", 2, 8,
+      loop("i", 1, 8,
+           assign(a, {v("i"), v("j")}, at(a, v("i"), v("j", -1)) + lit(1.0)),
+           when(ir::CmpOp::kEq, v("j"), k(2),
+                assign(a, {v("i"), k(1)}, input2(3, v("i"), v("j"), 8, 8))))));
+  p.append(assign("s", lit(0.0)));
+  p.append(loop("i", 1, 8, assign("s", sref("s") + at(a, v("i"), k(1)))));
+  expect_shrink_declined(p);
+}
+
+TEST(StorageReduction, PeelReadOutsideTheSweptRowsIsDeclined) {
+  // The sweep writes rows 2..8 and a later loop reads column 3 in rows
+  // 1..8: row 1 of the peel buffer would never be written.
+  Program p("peel rows outside the sweep");
+  const ArrayId a = p.add_array("a", {8, 8});
+  p.add_scalar("s");
+  p.mark_output_scalar("s");
+  p.append(loop("j", 1, 8,
+                loop("i", 2, 8,
+                     assign(a, {v("i"), v("j")},
+                            input2(1, v("i"), v("j"), 8, 8) + lit(1.0)))));
+  p.append(assign("s", lit(0.0)));
+  p.append(loop("j", 2, 8,
+                loop("i", 2, 8, assign("s", sref("s") + at(a, v("i"), v("j"))))));
+  p.append(loop("i", 1, 8, assign("s", sref("s") + at(a, v("i"), k(3)))));
+  expect_shrink_declined(p);
+}
+
 /// One to three j/i sweeps over t[i,j], each statement under a random
 /// guard: a write at column j, reads at j, at j-1 (under j >= 2) and at a
 /// constant column. Guards compare i, 1*j or 2*j, or i - j (which the
