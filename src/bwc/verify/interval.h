@@ -2,10 +2,12 @@
 //
 // Guards in the IR compare two affine expressions; when their difference
 // involves a single loop variable, the guard carves that variable's
-// interval into the sub-intervals where the branch runs. Both the
-// structural validator and the traffic-bound analyzer refine through
-// guards this way, which is what makes them exact on fused programs
-// (whose bodies sit under outer-union, alignment and promotion guards).
+// interval into the sub-intervals where the branch runs. The static
+// engine's site walk (static_dependence.cpp, which every reference-based
+// analysis and the traffic bound read) and the structural validator
+// refine through guards this way, which is what makes them exact on fused
+// programs (whose bodies sit under outer-union, alignment and promotion
+// guards).
 #pragma once
 
 #include <cstdint>

@@ -469,13 +469,12 @@ struct SiteWalker {
     }
     auto sv = diff.single_var();
     int level = -1;
-    if (sv) {
-      auto it = std::find(vars.begin(), vars.end(), *sv);
-      if (it != vars.end()) level = static_cast<int>(it - vars.begin());
-    }
+    if (sv && std::count(vars.begin(), vars.end(), *sv) == 1)
+      level = static_cast<int>(std::find(vars.begin(), vars.end(), *sv) -
+                               vars.begin());
     if (level < 0) {
-      // Multi-variable (or out-of-scope) guard: cannot refine. Walk both
-      // arms with over-approximated domains.
+      // Multi-variable, out-of-scope or shadowed-variable guard: cannot
+      // refine. Walk both arms with over-approximated domains.
       bool saved = exact;
       exact = false;
       walk_list(s.then_body, tpos);

@@ -108,7 +108,8 @@ struct AffineRef {
   /// (indices down the statement tree), used to order same-iteration events.
   std::vector<int> body_pos;
   /// Domains are exact. False when an enclosing guard could not be split
-  /// (multi-variable condition): the domains over-approximate, so
+  /// (multi-variable condition, or a variable that more than one
+  /// enclosing loop binds): the domains over-approximate, so
   /// independence proofs remain sound but dependence proofs are disabled.
   bool exact_domain = true;
 };
@@ -204,7 +205,9 @@ struct SiteWalk {
 };
 
 /// Walk one top-level statement, refining loop domains through guards with
-/// the interval.h splitter, and return every assignment site.
+/// the interval.h splitter, and return every assignment site. A guard on a
+/// name that more than one enclosing loop binds is walked unrefined, like a
+/// multi-variable guard.
 SiteWalk collect_assign_sites(const ir::Stmt& top);
 
 /// The references of one assignment site: rhs reads (pre-order), then the

@@ -1,274 +1,182 @@
 #include "bwc/verify/traffic_bound.h"
 
 #include <algorithm>
-#include <map>
-#include <optional>
-#include <set>
 #include <utility>
 
 #include "bwc/ir/stmt.h"
-#include "bwc/verify/interval.h"
+#include "bwc/verify/static_dependence.h"
 
 namespace bwc::verify {
 
 namespace {
 
-/// One array reference's static access description.
+/// One array reference over one combination of its site's domain pieces:
+/// a guard the splitter refines can leave a loop variable several pieces,
+/// and each combination is one box.
 struct Ref {
   std::vector<Interval> box;  // per-dim subscript value range
-  bool boxy = true;           // all coefficients in {0, +-1}: box is exact
-  std::int64_t count = 0;     // distinct elements this ref alone touches
-};
-
-/// Floor-analysis view of one reference (reads and writes, guarded or
-/// not), recorded alongside Ref so compute_traffic_bound's inputs stay
-/// untouched. Boxes of guarded refs are over-approximations (the guard
-/// may suppress any subset), which is exactly what subtraction from an
-/// initial-read claim needs.
-struct FRef {
-  std::vector<Interval> box;
   std::vector<ir::Affine> subs;
-  bool is_write = false;
-  bool guarded = false;  // under an unrefinable guard: may not execute
-  /// Definitely touches every element of box: unguarded boxes whose dims
-  /// each use at most one unit-coefficient variable, no variable shared
-  /// between dims.
+  bool write = false;
+  /// Under a guard the splitter cannot refine: it may not execute, and its
+  /// box over-approximates (the guard may suppress any subset).
+  bool guarded = false;
+  bool known = true;  // every subscript variable bound (else box is empty)
+  bool boxy = true;   // all coefficients in {0, +-1}: box is exact
+  /// Definitely touches every element of box when it runs: each dim uses
+  /// at most one unit-coefficient variable, no variable shared between
+  /// dims.
   bool covers_box = true;
   /// The iteration->element map is injective over the whole enclosing
-  /// nest: covers_box conditions plus every in-scope loop variable used.
+  /// nest: covers_box plus every enclosing loop variable used.
   bool injective_full = true;
-  bool known = true;  // box computed (no unbound subscript variable)
-  int top_idx = 0;    // enclosing top-level statement, program order
-  int stmt_seq = 0;   // assignment visit order within the walk
+  std::int64_t count = 0;  // distinct elements this box alone touches
+  int top = 0;             // enclosing top-level statement, program order
+  int site = 0;            // its site's execution order within `top`
 };
 
-class Analyzer {
- public:
-  explicit Analyzer(const ir::Program& program) : program_(program) {}
-
-  void run() {
-    for (const auto& s : program_.top()) {
-      walk(*s);
-      ++top_idx_;
-    }
-  }
-
-  std::map<ir::ArrayId, std::vector<Ref>> refs;
-  std::map<ir::ArrayId, std::vector<FRef>> floor_refs;
-  std::map<ir::ArrayId, int> guarded;
+/// Every array reference of a program, read from the engine's assignment
+/// sites, with the flop upper bound.
+struct Refs {
+  std::vector<std::vector<Ref>> by_array;
+  /// References the bound skips (guarded or not known), once each.
+  std::vector<int> excluded;
   std::int64_t flops = 0;
+};
 
- private:
-  Interval* find(const std::string& name) {
-    for (auto it = env_.rbegin(); it != env_.rend(); ++it) {
-      if (it->first == name) return &it->second;
-    }
-    return nullptr;
+std::int64_t expr_flops(const ir::Expr& e) {
+  std::int64_t f = 0;
+  if (e.kind == ir::ExprKind::kBinary) f += ir::kBinaryFlops;
+  if (e.kind == ir::ExprKind::kCall) f += e.call_flops;
+  for (const auto& o : e.operands) {
+    if (o != nullptr) f += expr_flops(*o);
   }
+  return f;
+}
 
-  bool range_of(const ir::Affine& a, Interval* out) {
-    std::int64_t lo = a.constant_term();
-    std::int64_t hi = a.constant_term();
-    for (const auto& [name, coeff] : a.terms()) {
-      const Interval* r = find(name);
-      if (r == nullptr) return false;
-      if (coeff >= 0) {
-        lo += coeff * r->lo;
-        hi += coeff * r->hi;
-      } else {
-        lo += coeff * r->hi;
-        hi += coeff * r->lo;
+/// Append the boxes of `r`, one per combination of the domain pieces of
+/// the loop levels its subscripts read. A subscript variable binds to its
+/// innermost enclosing loop, as at run time.
+void add_boxes(AffineRef r, int top, int site, std::vector<Ref>* out) {
+  Ref ref;
+  ref.write = r.write;
+  ref.guarded = !r.exact_domain;
+  ref.top = top;
+  ref.site = site;
+  // Per dim, the (level, coefficient) of each term.
+  std::vector<std::vector<std::pair<std::size_t, std::int64_t>>> dims;
+  std::vector<std::size_t> levels;
+  bool injective = true;  // every dim uses at most one variable
+  for (const ir::Affine& sub : r.subscripts) {
+    auto& terms = dims.emplace_back();
+    for (const auto& [name, coeff] : sub.terms()) {
+      const auto it =
+          std::find(r.loop_vars.rbegin(), r.loop_vars.rend(), name);
+      if (it == r.loop_vars.rend()) {
+        ref.known = false;
+        continue;
       }
+      levels.push_back(
+          static_cast<std::size_t>(r.loop_vars.rend() - it - 1));
+      terms.emplace_back(levels.back(), coeff);
+      if (coeff != 1 && coeff != -1) ref.boxy = ref.covers_box = false;
     }
-    *out = {lo, hi};
-    return true;
+    if (terms.size() > 1) injective = ref.covers_box = false;
   }
-
-  std::int64_t trip_product() const {
-    std::int64_t p = 1;
-    for (const auto& [name, iv] : env_) {
-      (void)name;
-      p *= iv.size();
-    }
-    return p;
+  ref.subs = std::move(r.subscripts);
+  if (!ref.known) {
+    out->push_back(std::move(ref));
+    return;
   }
+  std::sort(levels.begin(), levels.end());
+  const auto distinct_end = std::unique(levels.begin(), levels.end());
+  if (distinct_end != levels.end()) ref.covers_box = false;  // shared var
+  levels.erase(distinct_end, levels.end());
+  ref.injective_full =
+      ref.covers_box && levels.size() == r.loop_vars.size();
 
-  void record_floor_ref(ir::ArrayId array, const std::vector<ir::Affine>& subs,
-                        bool is_write) {
-    FRef fr;
-    fr.subs = subs;
-    fr.is_write = is_write;
-    fr.guarded = guard_depth_ > 0;
-    fr.top_idx = top_idx_;
-    fr.stmt_seq = stmt_seq_;
-    std::set<std::string> used;
-    for (const auto& sub : subs) {
-      Interval r;
-      if (!range_of(sub, &r)) {
-        fr.known = false;
-        break;
-      }
-      fr.box.push_back(r);
-      int dim_vars = 0;
-      for (const auto& [name, coeff] : sub.terms()) {
-        ++dim_vars;
-        if (coeff != 1 && coeff != -1) fr.covers_box = false;
-        if (!used.insert(name).second) fr.covers_box = false;
-      }
-      if (dim_vars > 1) fr.covers_box = false;
-    }
-    if (!fr.known) fr.box.clear();
-    fr.injective_full = fr.covers_box && used.size() == env_.size();
-    floor_refs[array].push_back(std::move(fr));
-  }
-
-  void record_ref(ir::ArrayId array, const std::vector<ir::Affine>& subs,
-                  bool is_write = false) {
-    record_floor_ref(array, subs, is_write);
-    if (guard_depth_ > 0) {
-      ++guarded[array];
-      return;
-    }
-    Ref ref;
-    bool injective = true;
-    std::map<std::string, std::int64_t> used;  // var -> trip count
-    std::int64_t max_dim = subs.empty() ? 0 : 1;
-    for (const auto& sub : subs) {
-      Interval r;
-      if (!range_of(sub, &r)) {
-        ++guarded[array];  // unbound var: exclude, keep the bound sound
-        return;
-      }
-      ref.box.push_back(r);
-      int dim_vars = 0;
+  std::vector<Interval> piece(r.loop_vars.size());
+  std::vector<std::size_t> idx(levels.size(), 0);
+  while (true) {
+    for (std::size_t k = 0; k < levels.size(); ++k)
+      piece[levels[k]] = r.domains[levels[k]].ranges[idx[k]];
+    ref.box.clear();
+    std::int64_t max_dim = dims.empty() ? 0 : 1;
+    for (std::size_t d = 0; d < dims.size(); ++d) {
+      Interval iv{ref.subs[d].constant_term(), ref.subs[d].constant_term()};
       bool unit = true;
-      std::int64_t single_trip = 1;
-      for (const auto& [name, coeff] : sub.terms()) {
-        ++dim_vars;
+      for (const auto& [level, coeff] : dims[d]) {
+        const Interval& p = piece[level];
+        iv.lo += coeff * (coeff >= 0 ? p.lo : p.hi);
+        iv.hi += coeff * (coeff >= 0 ? p.hi : p.lo);
         if (coeff != 1 && coeff != -1) unit = false;
-        const std::int64_t trip = find(name)->size();
-        used[name] = trip;
-        single_trip = trip;
       }
-      if (dim_vars > 1) injective = false;
-      if (!unit) ref.boxy = false;
+      ref.box.push_back(iv);
       const std::int64_t dim_count =
-          unit ? r.size() : (dim_vars == 1 ? single_trip : 1);
+          unit ? iv.size()
+               : (dims[d].size() == 1 ? piece[dims[d][0].first].size() : 1);
       max_dim = std::max(max_dim, dim_count);
     }
+    ref.count = injective ? 1 : max_dim;
     if (injective) {
-      ref.count = 1;
-      for (const auto& [name, trip] : used) {
-        (void)name;
-        ref.count *= trip;
+      for (const std::size_t level : levels) ref.count *= piece[level].size();
+    }
+    std::size_t k = 0;
+    for (; k < levels.size(); ++k) {
+      if (++idx[k] < r.domains[levels[k]].ranges.size()) break;
+      idx[k] = 0;
+    }
+    if (k == levels.size()) {
+      out->push_back(std::move(ref));
+      return;
+    }
+    out->push_back(ref);
+  }
+}
+
+Refs collect(const ir::Program& program) {
+  Refs refs;
+  refs.by_array.resize(static_cast<std::size_t>(program.array_count()));
+  refs.excluded.resize(refs.by_array.size());
+  for (std::size_t t = 0; t < program.top().size(); ++t) {
+    const SiteWalk walk = collect_assign_sites(*program.top()[t]);
+    for (std::size_t s = 0; s < walk.sites.size(); ++s) {
+      const AssignSite& site = walk.sites[s];
+      if (site.stmt->rhs != nullptr) {
+        std::int64_t trips = 1;
+        for (const VarDomain& d : site.domains) trips *= d.size();
+        refs.flops += trips * expr_flops(*site.stmt->rhs);
       }
-    } else {
-      ref.count = max_dim;
-    }
-    refs[array].push_back(std::move(ref));
-  }
-
-  std::int64_t expr_flops(const ir::Expr& e) const {
-    std::int64_t f = 0;
-    if (e.kind == ir::ExprKind::kBinary) f += ir::kBinaryFlops;
-    if (e.kind == ir::ExprKind::kCall) f += e.call_flops;
-    for (const auto& o : e.operands) {
-      if (o != nullptr) f += expr_flops(*o);
-    }
-    return f;
-  }
-
-  void walk_expr(const ir::Expr& e) {
-    if (e.kind == ir::ExprKind::kArrayRef) record_ref(e.array, e.subscripts);
-    for (const auto& o : e.operands) {
-      if (o != nullptr) walk_expr(*o);
-    }
-  }
-
-  void walk_body(const ir::StmtList& body) {
-    for (const auto& s : body) walk(*s);
-  }
-
-  void walk(const ir::Stmt& s) {
-    switch (s.kind) {
-      case ir::StmtKind::kArrayAssign:
-        ++stmt_seq_;
-        record_ref(s.lhs_array, s.lhs_subscripts, /*is_write=*/true);
-        if (s.rhs != nullptr) {
-          walk_expr(*s.rhs);
-          flops += trip_product() * expr_flops(*s.rhs);
-        }
-        return;
-      case ir::StmtKind::kScalarAssign:
-        ++stmt_seq_;
-        if (s.rhs != nullptr) {
-          walk_expr(*s.rhs);
-          flops += trip_product() * expr_flops(*s.rhs);
-        }
-        return;
-      case ir::StmtKind::kIf: {
-        const ir::Affine diff = s.cmp_lhs - s.cmp_rhs;
-        if (diff.is_constant()) {
-          // Statically decided: only the taken branch exists.
-          walk_body(ir::evaluate_cmp(s.cmp, diff.constant_term(), 0)
-                        ? s.then_body
-                        : s.else_body);
-          return;
-        }
-        const std::optional<std::string> v = diff.single_var();
-        Interval* range = v ? find(*v) : nullptr;
-        if (range != nullptr) {
-          // Refine the variable's interval: each branch sees exactly the
-          // iterations on which it runs, keeping footprints and the flop
-          // count exact.
-          std::vector<Interval> then_iv, else_iv;
-          split_guard(s.cmp, diff.coeff(*v), diff.constant_term(), *range,
-                      &then_iv, &else_iv);
-          const Interval saved = *range;
-          for (const Interval& iv : then_iv) {
-            *range = iv;
-            walk_body(s.then_body);
-          }
-          for (const Interval& iv : else_iv) {
-            *range = iv;
-            walk_body(s.else_body);
-          }
-          *range = saved;
-          return;
-        }
-        // Multi-variable guard: count flops for both branches (upper
-        // bound), exclude the references (lower bound).
-        ++guard_depth_;
-        walk_body(s.then_body);
-        walk_body(s.else_body);
-        --guard_depth_;
-        return;
-      }
-      case ir::StmtKind::kLoop: {
-        if (s.loop == nullptr || s.loop->trip_count() == 0) return;
-        env_.emplace_back(s.loop->var, Interval{s.loop->lower, s.loop->upper});
-        walk_body(s.loop->body);
-        env_.pop_back();
-        return;
+      for (AffineRef& r : site_refs(program, site)) {
+        if (r.array.empty()) continue;
+        const auto a = static_cast<std::size_t>(program.array_id(r.array));
+        std::vector<Ref>& out = refs.by_array[a];
+        const std::size_t first = out.size();
+        add_boxes(std::move(r), static_cast<int>(t), static_cast<int>(s),
+                  &out);
+        if (out[first].guarded || !out[first].known) ++refs.excluded[a];
       }
     }
   }
+  return refs;
+}
 
-  const ir::Program& program_;
-  std::vector<std::pair<std::string, Interval>> env_;
-  int guard_depth_ = 0;
-  int top_idx_ = 0;
-  int stmt_seq_ = 0;
-};
+bool box_contains(const std::vector<Interval>& box,
+                  const std::vector<std::int64_t>& point) {
+  for (std::size_t d = 0; d < box.size(); ++d) {
+    if (point[d] < box[d].lo || point[d] > box[d].hi) return false;
+  }
+  return true;
+}
 
-/// Exact cell count of a union of dense boxes via coordinate compression;
-/// -1 when the compressed grid would be unreasonably large.
-std::int64_t union_of_boxes(const std::vector<const Ref*>& boxes) {
-  if (boxes.empty()) return 0;
-  const std::size_t rank = boxes[0]->box.size();
+/// Cut the span of `boxes` (all of rank `rank`) into the cells of the
+/// grid their bounds define -- coordinate compression -- and call
+/// visit(low corner, element count) on each. False, visiting nothing,
+/// when the grid would exceed 2M cells.
+template <typename Visit>
+bool for_each_cell(const std::vector<const Ref*>& boxes, std::size_t rank,
+                   const Visit& visit) {
   std::vector<std::vector<std::int64_t>> coords(rank);
   for (const Ref* r : boxes) {
-    if (r->box.size() != rank) return -1;  // rank mismatch: malformed
     for (std::size_t d = 0; d < rank; ++d) {
       coords[d].push_back(r->box[d].lo);
       coords[d].push_back(r->box[d].hi + 1);
@@ -279,73 +187,75 @@ std::int64_t union_of_boxes(const std::vector<const Ref*>& boxes) {
     std::sort(c.begin(), c.end());
     c.erase(std::unique(c.begin(), c.end()), c.end());
     cells *= static_cast<std::int64_t>(c.size()) - 1;
-    if (cells > 2'000'000) return -1;
+    if (cells > 2'000'000) return false;
   }
-
-  std::int64_t covered = 0;
   std::vector<std::size_t> idx(rank, 0);
+  std::vector<std::int64_t> point(rank, 0);
   while (true) {
     std::int64_t volume = 1;
     for (std::size_t d = 0; d < rank; ++d) {
-      volume *= coords[d][idx[d] + 1] - coords[d][idx[d]];
+      point[d] = coords[d][idx[d]];
+      volume *= coords[d][idx[d] + 1] - point[d];
     }
-    for (const Ref* r : boxes) {
-      bool inside = true;
-      for (std::size_t d = 0; d < rank; ++d) {
-        const std::int64_t lo = coords[d][idx[d]];
-        if (lo < r->box[d].lo || lo > r->box[d].hi) {
-          inside = false;
-          break;
-        }
-      }
-      if (inside) {
-        covered += volume;
-        break;
-      }
-    }
+    visit(point, volume);
     std::size_t d = 0;
     for (; d < rank; ++d) {
       if (++idx[d] < coords[d].size() - 1) break;
       idx[d] = 0;
     }
-    if (d == rank) break;
+    if (d == rank) return true;
   }
-  return covered;
+}
+
+/// Exact cell count of a union of dense boxes; -1 when their ranks differ
+/// or the compressed grid would be unreasonably large.
+std::int64_t union_of_boxes(const std::vector<const Ref*>& boxes) {
+  if (boxes.empty()) return 0;
+  const std::size_t rank = boxes[0]->box.size();
+  for (const Ref* r : boxes) {
+    if (r->box.size() != rank) return -1;  // rank mismatch: malformed
+  }
+  std::int64_t covered = 0;
+  const bool fits = for_each_cell(
+      boxes, rank,
+      [&](const std::vector<std::int64_t>& point, std::int64_t volume) {
+        for (const Ref* r : boxes) {
+          if (box_contains(r->box, point)) {
+            covered += volume;
+            return;
+          }
+        }
+      });
+  return fits ? covered : -1;
 }
 
 }  // namespace
 
 TrafficBound compute_traffic_bound(const ir::Program& program) {
-  Analyzer analyzer(program);
-  analyzer.run();
+  const Refs refs = collect(program);
 
   TrafficBound bound;
-  bound.flops_upper_bound = analyzer.flops;
+  bound.flops_upper_bound = refs.flops;
   for (ir::ArrayId a = 0; a < program.array_count(); ++a) {
     const ir::ArrayDecl& decl = program.array(a);
     ArrayFootprint fp;
     fp.name = decl.name;
-    const auto git = analyzer.guarded.find(a);
-    fp.guarded_refs = git == analyzer.guarded.end() ? 0 : git->second;
-    const auto rit = analyzer.refs.find(a);
-    if (rit != analyzer.refs.end()) {
-      const std::vector<Ref>& refs = rit->second;
-      std::vector<const Ref*> boxy;
-      std::int64_t max_count = 0;
-      for (const Ref& r : refs) {
-        if (r.boxy) boxy.push_back(&r);
-        max_count = std::max(max_count, r.count);
-      }
-      const std::int64_t cells = union_of_boxes(boxy);
-      const bool all_boxy = boxy.size() == refs.size();
-      if (all_boxy && cells >= 0) {
-        fp.distinct_elements = cells;
-        fp.exact = fp.guarded_refs == 0;
-      } else {
-        fp.distinct_elements = std::max(cells, max_count);
-      }
-    } else {
+    fp.guarded_refs = refs.excluded[static_cast<std::size_t>(a)];
+    std::vector<const Ref*> boxy;
+    std::size_t counted = 0;
+    std::int64_t max_count = 0;
+    for (const Ref& r : refs.by_array[static_cast<std::size_t>(a)]) {
+      if (r.guarded || !r.known) continue;
+      ++counted;
+      if (r.boxy) boxy.push_back(&r);
+      max_count = std::max(max_count, r.count);
+    }
+    const std::int64_t cells = union_of_boxes(boxy);
+    if (boxy.size() == counted && cells >= 0) {
+      fp.distinct_elements = cells;
       fp.exact = fp.guarded_refs == 0;
+    } else {
+      fp.distinct_elements = std::max(cells, max_count);
     }
     fp.bytes =
         fp.distinct_elements * static_cast<std::int64_t>(decl.elem_bytes);
@@ -357,38 +267,21 @@ TrafficBound compute_traffic_bound(const ir::Program& program) {
 
 namespace {
 
-bool subs_equal(const std::vector<ir::Affine>& a,
-                const std::vector<ir::Affine>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!(a[i] == b[i])) return false;
-  }
-  return true;
-}
-
-bool box_contains(const std::vector<Interval>& box,
-                  const std::vector<std::int64_t>& point) {
-  for (std::size_t d = 0; d < box.size(); ++d) {
-    if (point[d] < box[d].lo || point[d] > box[d].hi) return false;
-  }
-  return true;
-}
-
 /// A write that may precede read claim `c` never covers it when it is a
-/// same-statement or later-sibling write of byte-identical subscripts
-/// whose iteration->element map is injective over the whole nest: each
-/// element is then touched in exactly one iteration, and within it the
-/// read (RHS evaluation, or an earlier statement) runs before the store.
-bool exempt_from(const FRef& c, const FRef& w) {
-  return w.top_idx == c.top_idx && w.stmt_seq >= c.stmt_seq &&
-         w.injective_full && subs_equal(w.subs, c.subs);
+/// same-site or later-site write of the same top-level statement, with
+/// byte-identical subscripts, whose iteration->element map is injective
+/// over the whole nest: each element is then touched in exactly one
+/// iteration, and within it the read (RHS evaluation, or an earlier
+/// statement) runs before the store.
+bool exempt_from(const Ref& c, const Ref& w) {
+  return w.top == c.top && w.site >= c.site && w.injective_full &&
+         w.subs == c.subs;
 }
 
 }  // namespace
 
 DataFloor compute_data_floor(const ir::Program& program) {
-  Analyzer analyzer(program);
-  analyzer.run();
+  const Refs refs = collect(program);
 
   DataFloor floor;
   for (ir::ArrayId a = 0; a < program.array_count(); ++a) {
@@ -398,25 +291,21 @@ DataFloor compute_data_floor(const ir::Program& program) {
     const std::size_t rank = decl.extents.size();
     const bool is_output = program.is_output_array(a);
 
-    std::vector<const FRef*> claims;    // exact unguarded reads
-    std::vector<const FRef*> subtract;  // writes that may precede a read
-    std::vector<const FRef*> outputs;   // definite writes of output arrays
+    std::vector<const Ref*> claims;    // exact unguarded reads
+    std::vector<const Ref*> subtract;  // writes that may precede a read
+    std::vector<const Ref*> outputs;   // definite writes of output arrays
     bool opaque_write = false;  // a write whose extent we cannot bound
-    const auto it = analyzer.floor_refs.find(a);
-    if (it != analyzer.floor_refs.end()) {
-      for (const FRef& fr : it->second) {
-        if (fr.is_write) {
-          if (!fr.known || fr.box.size() != rank) {
-            opaque_write = true;
-            continue;
-          }
-          subtract.push_back(&fr);
-          if (is_output && !fr.guarded && fr.covers_box)
-            outputs.push_back(&fr);
-        } else if (fr.known && !fr.guarded && fr.covers_box &&
-                   fr.box.size() == rank) {
-          claims.push_back(&fr);
+    for (const Ref& r : refs.by_array[static_cast<std::size_t>(a)]) {
+      if (r.write) {
+        if (!r.known || r.box.size() != rank) {
+          opaque_write = true;
+          continue;
         }
+        subtract.push_back(&r);
+        if (is_output && !r.guarded && r.covers_box) outputs.push_back(&r);
+      } else if (r.known && !r.guarded && r.covers_box &&
+                 r.box.size() == rank) {
+        claims.push_back(&r);
       }
     }
     // An unbounded write may cover any element before any read: no
@@ -424,75 +313,42 @@ DataFloor compute_data_floor(const ir::Program& program) {
     // more writes never shrink what must be produced).
     if (opaque_write) claims.clear();
 
-    if (!claims.empty() || !outputs.empty()) {
-      // Coordinate compression over every involved box, then per-cell
-      // classification (same machinery as union_of_boxes, but each cell
-      // is tested against the claim/subtract/output structure).
-      std::vector<std::vector<std::int64_t>> coords(rank);
-      const auto add_box = [&](const FRef* r) {
-        for (std::size_t d = 0; d < rank; ++d) {
-          coords[d].push_back(r->box[d].lo);
-          coords[d].push_back(r->box[d].hi + 1);
-        }
-      };
-      for (const FRef* r : claims) add_box(r);
-      for (const FRef* r : subtract) add_box(r);
-      for (const FRef* r : outputs) add_box(r);
-      std::int64_t cells = 1;
-      bool overflow = rank == 0;
-      for (auto& c : coords) {
-        std::sort(c.begin(), c.end());
-        c.erase(std::unique(c.begin(), c.end()), c.end());
-        cells *= static_cast<std::int64_t>(c.size()) - 1;
-        if (cells > 2'000'000) {
-          overflow = true;  // contribute nothing: the floor stays sound
-          break;
-        }
-      }
-      if (!overflow) {
-        std::vector<std::size_t> idx(rank, 0);
-        std::vector<std::int64_t> point(rank, 0);
-        while (true) {
-          std::int64_t volume = 1;
-          for (std::size_t d = 0; d < rank; ++d) {
-            point[d] = coords[d][idx[d]];
-            volume *= coords[d][idx[d] + 1] - coords[d][idx[d]];
-          }
-          bool initial = false;
-          for (const FRef* c : claims) {
-            if (!box_contains(c->box, point)) continue;
-            bool covered = false;
-            for (const FRef* w : subtract) {
-              if (w->top_idx > c->top_idx) continue;  // runs strictly later
-              if (exempt_from(*c, *w)) continue;
-              if (box_contains(w->box, point)) {
-                covered = true;
+    if (rank > 0 && (!claims.empty() || !outputs.empty())) {
+      // Every output is also a subtract box, so these bounds cut the grid.
+      std::vector<const Ref*> boxes = claims;
+      boxes.insert(boxes.end(), subtract.begin(), subtract.end());
+      // Past 2M cells nothing is counted: the floor stays sound.
+      for_each_cell(
+          boxes, rank,
+          [&](const std::vector<std::int64_t>& point, std::int64_t volume) {
+            bool initial = false;
+            for (const Ref* c : claims) {
+              if (!box_contains(c->box, point)) continue;
+              bool covered = false;
+              for (const Ref* w : subtract) {
+                if (w->top > c->top) continue;  // runs strictly later
+                if (exempt_from(*c, *w)) continue;
+                if (box_contains(w->box, point)) {
+                  covered = true;
+                  break;
+                }
+              }
+              if (!covered) {
+                initial = true;
                 break;
               }
             }
-            if (!covered) {
-              initial = true;
-              break;
+            bool written = false;
+            for (const Ref* o : outputs) {
+              if (box_contains(o->box, point)) {
+                written = true;
+                break;
+              }
             }
-          }
-          bool written = false;
-          for (const FRef* o : outputs) {
-            if (box_contains(o->box, point)) {
-              written = true;
-              break;
-            }
-          }
-          if (initial) region.initial_read_elements += volume;
-          if (written) region.output_write_elements += volume;
-          if (initial || written) region.elements += volume;
-          std::size_t d = 0;
-          for (; d < rank; ++d) {
-            if (++idx[d] < coords[d].size() - 1) break;
-            idx[d] = 0;
-          }
-          if (d == rank) break;
-        }
-      }
+            if (initial) region.initial_read_elements += volume;
+            if (written) region.output_write_elements += volume;
+            if (initial || written) region.elements += volume;
+          });
     }
 
     region.bytes =

@@ -6,7 +6,10 @@
 // crosses. The number of distinct bytes touched is therefore a sound lower
 // bound on the simulated boundary traffic, whatever the cache geometry,
 // associativity or replacement policy. This analyzer computes that bound
-// statically, per array, from the affine subscripts:
+// statically, per array, from the affine subscripts of the static engine's
+// assignment sites (verify::collect_assign_sites), whose loop domains are
+// refined through guards: one box per combination of a site's domain
+// pieces, each subscript variable bound to its innermost enclosing loop.
 //
 //  - A reference whose every dimension uses at most one loop variable maps
 //    its iteration space injectively onto elements: its footprint is the
@@ -15,8 +18,9 @@
 //    reference covers a dense box of elements and the array footprint is
 //    the exact union of boxes (computed by coordinate compression).
 //  - Otherwise the footprint falls back to the largest single-reference
-//    count (still a valid lower bound); references under guards are
-//    excluded entirely (a guard may suppress every access).
+//    count (still a valid lower bound); references under guards the
+//    splitter cannot refine are excluded entirely (a guard may suppress
+//    every access).
 //
 // The companion flops_upper_bound counts every arithmetic operation the
 // program could execute (both branches of each guard), giving a sound
@@ -41,7 +45,9 @@ struct ArrayFootprint {
   std::int64_t bytes = 0;
   /// Every unguarded reference was covered by the union-of-boxes count.
   bool exact = false;
-  /// References skipped because they sit under a guard.
+  /// References skipped because they sit under a guard the splitter
+  /// cannot refine or use a variable no enclosing loop binds; each
+  /// reference counts once, however many boxes its domain pieces make.
   int guarded_refs = 0;
 };
 

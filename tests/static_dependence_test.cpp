@@ -237,6 +237,21 @@ TEST(CollectSites, GuardRefinesLoopDomain) {
   EXPECT_EQ(walk.unreachable_guards, 0);
 }
 
+TEST(CollectSites, ShadowedGuardVariableIsNotRefined) {
+  // The guard reads the inner `i`; refining the outer [1, 2] would prove
+  // the arm empty. A name bound twice is left unrefined instead.
+  Program p("t");
+  const ArrayId a = p.add_array("a", {16});
+  p.append(loop("i", 1, 2,
+                loop("i", 1, 16,
+                     when(ir::CmpOp::kGe, v("i"), k(8),
+                          assign(a, {v("i")}, at(a, v("i")) + lit(1))))));
+  const SiteWalk walk = collect_assign_sites(*p.top()[0]);
+  ASSERT_EQ(walk.sites.size(), 1u);
+  EXPECT_FALSE(walk.sites[0].exact_domain);
+  EXPECT_EQ(walk.unreachable_guards, 0);
+}
+
 TEST(CollectSites, EmptyGuardArmIsUnreachable) {
   Program p("t");
   const ArrayId a = p.add_array("a", {100});
